@@ -9,8 +9,8 @@ polynomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -24,6 +24,12 @@ RANK_TOL = 1e-9
 # number of grid points used for C^k-norm suprema
 SUP_GRID = 4097
 SUP_SAFETY = 1.01
+
+# sample count of CurveSpec.velocity_sup
+SPEED_SAMPLES = 512
+
+# relative size below which a Euclid remainder counts as zero (square-free part)
+GCD_TOL = 1e-10
 
 
 class CapabilityError(ValueError):
@@ -145,9 +151,35 @@ class CurveSpec:
             cols.append(npoly.polyval(t, dc))
         return np.stack(cols, axis=-1)
 
-    def velocity_sup(self, lo=0.0, hi=1.0, n=512):
+    def velocity_sup(self, lo=0.0, hi=1.0, n=SPEED_SAMPLES):
+        """Max of |gamma'| over n samples of [lo, hi]; computed once on [0, 1]."""
+        if (lo, hi, n) == (0.0, 1.0, SPEED_SAMPLES):
+            return self._unit_velocity_sup
+        return self._sampled_speed_max(lo, hi, n)
+
+    def _sampled_speed_max(self, lo, hi, n):
         ts = np.linspace(lo, hi, n)
         return float(np.max(np.linalg.norm(self.derivative(ts, 1), axis=-1)))
+
+    # Per-curve data, cached in the instance __dict__ (the dataclass is
+    # frozen, so the coefficients cannot change under the cache; equality
+    # and hashing see only the fields).
+
+    @cached_property
+    def _unit_velocity_sup(self):
+        return self._sampled_speed_max(0.0, 1.0, SPEED_SAMPLES)
+
+    @cached_property
+    def torsion_coeffs(self):
+        """torsion_poly(self), read-only."""
+        out = torsion_poly(self)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def torsion_roots(self):
+        """Sorted distinct real roots of the torsion polynomial, any multiplicity."""
+        return real_roots(self.torsion_coeffs)
 
     # -- serialization (exact decimal round-trip via repr of float64) ------
 
@@ -218,11 +250,6 @@ def monomial_model(a):
 # ---------------------------------------------------------------------------
 
 
-def eval_derivatives(curve, t, max_order):
-    """Stack gamma(t), gamma'(t), ..., gamma^(max_order)(t) as rows."""
-    return np.stack([curve.derivative(t, k) for k in range(max_order + 1)])
-
-
 def det_exact(mat):
     """Cofactor-expansion determinant for small dense matrices."""
     m = np.asarray(mat, dtype=float)
@@ -247,12 +274,74 @@ def derivative_matrix(curve, t, orders=None):
     return np.stack([curve.derivative(t, k) for k in orders], axis=-1)
 
 
+def torsion_poly(curve):
+    """Coefficients (low to high) of det(gamma', ..., gamma^(d)) as a polynomial.
+
+    Exact up to rounding of the coefficient products; each curve keeps its
+    own copy as `torsion_coeffs`, which `torsion` evaluates.
+    """
+    d = curve.d
+    cols = []
+    for order in range(1, d + 1):
+        col = []
+        for c in curve.coeffs:
+            dc = npoly.polyder(np.asarray(c, dtype=float), order)
+            col.append(dc if dc.size else np.zeros(1))
+        cols.append(col)
+
+    def det(rows, colset):
+        if len(colset) == 1:
+            return cols[colset[0]][rows[0]]
+        acc = np.zeros(1)
+        for k, ci in enumerate(colset):
+            lead = cols[ci][rows[0]]
+            if np.all(lead == 0.0):
+                continue
+            minor = det(rows[1:], colset[:k] + colset[k + 1 :])
+            term = npoly.polymul(lead, minor)
+            acc = npoly.polyadd(acc, ((-1.0) ** k) * term)
+        return acc
+
+    return det(tuple(range(d)), tuple(range(d)))
+
+
 def torsion(curve, t):
     """det(gamma'(t), ..., gamma^(d)(t)); nonvanishing means nondegenerate."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        return det_exact(derivative_matrix(curve, float(t)))
-    return np.array([det_exact(derivative_matrix(curve, float(ti))) for ti in t])
+    vals = npoly.polyval(np.asarray(t, dtype=float), curve.torsion_coeffs)
+    return float(vals) if np.ndim(vals) == 0 else vals
+
+
+def _squarefree(p, tol=GCD_TOL):
+    """p / gcd(p, p'), with the gcd from Euclid's algorithm on max-normalized
+    coefficients (low to high).
+
+    A remainder coefficient at most `tol` counts as zero, so roots closer
+    than about sqrt(tol) merge.
+    """
+    a = p / np.max(np.abs(p))
+    b = npoly.polyder(a)
+    while True:
+        b = np.trim_zeros(np.where(np.abs(b) > tol, b, 0.0), "b")
+        if b.size == 0:
+            return npoly.polydiv(p, a)[0]
+        b = b / np.max(np.abs(b))
+        a, b = b, npoly.polydiv(a, b)[1]
+
+
+def real_roots(coeffs):
+    """Sorted distinct real roots of a polynomial (coefficients low to high).
+
+    Roots come from the square-free part, whose roots are simple: polyroots
+    moves a root of multiplicity m off the real axis by about eps^(1/m),
+    which an imaginary-part filter on p itself would drop.
+    """
+    p = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    if p.size <= 1:
+        return ()
+    q = _squarefree(p)
+    roots = npoly.polyroots(q) if q.size > 1 else ()
+    # + 0.0 turns a root -0.0 into 0.0
+    return tuple(sorted({float(r.real) + 0.0 for r in roots if abs(r.imag) < 1e-9}))
 
 
 def minor_determinant(curve, rows, t):

@@ -9,7 +9,7 @@ Interval endpoints are exact rationals so separation checks never round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .curves import CurveSpec, affine_weight, torsion
+from .curves import affine_weight, torsion_poly  # torsion_poly: public via engine too
 
 NODES_PER_WAVELENGTH = 10
 PANEL_ORDER = 16
@@ -213,12 +212,15 @@ class QuadratureRule:
 
 
 def build_rule(f, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
-               grade_points=()):
+               grade_points=(), split=1):
     """Rule over supp f resolving `omega` radians per unit t.
 
     Panel width keeps wavelengths-per-panel at PANEL_ORDER /
     nodes_per_wavelength; grade points get geometrically refined panels
-    (weight singularities).
+    (weight singularities).  `split` > 1 then halves (thirds, ...) every
+    panel, graded ones included: the self-check's finer rule, which must
+    differ from the coarse one even when the support is narrower than one
+    panel.
     """
     lo, hi = f.lo, f.hi
     if hi <= lo:
@@ -227,48 +229,18 @@ def build_rule(f, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
     base = (2.0 * math.pi / max(omega_tot, 1e-9)) * PANEL_ORDER / nodes_per_wavelength
     base = min(base, hi - lo)
     edges = _graded_edges(lo, hi, base, tuple(grade_points))
+    if split > 1:
+        steps = np.diff(edges)[:, None] * (np.arange(split) / split)[None, :]
+        edges = np.append((edges[:-1, None] + steps).ravel(), edges[-1])
     ts, ws = _panel_nodes(edges)
-    return QuadratureRule(ts, ws, omega_tot, nodes_per_wavelength)
-
-
-def torsion_poly(curve):
-    """Coefficients (low to high) of det(gamma', ..., gamma^(d)) as a polynomial."""
-    d = curve.d
-    cols = []
-    for order in range(1, d + 1):
-        col = []
-        for c in curve.coeffs:
-            dc = npoly.polyder(np.asarray(c, dtype=float), order)
-            col.append(dc if dc.size else np.zeros(1))
-        cols.append(col)
-
-    def det(rows, colset):
-        if len(colset) == 1:
-            return cols[colset[0]][rows[0]]
-        acc = np.zeros(1)
-        for k, ci in enumerate(colset):
-            lead = cols[ci][rows[0]]
-            if np.all(lead == 0.0):
-                continue
-            minor = det(rows[1:], colset[:k] + colset[k + 1 :])
-            term = npoly.polymul(lead, minor)
-            acc = npoly.polyadd(acc, ((-1.0) ** k) * term)
-        return acc
-
-    return det(tuple(range(d)), tuple(range(d)))
+    return QuadratureRule(ts, ws, omega_tot, nodes_per_wavelength * split)
 
 
 def weight_zeros(curve, lo=0.0, hi=1.0):
     """Real roots of the torsion polynomial in [lo, hi] (weight singularities)."""
-    coeffs = np.trim_zeros(np.asarray(torsion_poly(curve)), "b")
-    if coeffs.size <= 1:
-        return ()
-    roots = npoly.polyroots(coeffs)
-    out = []
-    for r in roots:
-        if abs(r.imag) < 1e-9 and lo - 1e-12 <= r.real <= hi + 1e-12:
-            out.append(float(np.clip(r.real, lo, hi)))
-    return tuple(sorted(set(out)))
+    out = {float(np.clip(r, lo, hi)) for r in curve.torsion_roots
+           if lo - 1e-12 <= r <= hi + 1e-12}
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +277,7 @@ def extension_eval(curve, lam, targets, f, alpha=None, workers=1,
 
     Deterministic for fixed inputs: node order and target blocking are
     fixed, so worker count never changes the result bytes.  A stride of
-    targets is re-evaluated at doubled node density; disagreement beyond
+    targets is re-evaluated with every panel split in two; disagreement beyond
     the absolute tolerance raises QuadratureBudgetError.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -332,7 +304,8 @@ def extension_eval(curve, lam, targets, f, alpha=None, workers=1,
 
     if self_check and targets.shape[0] > 0:
         idx = np.arange(0, targets.shape[0], SELF_CHECK_STRIDE)
-        fine = build_rule(f, omega, 2 * nodes_per_wavelength, grade_points=grade)
+        fine = build_rule(f, omega, nodes_per_wavelength, grade_points=grade,
+                          split=2)
         gfine = curve.point(fine.nodes).T.copy()
         afine = _amplitude(curve, f, fine, alpha)
         ref = _eval_block(targets[idx], gfine, afine, lam)
@@ -395,8 +368,8 @@ def extension_eval_grid(curve, lam, axes, f, alpha=None, self_check=True,
 
     values = assemble(rule)
     if self_check:
-        fine = build_rule(f, omega, 2 * nodes_per_wavelength,
-                          grade_points=grade)
+        fine = build_rule(f, omega, nodes_per_wavelength, grade_points=grade,
+                          split=2)
         corner = tuple(s - 1 for s in shape)
         mid = tuple(s // 2 for s in shape)
         pts = np.array([[axes[k][i] for k, i in enumerate(idx)]

@@ -10,7 +10,7 @@ curve, measure, and engine modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -28,7 +28,6 @@ from .curves import (
     sigma_exponent,
 )
 from .engine import (
-    TestFunction,
     bump,
     extension_eval,
     extension_eval_grid,

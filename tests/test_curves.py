@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -99,6 +100,82 @@ def test_torsion_oracle_helix_like_polynomial():
     # gamma = (t, t^2, t^3): det[[1,0,0],[2t,2,0],[3t^2,6t,6]] = 12
     g = cv.CurveSpec(d=3, coeffs=((0, 1), (0, 0, 1), (0, 0, 0, 1)))
     np.testing.assert_allclose(cv.torsion(g, np.array([0.0, 0.3, 1.0])), 12.0)
+
+
+def _torsion_oracle(g, t):
+    """Independent reference: cofactor determinant of the evaluated frame."""
+    return cv.det_exact(cv.derivative_matrix(g, float(t)))
+
+
+@st.composite
+def _polynomial_curves(draw):
+    d = draw(st.integers(2, 4))
+    deg = draw(st.integers(d, d + 3))
+    coef = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    comps = tuple(tuple(draw(st.lists(coef, min_size=deg + 1, max_size=deg + 1)))
+                  for _ in range(d))
+    return cv.CurveSpec(d=d, coeffs=comps)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_polynomial_curves(), st.floats(0.0, 1.0))
+def test_torsion_polynomial_matches_determinant(g, t):
+    # Hadamard's bound on |det| sets the rounding scale of both evaluations
+    scale = math.prod(max(1.0, float(np.linalg.norm(col)))
+                      for col in cv.derivative_matrix(g, t).T)
+    assert abs(cv.torsion(g, t) - _torsion_oracle(g, t)) <= 1e-12 * scale
+
+
+def test_torsion_scalar_and_vector_forms():
+    g = cv.CurveSpec(d=3, coeffs=((0, 1, 0.3), (0, 0.2, 0.5, 0.1), (0, 0, 0.1, 0.4)))
+    assert type(cv.torsion(g, 0.25)) is float
+    ts = np.linspace(0, 1, 7)
+    np.testing.assert_array_equal(cv.torsion(g, ts), [cv.torsion(g, t) for t in ts])
+
+
+def test_curve_data_cached_equals_uncached():
+    g = cv.CurveSpec(d=2, coeffs=((0, 1), (0, 0, -0.45, 0, 0.5)))  # torsion 6t^2 - 0.9
+    key = (hash(g), g)
+    coeffs = g.torsion_coeffs
+    assert g.torsion_coeffs is coeffs and not coeffs.flags.writeable
+    np.testing.assert_array_equal(coeffs, cv.torsion_poly(g))
+    assert g.torsion_roots == cv.real_roots(cv.torsion_poly(g))
+    ts = np.linspace(0, 1, 9)
+    np.testing.assert_allclose(cv.torsion(g, ts), [_torsion_oracle(g, t) for t in ts],
+                               atol=1e-14)
+    r = math.sqrt(0.15)
+    assert g.torsion_roots == pytest.approx((-r, r), abs=1e-14)
+    speeds = np.linalg.norm(g.derivative(np.linspace(0, 1, 512), 1), axis=-1)
+    assert g.velocity_sup() == g.velocity_sup(0.0, 1.0) == float(np.max(speeds))
+    assert g.velocity_sup(0.0, 0.5, 65) == float(
+        np.max(np.linalg.norm(g.derivative(np.linspace(0, 0.5, 65), 1), axis=-1)))
+    # caching leaves equality and hashing to the dataclass fields
+    assert (hash(g), g) == key
+    assert g == cv.CurveSpec(d=2, coeffs=g.coeffs)
+
+
+def test_replaced_curve_gets_its_own_data():
+    g = cv.model_curve(2)
+    assert (g.torsion_roots, g.velocity_sup()) == ((), pytest.approx(math.sqrt(2.0)))
+    h = dataclasses.replace(g, coeffs=((0, 1), (0, 0, 0, 1)))  # torsion 6t
+    np.testing.assert_allclose(h.torsion_coeffs, [0.0, 6.0])
+    assert h.torsion_roots == (0.0,)
+    assert h.velocity_sup() == pytest.approx(math.sqrt(10.0))
+    np.testing.assert_allclose(g.torsion_coeffs, [1.0])
+
+
+@pytest.mark.parametrize("mult", [1, 2, 3, 4, 6])
+def test_real_roots_any_multiplicity(mult):
+    p = np.polynomial.polynomial.polyfromroots([0.3] * mult + [0.7, 0.1, 0.1])
+    assert cv.real_roots(p) == pytest.approx((0.1, 0.3, 0.7), abs=1e-9)
+    assert cv.real_roots(np.polynomial.polynomial.polyfromroots([0.3] * mult)) \
+        == pytest.approx((0.3,), abs=1e-9)
+
+
+def test_real_roots_no_real_or_constant():
+    assert cv.real_roots([1.0, 0.0, 1.0]) == ()
+    assert cv.real_roots([3.0]) == ()
+    assert cv.real_roots([0.0, 0.0]) == ()
 
 
 def test_minor_determinant_oracle():

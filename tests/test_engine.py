@@ -6,6 +6,10 @@ import pytest
 from curveext import engine as eng
 from curveext import measures as ms
 from curveext.curves import (
+    CurveSpec,
+    adaptive_quad,
+    derivative_matrix,
+    det_exact,
     diagonal_scaling,
     frame_matrix,
     model_curve,
@@ -76,13 +80,12 @@ def test_rule_weights_integrate_support():
 
 
 def test_torsion_poly_matches_pointwise():
-    from curveext.curves import CurveSpec, torsion
-
     g = CurveSpec(d=3, coeffs=((0, 1, 0.3), (0, 0.2, 0.5, 0.1), (0, 0, 0.1, 0.4)))
     coeffs = eng.torsion_poly(g)
     ts = np.linspace(0, 1, 7)
     np.testing.assert_allclose(
-        np.polynomial.polynomial.polyval(ts, coeffs), torsion(g, ts), atol=1e-10
+        np.polynomial.polynomial.polyval(ts, coeffs),
+        [det_exact(derivative_matrix(g, t)) for t in ts], atol=1e-10
     )
 
 
@@ -90,6 +93,33 @@ def test_weight_zeros_found():
     g = monomial_model((2, 3))  # torsion = t^2/2
     assert eng.weight_zeros(g) == (0.0,)
     assert eng.weight_zeros(model_curve(2)) == ()
+    assert eng.weight_zeros(CurveSpec(d=2, coeffs=((0, 0, 1), (0, 0, 0, 1)))) == (0.0,)
+
+
+# gamma = (t, (t - 0.3)^4): torsion 12 (t - 0.3)^2, a double root that
+# polyroots returns as 0.3 +- 4e-9 i
+_DOUBLE_ROOT = CurveSpec(d=2, coeffs=((0, 1), (0.3**4, -4 * 0.3**3, 6 * 0.3**2, -4 * 0.3, 1)))
+
+
+def test_weight_zeros_even_multiplicity():
+    zeros = eng.weight_zeros(_DOUBLE_ROOT)
+    assert len(zeros) == 1 and zeros[0] == pytest.approx(0.3, abs=1e-9)
+    assert eng.weight_zeros(_DOUBLE_ROOT, 0.5, 1.0) == ()
+
+
+def test_weighted_value_at_double_torsion_root():
+    x = np.array([0.7, -0.4])
+    got = eng.extension_eval(_DOUBLE_ROOT, 1.0, x[None, :], eng.indicator(0.0, 1.0),
+                             alpha=2.0)[0]
+
+    def part(fn):
+        # weight |12 (t - 0.3)^2|^{1/3} (alpha = 2, beta = 3); split at the root
+        def g(t):
+            return fn(np.exp(1j * float(x @ _DOUBLE_ROOT.point(t)))
+                      * abs(12.0 * (t - 0.3) ** 2) ** (1.0 / 3.0))
+        return sum(adaptive_quad(g, a, b, tol=1e-12) for a, b in ((0.0, 0.3), (0.3, 1.0)))
+
+    assert abs(got - complex(part(np.real), part(np.imag))) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +205,38 @@ def test_self_check_raises_on_starved_budget():
     with pytest.raises(eng.QuadratureBudgetError):
         eng.extension_eval(g, 512.0, targets, eng.indicator(0.0, 1.0),
                            nodes_per_wavelength=0.5)
+
+
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("curve, f, alpha", [
+    # support narrower than one panel at omega = 10: a rule at doubled
+    # nodes-per-wavelength has the same 16 nodes as the coarse one
+    (model_curve(2), eng.indicator(0.4, 0.41), None),
+    # geometric panels toward the torsion root t = 0
+    (monomial_model((2, 3)), eng.indicator(0.0, 0.5), 2.0),
+])
+def test_self_check_rule_splits_every_panel(monkeypatch, grid, curve, f, alpha):
+    built = []
+    build_rule = eng.build_rule
+
+    def recording(*args, **kwargs):
+        built.append(build_rule(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(eng, "build_rule", recording)
+    x = 10.0 / curve.velocity_sup()
+    if grid:
+        eng.extension_eval_grid(curve, 1.0, [np.array([x]), np.array([0.0])], f,
+                                alpha=alpha)
+    else:
+        eng.extension_eval(curve, 1.0, np.array([[x, 0.0]]), f, alpha=alpha)
+    coarse, fine = built
+    assert fine.n == 2 * coarse.n
+    assert float(np.sum(fine.weights)) == pytest.approx(f.width, abs=1e-14)
+    # every coarse panel is halved: its 16 nodes sit in the two fine panels
+    for k in range(0, coarse.n, eng.PANEL_ORDER):
+        lo, hi = fine.nodes[2 * k], fine.nodes[2 * k + 2 * eng.PANEL_ORDER - 1]
+        assert lo < coarse.nodes[k] and coarse.nodes[k + eng.PANEL_ORDER - 1] < hi
 
 
 def test_weighted_value_at_origin_is_weight_integral():
