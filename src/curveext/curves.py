@@ -59,6 +59,15 @@ def _compose_affine(coeffs, shift, scale):
     return out
 
 
+def shift_subtract(curve, tau, h=1.0):
+    """The polynomial curve t -> gamma(h t + tau) - gamma(tau)."""
+    comps = [_compose_affine(np.asarray(c, dtype=float), float(tau), float(h))
+             for c in curve.coeffs]
+    for cc in comps:
+        cc[0] = 0.0  # exact subtraction of gamma(tau)
+    return CurveSpec(d=curve.d, coeffs=tuple(comps), label=curve.label)
+
+
 @dataclass(frozen=True)
 class ExponentTuple:
     """Strictly increasing positive-integer exponents (a_1, ..., a_d)."""
@@ -422,17 +431,7 @@ def normalize_curve(curve, tau, h, a=None):
             f"frame at tau={tau} for tuple {tuple(a)} is singular", det=frame.det
         )
     md = frame.matrix @ diagonal_scaling(h, a)
-    shifted = []
-    width = 0
-    for c in curve.coeffs:
-        cc = _compose_affine(np.asarray(c), float(tau), float(h))
-        cc[0] = 0.0  # exact subtraction of gamma(tau)
-        shifted.append(cc)
-        width = max(width, cc.size)
-    mat = np.zeros((curve.d, width))
-    for i, cc in enumerate(shifted):
-        mat[i, : cc.size] = cc
-    new = np.linalg.solve(md, mat)
+    new = np.linalg.solve(md, shift_subtract(curve, tau, h).component_arrays())
     return CurveSpec(
         d=curve.d,
         coeffs=tuple(tuple(row) for row in new),
@@ -547,17 +546,8 @@ def detect_finite_type(curve, tau):
     frame = frame_matrix(curve, tau, a)
     # phi_k from the exact polynomial identity
     # M^{-1}(gamma(t+tau)-gamma(tau)) = (t^{a_k} phi_k(t))_k
-    shifted = []
-    width = 0
-    for c in curve.coeffs:
-        cc = _compose_affine(np.asarray(c), float(tau), 1.0)
-        cc[0] = 0.0
-        shifted.append(cc)
-        width = max(width, cc.size)
-    mat = np.zeros((curve.d, width))
-    for i, cc in enumerate(shifted):
-        mat[i, : cc.size] = cc
-    normalized = np.linalg.solve(frame.matrix, mat)
+    normalized = np.linalg.solve(frame.matrix,
+                                 shift_subtract(curve, tau).component_arrays())
     phis = []
     for k in range(curve.d):
         row = normalized[k]
@@ -617,8 +607,6 @@ class JacobianProbe:
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.ts)
-        if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])) and len(ts) > 1:
-            pass  # allow degenerate probes; operations treat them explicitly
         if ts[0] < 0 or ts[-1] > 1:
             raise ValueError("sample points must lie in (0, 1]")
         object.__setattr__(self, "ts", ts)

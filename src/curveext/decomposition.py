@@ -4,6 +4,8 @@ Splits T f(x) over nested dyadic interval families, choosing per target
 point either a dominating single interval or a pairwise-separated tuple,
 and records the inequality actually asserted together with its constants.
 Interval endpoints are exact rationals so separation checks never round.
+The interval tables come from one pass, and their telescoping check
+compares two different quadrature rules (see interval_values).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from . import engine
 
 TELESCOPE_TOL = 1e-8
 SINGLE_THRESHOLD = 100.0
-BASE_PAIR_CONSTANT = 4.0  # interval-counting bound in the pair branch
 
 
 def certificate_constant(d):
@@ -94,26 +95,28 @@ def interval_values(f, family, curve, lam, targets, workers=1):
     """T f_I (x) for every interval at every level and each target.
 
     Returns {level: complex array (n_intervals, n_targets)} plus the full
-    values T f(x); every level's column sums are checked against the full
-    values (partition additivity).
+    values T f(x).  The finest level is one pass, each interval on the rule
+    extension_eval builds for it alone; coarser levels sum their children.
+    Every level's column sums are checked against the full values, which
+    keep their own whole-support rule (partition additivity).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     full = engine.extension_eval(curve, lam, targets, f, workers=workers)
+    pieces = [engine.restrict(f, float(iv.lo), float(iv.hi))
+              for iv in family.intervals(family.depth)]
+    table = engine.extension_eval_pieces(curve, lam, targets, f, pieces,
+                                         workers=workers)
     tables = {}
-    for level in range(1, family.depth + 1):
-        rows = []
-        for iv in family.intervals(level):
-            piece = engine.restrict(f, float(iv.lo), float(iv.hi))
-            rows.append(engine.extension_eval(curve, lam, targets, piece,
-                                              workers=workers))
-        table = np.stack(rows)
+    for level in range(family.depth, 0, -1):
+        table = table.reshape(len(family.intervals(level)), -1,
+                              targets.shape[0]).sum(axis=1)
         resid = float(np.max(np.abs(table.sum(axis=0) - full)))
         if resid > TELESCOPE_TOL:
             raise TelescopingError(
                 f"level {level} telescoping residual {resid:.3e}"
             )
         tables[level] = table
-    return tables, full
+    return dict(sorted(tables.items())), full
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +264,9 @@ def certificate_factors(family, d):
     """The per-level constants of the asserted inequality, as printed."""
     c = certificate_constant(d)
     factors = []
-    prev = Fraction(1)
     for i in range(1, family.depth + 1):
         a_prev = family.lengths[i - 2] if i >= 2 else Fraction(1)
         factors.append(c * float(a_prev) ** (-2 * (i - 1)))
-        prev = a_prev
     a_last = family.lengths[-1]
     factors.append(c * float(a_last) ** (-2 * family.depth))
     return tuple(factors)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -58,9 +60,6 @@ class TestFunction:
     @property
     def width(self):
         return max(self.hi - self.lo, 0.0)
-
-    def breakpoints(self):
-        return (self.lo, self.hi)
 
     def bandwidth(self):
         """Oscillation scale of the amplitude itself, rad per unit t."""
@@ -244,15 +243,28 @@ def weight_zeros(curve, lo=0.0, hi=1.0):
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation
+# the evaluation core: one set-up and one self-check behind two front ends,
+# scattered targets and tensor grids
 # ---------------------------------------------------------------------------
 
 
-def _amplitude(curve, f, rule, alpha):
-    amp = f(rule.nodes) * rule.weights
+def _setup(curve, f, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1):
+    """Rules for T f up to |x| = xmax, one per piece, and their nodes' data.
+
+    Each piece (f itself, or f restricted to a subinterval) gets the rule
+    build_rule gives it alone; the curve points (d, n) and the amplitude
+    f(t) w(t) [affine weight] are formed once over all their nodes in order.
+    """
+    omega = lam * xmax * curve.velocity_sup(0.0, 1.0)
+    rules = [build_rule(p, omega, nodes_per_wavelength, split=split,
+                        grade_points=() if alpha is None
+                        else weight_zeros(curve, p.lo, p.hi))
+             for p in pieces]
+    nodes = np.concatenate([r.nodes for r in rules])
+    amp = f(nodes) * np.concatenate([r.weights for r in rules])
     if alpha is not None:
-        amp = amp * affine_weight(curve, alpha, rule.nodes)
-    return amp.astype(complex)
+        amp = amp * affine_weight(curve, alpha, nodes)
+    return rules, curve.point(nodes).T.copy(), amp.astype(complex)
 
 
 def _eval_block(block, gamma_nodes, amp, lam):
@@ -263,12 +275,77 @@ def _eval_block(block, gamma_nodes, amp, lam):
     for a0 in range(0, gamma_nodes.shape[1], NODE_CHUNK):
         g = gamma_nodes[:, a0 : a0 + NODE_CHUNK]
         phase = lam * (block @ g)
-        partial = np.exp(1j * phase) @ amp[a0 : a0 + NODE_CHUNK]
-        y = partial - comp
+        part = np.exp(1j * phase) @ amp[a0 : a0 + NODE_CHUNK]
+        y = part - comp
         t = s + y
         comp = (t - s) - y
         s = t
     return s
+
+
+def _evaluate(targets, gamma_nodes, amp, rules, lam, workers=1):
+    """T at every target on each rule's own nodes: shape (len(rules), m).
+
+    Node order and target blocking are fixed, so the worker count never
+    changes the result bytes.
+    """
+    m = targets.shape[0]
+    ends = np.cumsum([r.n for r in rules])
+    jobs = [(targets[i : i + TARGET_BLOCK], slice(e - r.n, e))
+            for r, e in zip(rules, ends) for i in range(0, m, TARGET_BLOCK)]
+
+    def run(job):
+        block, nodes = job
+        return _eval_block(block, gamma_nodes[:, nodes], amp[nodes], lam)
+
+    if workers > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, jobs))
+    else:
+        parts = [run(job) for job in jobs]
+    return np.concatenate([np.zeros(0, dtype=complex)] + parts).reshape(len(rules), m)
+
+
+def _self_check(setup, lam, points, got, rules):
+    """Recompute `got` (pieces x points) with every panel split in two.
+
+    `setup(split=...)` rebuilds the rules that gave `got`; disagreement
+    beyond the absolute tolerance raises QuadratureBudgetError.
+    """
+    fine, gamma_nodes, amp = setup(split=2)
+    ref = _evaluate(points, gamma_nodes, amp, fine, lam)
+    err = float(np.max(np.abs(got - ref), initial=0.0))
+    if err > SELF_CHECK_TOL:
+        raise QuadratureBudgetError(
+            f"self-check error {err:.3e} at lambda={lam}, "
+            f"nodes={sum(r.n for r in rules)}, "
+            f"omega={max(r.omega for r in rules):.3e}"
+        )
+
+
+def extension_eval_pieces(curve, lam, targets, f, pieces, alpha=None, workers=1,
+                          self_check=True,
+                          nodes_per_wavelength=NODES_PER_WAVELENGTH):
+    """T (f 1_I) at each target for each piece I: shape (len(pieces), m).
+
+    `pieces` are f or restrict(f, ...) to subintervals.  Each gets the
+    rule, target blocking and self-check extension_eval gives it alone,
+    with f itself as amplitude; curve points and amplitudes are formed
+    once for all nodes.  For indicator and trig f (which restrict keeps
+    as f 1_I), row k is byte-identical to extension_eval at pieces[k].
+    """
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    if targets.shape[1] != curve.d:
+        raise ValueError("target dimension mismatch")
+    xmax = float(np.max(np.linalg.norm(targets, axis=1))) if targets.size else 0.0
+    setup = partial(_setup, curve, f, pieces, lam, xmax, alpha,
+                    nodes_per_wavelength)
+    rules, gamma_nodes, amp = setup()
+    values = _evaluate(targets, gamma_nodes, amp, rules, lam, workers)
+    if self_check and targets.shape[0] > 0:
+        idx = np.arange(0, targets.shape[0], SELF_CHECK_STRIDE)
+        _self_check(setup, lam, targets[idx], values[:, idx], rules)
+    return values
 
 
 def extension_eval(curve, lam, targets, f, alpha=None, workers=1,
@@ -280,47 +357,22 @@ def extension_eval(curve, lam, targets, f, alpha=None, workers=1,
     targets is re-evaluated with every panel split in two; disagreement beyond
     the absolute tolerance raises QuadratureBudgetError.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if targets.shape[1] != curve.d:
-        raise ValueError("target dimension mismatch")
-    xmax = float(np.max(np.linalg.norm(targets, axis=1))) if targets.size else 0.0
-    omega = lam * xmax * curve.velocity_sup(0.0, 1.0)
-    grade = weight_zeros(curve, f.lo, f.hi) if alpha is not None else ()
-    rule = build_rule(f, omega, nodes_per_wavelength, grade_points=grade)
-    if rule.n == 0:
-        return np.zeros(targets.shape[0], dtype=complex)
-    gamma_nodes = curve.point(rule.nodes).T.copy()  # (d, n)
-    amp = _amplitude(curve, f, rule, alpha)
-
-    blocks = [targets[i : i + TARGET_BLOCK]
-              for i in range(0, targets.shape[0], TARGET_BLOCK)]
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda b: _eval_block(b, gamma_nodes, amp, lam), blocks))
-    else:
-        parts = [_eval_block(b, gamma_nodes, amp, lam) for b in blocks]
-    values = np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
-
-    if self_check and targets.shape[0] > 0:
-        idx = np.arange(0, targets.shape[0], SELF_CHECK_STRIDE)
-        fine = build_rule(f, omega, nodes_per_wavelength, grade_points=grade,
-                          split=2)
-        gfine = curve.point(fine.nodes).T.copy()
-        afine = _amplitude(curve, f, fine, alpha)
-        ref = _eval_block(targets[idx], gfine, afine, lam)
-        err = float(np.max(np.abs(values[idx] - ref)))
-        if err > SELF_CHECK_TOL:
-            raise QuadratureBudgetError(
-                f"self-check error {err:.3e} at lambda={lam}, "
-                f"nodes={rule.n}, omega={rule.omega:.3e}"
-            )
-    return values
+    return extension_eval_pieces(curve, lam, targets, f, [f], alpha, workers,
+                                 self_check, nodes_per_wavelength)[0]
 
 
-def weighted_extension_eval(curve, lam, targets, f, alpha, **kw):
-    """Extension evaluation with the affine weight |torsion|^{1/beta} folded in."""
-    return extension_eval(curve, lam, targets, f, alpha=alpha, **kw)
+def _grid_planes(gamma_nodes, amp, axes, lam):
+    """Yield (trailing index, T on the leading two axes) over a tensor grid.
+
+    The phase factors per axis, exp(i lam axis gamma_k), make the exp cost
+    scale with the axis lengths; each trailing index costs one GEMM.
+    """
+    us = [np.exp(1j * lam * np.outer(a, g)) for a, g in zip(axes, gamma_nodes)]
+    for idx in product(*(range(a.size) for a in axes[2:])):
+        a2 = amp
+        for u, i in zip(us[2:], idx):
+            a2 = a2 * u[i]
+        yield idx, us[0] @ (us[1] * a2).T
 
 
 def extension_eval_grid(curve, lam, axes, f, alpha=None, self_check=True,
@@ -330,60 +382,29 @@ def extension_eval_grid(curve, lam, axes, f, alpha=None, self_check=True,
     Agrees with extension_eval at every grid point but factors the phase
     per axis, so the exp cost scales with the axis lengths rather than
     the full grid size.  Returns an array of shape (len(axes[0]), ...).
+    The self-check recomputes the far corner and the centre.
     """
     if len(axes) != curve.d:
         raise ValueError("need one axis per coordinate")
     axes = [np.asarray(a, dtype=float) for a in axes]
     xmax = math.sqrt(sum(float(np.max(np.abs(a), initial=0.0)) ** 2
                          for a in axes))
-    omega = lam * xmax * curve.velocity_sup(0.0, 1.0)
-    grade = weight_zeros(curve, f.lo, f.hi) if alpha is not None else ()
-    rule = build_rule(f, omega, nodes_per_wavelength, grade_points=grade)
     shape = tuple(a.size for a in axes)
-    if rule.n == 0:
+    setup = partial(_setup, curve, f, [f], lam, xmax, alpha,
+                    nodes_per_wavelength)
+    rules, gamma_nodes, amp = setup()
+    if rules[0].n == 0:
         return np.zeros(shape, dtype=complex)
-
-    def assemble(r):
-        amp = _amplitude(curve, f, r, alpha)
-        gam = curve.point(r.nodes)
-        us = [np.exp(1j * lam * np.outer(axes[k], gam[:, k]))
-              for k in range(curve.d)]
-        if curve.d == 2:
-            return us[0] @ (us[1] * amp[None, :]).T
-        out = np.empty(shape, dtype=complex)
-        if curve.d == 3:
-            for k in range(shape[2]):
-                a2 = amp * us[2][k]
-                out[:, :, k] = us[0] @ (us[1] * a2[None, :]).T
-            return out
-        # generic fallback, one trailing index at a time
-        trail = np.ndindex(*shape[2:])
-        for idx in trail:
-            a2 = amp.copy()
-            for k, i in enumerate(idx):
-                a2 = a2 * us[k + 2][i]
-            out[(slice(None), slice(None)) + idx] = \
-                us[0] @ (us[1] * a2[None, :]).T
-        return out
-
-    values = assemble(rule)
+    values = None
+    for idx, plane in _grid_planes(gamma_nodes, amp, axes, lam):
+        if values is None:  # after the first GEMM has freed its operands
+            values = np.empty(shape, dtype=complex)
+        values[(slice(None), slice(None)) + idx] = plane
     if self_check:
-        fine = build_rule(f, omega, nodes_per_wavelength, grade_points=grade,
-                          split=2)
-        corner = tuple(s - 1 for s in shape)
-        mid = tuple(s // 2 for s in shape)
-        pts = np.array([[axes[k][i] for k, i in enumerate(idx)]
-                        for idx in (corner, mid)])
-        gfine = curve.point(fine.nodes).T.copy()
-        afine = _amplitude(curve, f, fine, alpha)
-        ref = _eval_block(pts, gfine, afine, lam)
-        got = np.array([values[corner], values[mid]])
-        err = float(np.max(np.abs(got - ref)))
-        if err > SELF_CHECK_TOL:
-            raise QuadratureBudgetError(
-                f"grid self-check error {err:.3e} at lambda={lam}, "
-                f"nodes={rule.n}, omega={rule.omega:.3e}"
-            )
+        picks = (tuple(s - 1 for s in shape), tuple(s // 2 for s in shape))
+        points = np.array([[a[i] for a, i in zip(axes, ix)] for ix in picks])
+        got = np.array([[values[ix] for ix in picks]])
+        _self_check(setup, lam, points, got, rules)
     return values
 
 
@@ -433,39 +454,6 @@ class MultilinearResult:
         return self.lhs / self.bound if self.bound > 0 else math.inf
 
 
-def _factor_matrices(curve, f, lam, axes, nodes_per_wavelength):
-    """Per-axis phase matrices U_k[m, t] and the amplitude for one factor."""
-    xmax = math.sqrt(sum(float(np.max(np.abs(a))) ** 2 for a in axes))
-    omega = lam * xmax * curve.velocity_sup(0.0, 1.0)
-    rule = build_rule(f, omega, nodes_per_wavelength)
-    amp = _amplitude(curve, f, rule, None)
-    gam = curve.point(rule.nodes)  # (n, d)
-    us = [np.exp(1j * lam * np.outer(axes[k], gam[:, k])) for k in range(curve.d)]
-    return us, amp
-
-
-def _product_density_slices(curve, fs, lam, axes, nodes_per_wavelength):
-    """Yield |prod_i T f_i|^2 one last-axis slice at a time (memory bounded)."""
-    d = curve.d
-    factors = [_factor_matrices(curve, f, lam, axes, nodes_per_wavelength)
-               for f in fs]
-    if d == 2:
-        prod = None
-        for us, amp in factors:
-            fac = us[0] @ (amp[None, :] * us[1]).T
-            prod = fac if prod is None else prod * fac
-        yield np.abs(prod) ** 2
-        return
-    if d != 3:
-        raise ValueError("multilinear grids implemented for d = 2, 3")
-    for k3 in range(len(axes[2])):
-        prod = None
-        for us, amp in factors:
-            fac = us[0] @ ((amp * us[2][k3])[None, :] * us[1]).T
-            prod = fac if prod is None else prod * fac
-        yield np.abs(prod) ** 2
-
-
 def multilinear_l2(curve, fs, lam, box_r=20.0, tail_target=0.01,
                    max_doublings=3, nodes_per_wavelength=NODES_PER_WAVELENGTH):
     """L2 norm of the product of the d extensions against its Plancherel bound.
@@ -505,12 +493,22 @@ def multilinear_l2(curve, fs, lam, box_r=20.0, tail_target=0.01,
         total = 0.0
         outer = 0.0
         inner2 = 0.0
-        # shell masks over the leading two axes (infinity norm)
+        # shell radii (infinity norm): the leading two axes, then the
+        # trailing index of each plane
         r2d = np.maximum(np.abs(axes[0])[:, None], np.abs(axes[1])[None, :])
-        slices = _product_density_slices(curve, fs, lam, axes,
+        xmax = math.sqrt(sum(float(np.max(np.abs(a))) ** 2 for a in axes))
+        factors = []
+        for f in fs:
+            _, gamma_nodes, amp = _setup(curve, f, [f], lam, xmax, None,
                                          nodes_per_wavelength)
-        for k, dens in enumerate(slices):
-            rad = r2d if d == 2 else np.maximum(r2d, abs(axes[2][k]))
+            factors.append(_grid_planes(gamma_nodes, amp, axes, lam))
+        for planes in zip(*factors):
+            idx, prod = planes[0]
+            for _, plane in planes[1:]:
+                prod = prod * plane
+            dens = np.abs(prod) ** 2
+            rad = np.maximum(r2d, max((abs(a[i]) for a, i in zip(axes[2:], idx)),
+                                      default=0.0))
             total += float(np.sum(dens))
             outer += float(np.sum(dens[rad > box_r / 2.0]))
             inner2 += float(np.sum(dens[(rad > box_r / 4.0)

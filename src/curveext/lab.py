@@ -13,18 +13,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import engine as eng
 from . import measures as ms
 from .curves import (
-    CurveSpec,
     ExponentTuple,
     beta_alpha,
     detect_finite_type,
     frame_matrix,
     nondegenerate_tuple,
     normalize_curve,
+    shift_subtract,
     sigma_exponent,
 )
 from .engine import (
@@ -206,9 +205,6 @@ class GradedGrid:
             resolution=self.resolution,
             grading_levels=self.grading_levels,
         )
-
-    def finest_cell(self):
-        return self.levels[-1][2]
 
     def doubled(self):
         """Same finest cell over a box of twice the half-width."""
@@ -687,18 +683,7 @@ def _block_family(d, lam, j, widths=(1.0, 2.0, 4.0)):
 
 def translate_curve(curve, tau):
     """The curve t -> gamma(t + tau) - gamma(tau), still polynomial."""
-    if tau == 0.0:
-        return curve
-    comps = []
-    for c in curve.coeffs:
-        arr = np.asarray(c, dtype=float)
-        shifted = np.zeros(1)
-        for coef in arr[::-1]:
-            shifted = npoly.polymul(shifted, np.array([tau, 1.0]))
-            shifted = npoly.polyadd(shifted, np.array([coef]))
-        shifted[0] = 0.0
-        comps.append(tuple(float(v) for v in shifted))
-    return CurveSpec(d=curve.d, coeffs=tuple(comps), label=curve.label)
+    return curve if tau == 0.0 else shift_subtract(curve, tau)
 
 
 def finite_type_blocks(curve, grid, a, alpha, p, q, lam, n_blocks=7,

@@ -145,11 +145,6 @@ class DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _axis_cells(lo, hi, n):
-    edges = np.linspace(lo, hi, n + 1)
-    return edges
-
-
 def graded_level_structure(d, half, resolution, grading_levels):
     """Tensor levels of an origin-graded dyadic partition of [-half, half]^d.
 
@@ -163,7 +158,7 @@ def graded_level_structure(d, half, resolution, grading_levels):
     out = []
     for level in range(grading_levels + 1):
         h_l = half * 2.0 ** (-level)
-        edges = _axis_cells(-h_l, h_l, resolution)
+        edges = np.linspace(-h_l, h_l, resolution + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
         cell = 2.0 * h_l / resolution
         axes = tuple(centers.copy() for _ in range(d))
@@ -193,7 +188,7 @@ def make_lebesgue(d, box=None, resolution=64, grading_levels=0):
     if grading_levels == 0:
         if resolution ** d > MAX_ATOMS:
             raise ValueError("atom count overflow")
-        edges = _axis_cells(lo, hi, resolution)
+        edges = np.linspace(lo, hi, resolution + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
         cell = (hi - lo) / resolution
         grids = np.meshgrid(*([centers] * d), indexing="ij")
@@ -267,7 +262,7 @@ def make_appendix_a(d, alpha, j, extent=1.0, resolution=32, grading_levels=0):
         _signed_power_integral(a, b, p)
         for a, b in zip(sing_edges[:-1], sing_edges[1:])
     ])
-    flat_edges = _axis_cells(-extent, extent, resolution)
+    flat_edges = np.linspace(-extent, extent, resolution + 1)
     flat_centers = 0.5 * (flat_edges[:-1] + flat_edges[1:])
     flat_cell = 2.0 * extent / resolution
 

@@ -77,6 +77,67 @@ def test_interval_values_zero_phase():
     np.testing.assert_allclose(tables[1][:, 0], 1.0 / 16.0, atol=1e-10)
 
 
+def _per_interval(f, fam, g, lam, x, level):
+    return np.stack([
+        eng.extension_eval(g, lam, x, eng.restrict(f, float(iv.lo), float(iv.hi)))
+        for iv in fam.intervals(level)])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("f", [eng.trig_poly(41, degree=12),
+                               eng.indicator(0.1, 0.83)])
+def test_interval_values_match_per_interval_calls(d, f):
+    g = model_curve(d)
+    fam = dc.DyadicFamily((Fraction(1, 8), Fraction(1, 64))[: d - 1])
+    x = np.random.default_rng(d).uniform(-2.0, 2.0, (30, d))
+    tables, full = dc.interval_values(f, fam, g, 32.0, x)
+    assert full.tobytes() == eng.extension_eval(g, 32.0, x, f).tobytes()
+    finest = _per_interval(f, fam, g, 32.0, x, fam.depth)
+    assert tables[fam.depth].tobytes() == finest.tobytes()
+    # coarser levels sum their children: another rule than a per-interval call
+    for level in range(1, fam.depth):
+        np.testing.assert_allclose(tables[level], _per_interval(f, fam, g, 32.0, x, level),
+                                   rtol=0, atol=1e-15)
+
+
+def test_interval_values_bump_pieces_are_restrictions():
+    # restrict() turns a bump into a new bump on the subinterval, whose
+    # values do not add up to T f; the tables use f 1_I
+    g = model_curve(2)
+    x = np.array([[0.5, 1.0], [1.0, -0.5]])
+    tables, full = dc.interval_values(eng.bump(0.0, 1.0), dc.DyadicFamily.default(2),
+                                      g, 16.0, x)
+    np.testing.assert_allclose(tables[1].sum(axis=0), full, rtol=0, atol=1e-8)
+
+
+def test_interval_values_worker_count_byte_identical():
+    g = model_curve(3)
+    fam = dc.DyadicFamily.default(3)
+    f = eng.trig_poly(12, degree=8)
+    # more targets than one block, so the pool gets several blocks per piece
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, (eng.TARGET_BLOCK + 44, 3))
+    t1, full1 = dc.interval_values(f, fam, g, 16.0, x, workers=1)
+    t2, full2 = dc.interval_values(f, fam, g, 16.0, x, workers=2)
+    assert full1.tobytes() == full2.tobytes()
+    assert list(t1) == list(t2) == [1, 2]
+    for level in t1:
+        assert t1[level].tobytes() == t2[level].tobytes()
+
+
+def test_interval_values_self_check_raises_on_starved_budget(monkeypatch):
+    # the whole-support rule keeps its budget; only the pieces' rules starve
+    build_rule = eng.build_rule
+
+    def starved(f, omega, nodes_per_wavelength, **kw):
+        return build_rule(f, omega, 0.5 if f.width < 1.0 else nodes_per_wavelength,
+                          **kw)
+
+    monkeypatch.setattr(eng, "build_rule", starved)
+    with pytest.raises(eng.QuadratureBudgetError):
+        dc.interval_values(eng.indicator(0.0, 1.0), dc.DyadicFamily.default(2),
+                           model_curve(2), 512.0, np.array([[3.0, 2.0]]))
+
+
 # ---------------------------------------------------------------------------
 # splits
 # ---------------------------------------------------------------------------

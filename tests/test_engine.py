@@ -239,11 +239,30 @@ def test_self_check_rule_splits_every_panel(monkeypatch, grid, curve, f, alpha):
         assert lo < coarse.nodes[k] and coarse.nodes[k + eng.PANEL_ORDER - 1] < hi
 
 
+@pytest.mark.parametrize("curve, alpha", [
+    (model_curve(2), None),
+    (monomial_model((2, 3)), 2.0),
+    (model_curve(3), None),
+    (model_curve(4), None),
+])
+def test_grid_matches_scattered(curve, alpha):
+    # one tensor contraction serves every d: each trailing index is a plane
+    axes = [np.linspace(-1.5 + 0.25 * k, 1.0, 4 + k) for k in range(curve.d)]
+    f = eng.trig_poly(7, degree=8)
+    vals = eng.extension_eval_grid(curve, 16.0, axes, f, alpha=alpha)
+    assert vals.shape == tuple(a.size for a in axes)
+    rng = np.random.default_rng(curve.d)
+    picks = [tuple(int(rng.integers(a.size)) for a in axes) for _ in range(8)]
+    pts = np.array([[a[i] for a, i in zip(axes, ix)] for ix in picks])
+    ref = eng.extension_eval(curve, 16.0, pts, f, alpha=alpha)
+    np.testing.assert_allclose([vals[ix] for ix in picks], ref, rtol=0, atol=1e-10)
+
+
 def test_weighted_value_at_origin_is_weight_integral():
     # gamma = (t^2/2, t^3/6): torsion t^2/2, alpha=2 -> w = (t^2/2)^{1/3}
     g = monomial_model((2, 3))
-    v = eng.weighted_extension_eval(g, 32.0, np.zeros((1, 2)),
-                                    eng.indicator(0.0, 1.0), alpha=2.0)
+    v = eng.extension_eval(g, 32.0, np.zeros((1, 2)), eng.indicator(0.0, 1.0),
+                           alpha=2.0)
     expected = 2.0 ** (-1.0 / 3.0) * 3.0 / 5.0
     assert v[0].real == pytest.approx(expected, abs=1e-8)
     assert v[0].imag == pytest.approx(0.0, abs=1e-12)
@@ -295,6 +314,20 @@ def test_multilinear_trilinear_example():
                              max_doublings=1)
     assert res.lhs > 0
     assert res.lhs <= res.bound
+
+
+def test_multilinear_any_d_matches_scattered_product():
+    # d = 4 runs through the same grid contraction as d = 2, 3
+    g = model_curve(4)
+    fs = [eng.indicator(0.3 * k, 0.3 * k + 0.1) for k in range(4)]
+    res = eng.multilinear_l2(g, fs, 4.0, box_r=4.0, tail_target=1.0,
+                             max_doublings=0)
+    m = int(math.ceil(2.0 * res.box_r / res.grid_step))
+    axis = -res.box_r + res.grid_step * (np.arange(m) + 0.5)
+    pts = np.stack(np.meshgrid(*[axis] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    prod = np.prod([eng.extension_eval(g, 4.0, pts, f) for f in fs], axis=0)
+    lhs = math.sqrt(float(np.sum(np.abs(prod) ** 2)) * res.grid_step ** 4)
+    assert res.lhs == pytest.approx(lhs, rel=1e-9)
 
 
 def test_multilinear_lambda_decay():
