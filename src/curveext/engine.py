@@ -16,12 +16,14 @@ from functools import partial
 from itertools import product
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .curves import affine_weight, torsion_poly  # torsion_poly: public via engine too
 
 NODES_PER_WAVELENGTH = 10
 PANEL_ORDER = 16
 NODE_CHUNK = 8192
+PHASE_RESTART = 64
 TARGET_BLOCK = 256
 SELF_CHECK_STRIDE = 100
 SELF_CHECK_TOL = 1e-6
@@ -47,8 +49,15 @@ class SeparationError(ValueError):
 class TestFunction:
     """Real-valued function on [0,1] with closed-form or quadrature norms.
 
-    kind is one of "indicator", "bump", "trig", "zero".  Restriction to a
-    subinterval is the `restrict` constructor (kept within the same type).
+    kind is one of "indicator", "bump", "trig", "zero", supported on
+    [lo, hi].  A bump's coeffs (plo, phi) are the support of its profile
+    exp(1 - 1/(1 - u^2)), u = 2 (t - plo) / (phi - plo) - 1; `restrict`
+    keeps them while it narrows [lo, hi], so a restriction is always f
+    times an indicator.
+    A trig function's coeffs (a0, a1, b1, a2, b2, ...) give
+    a0 + sum_k a_k cos(2 pi k t) + b_k sin(2 pi k t); it is evaluated as
+    a0 + Re sum_k (a_k - i b_k) z^k, z = exp(2 pi i t), by Horner: one
+    complex exp and `degree` complex multiply-adds per point.
     """
 
     kind: str
@@ -66,9 +75,10 @@ class TestFunction:
         if self.kind == "indicator" or self.kind == "zero":
             return 0.0
         if self.kind == "bump":
-            return 20.0 / max(self.width, 1e-12)
+            plo, phi = self.coeffs
+            return 20.0 / max(abs(phi - plo), 1e-12)
         if self.kind == "trig":
-            deg = (len(self.coeffs) - 1) // 2
+            deg = len(self.coeffs) // 2
             return 2.0 * math.pi * deg
         raise ValueError(self.kind)
 
@@ -80,18 +90,18 @@ class TestFunction:
         if self.kind == "indicator":
             return mask.astype(float)
         if self.kind == "bump":
-            u = 2.0 * (t - self.lo) / self.width - 1.0
+            plo, phi = self.coeffs
+            u = 2.0 * (t - plo) / (phi - plo) - 1.0
             out = np.zeros_like(t)
             inner = mask & (np.abs(u) < 1.0)
             out[inner] = np.exp(1.0 - 1.0 / (1.0 - u[inner] ** 2))
             return out
         if self.kind == "trig":
-            # coeffs = (a0, a1, b1, a2, b2, ...) over frequency 2*pi*k
-            out = np.full_like(t, self.coeffs[0])
-            for k in range(1, (len(self.coeffs) + 1) // 2):
-                out += self.coeffs[2 * k - 1] * np.cos(2 * math.pi * k * t)
-                if 2 * k < len(self.coeffs):
-                    out += self.coeffs[2 * k] * np.sin(2 * math.pi * k * t)
+            ab = np.asarray(self.coeffs[1:], dtype=float)
+            if ab.size % 2:  # a last a_k without its b_k
+                ab = np.append(ab, 0.0)
+            poly = np.concatenate(([0.0], ab[0::2] - 1j * ab[1::2]))
+            out = self.coeffs[0] + npoly.polyval(np.exp(2j * math.pi * t), poly).real
             return np.where(mask, out, 0.0)
         raise ValueError(self.kind)
 
@@ -117,7 +127,7 @@ def indicator(lo, hi):
 
 
 def bump(lo, hi):
-    return TestFunction("bump", float(lo), float(hi))
+    return TestFunction("bump", float(lo), float(hi), coeffs=(float(lo), float(hi)))
 
 
 def zero_function():
@@ -143,15 +153,15 @@ def pullback(f, tau, h):
     """The reparametrized function s -> f(h s + tau).
 
     Exact for indicators and bumps (both are shape-invariant under affine
-    reparametrization of their support); trigonometric test functions do
-    not stay in the family and are rejected.
+    reparametrization of their support and a bump's profile);
+    trigonometric test functions do not stay in the family and are rejected.
     """
     if f.kind == "zero":
         return zero_function()
     if f.kind not in ("indicator", "bump"):
         raise ValueError(f"pullback not closed for kind {f.kind!r}")
     return TestFunction(f.kind, (f.lo - tau) / h, (f.hi - tau) / h,
-                        coeffs=f.coeffs, label=f.label)
+                        coeffs=tuple((c - tau) / h for c in f.coeffs), label=f.label)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +341,8 @@ def extension_eval_pieces(curve, lam, targets, f, pieces, alpha=None, workers=1,
     `pieces` are f or restrict(f, ...) to subintervals.  Each gets the
     rule, target blocking and self-check extension_eval gives it alone,
     with f itself as amplitude; curve points and amplitudes are formed
-    once for all nodes.  For indicator and trig f (which restrict keeps
-    as f 1_I), row k is byte-identical to extension_eval at pieces[k].
+    once for all nodes.  Since restrict keeps f 1_I for every kind, row k
+    is byte-identical to extension_eval at pieces[k].
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if targets.shape[1] != curve.d:
@@ -361,13 +371,37 @@ def extension_eval(curve, lam, targets, f, alpha=None, workers=1,
                                  self_check, nodes_per_wavelength)[0]
 
 
+def _axis_factor(a, g, lam):
+    """exp(i lam a_k g) for every point a_k of one axis: shape (a.size, g.size).
+
+    On a uniform axis (every a_k within 8 ulp of a_0 + k h) each block of
+    PHASE_RESTART rows starts from a direct exp and steps by the recurrence
+    U[k+1] = U[k] exp(i lam h g); otherwise every block is one row, which
+    is the direct exp alone.
+    """
+    m = a.size
+    h = (a[-1] - a[0]) / (m - 1) if m > 1 else 0.0
+    drift = np.abs(a - (a[:1] + h * np.arange(m)))
+    uniform = np.all(drift <= 8.0 * np.finfo(float).eps * np.max(np.abs(a), initial=0.0))
+    block = PHASE_RESTART if uniform else 1
+    u = np.empty((m, g.size), dtype=complex)
+    np.exp(1j * lam * np.outer(a[::block], g), out=u[::block])
+    step = np.exp(1j * lam * h * g)
+    for k in range(0, m, block):
+        rows = u[k : k + block]
+        rows[1:] = step
+        np.cumprod(rows, axis=0, out=rows)
+    return u
+
+
 def _grid_planes(gamma_nodes, amp, axes, lam):
     """Yield (trailing index, T on the leading two axes) over a tensor grid.
 
     The phase factors per axis, exp(i lam axis gamma_k), make the exp cost
-    scale with the axis lengths; each trailing index costs one GEMM.
+    scale with the axis lengths (less on uniform axes, see _axis_factor);
+    each trailing index costs one GEMM.
     """
-    us = [np.exp(1j * lam * np.outer(a, g)) for a, g in zip(axes, gamma_nodes)]
+    us = [_axis_factor(a, g, lam) for a, g in zip(axes, gamma_nodes)]
     for idx in product(*(range(a.size) for a in axes[2:])):
         a2 = amp
         for u, i in zip(us[2:], idx):
@@ -560,9 +594,10 @@ def throughput_benchmark(curve, lam, n_targets, worker_counts=(1, 2, 4), seed=0)
     rng = np.random.default_rng(seed)
     targets = rng.uniform(-1.0, 1.0, size=(n_targets, curve.d))
     f = indicator(0.0, 1.0)
+    xmax = float(np.max(np.linalg.norm(targets, axis=1)))
+    n_nodes = build_rule(f, lam * xmax * curve.velocity_sup()).n
     seconds = {}
     checksum = None
-    n_nodes = 0
     for w in worker_counts:
         t0 = time.perf_counter()
         vals = extension_eval(curve, lam, targets, f, workers=w, self_check=False)
@@ -572,7 +607,4 @@ def throughput_benchmark(curve, lam, n_targets, worker_counts=(1, 2, 4), seed=0)
             checksum = digest
         elif digest != checksum:
             raise AssertionError("checksum mismatch across worker counts")
-        xmax = float(np.max(np.linalg.norm(targets, axis=1)))
-        rule = build_rule(f, lam * xmax * curve.velocity_sup())
-        n_nodes = rule.n
     return BenchReport(lam, n_targets, n_nodes, seconds, checksum)

@@ -132,6 +132,7 @@ lambda_max_exp = 7
 seed = 3
 """
 
+    @pytest.mark.slow
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, self.SMALL_SCALING)
         for name in ("a", "b"):
@@ -141,6 +142,7 @@ seed = 3
         b = (tmp_path / "b" / "scaling_results.csv").read_bytes()
         assert a == b
 
+    @pytest.mark.slow
     def test_overwrite_needs_force(self, tmp_path):
         cfg = write_config(tmp_path, self.SMALL_SCALING)
         assert cli.main(["scaling", cfg, "--out", str(tmp_path / "o")]) == 0

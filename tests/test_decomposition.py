@@ -101,13 +101,15 @@ def test_interval_values_match_per_interval_calls(d, f):
 
 
 def test_interval_values_bump_pieces_are_restrictions():
-    # restrict() turns a bump into a new bump on the subinterval, whose
-    # values do not add up to T f; the tables use f 1_I
+    # restrict() keeps the bump's profile, so each piece is f 1_I and
+    # the level-1 pieces add up to T f
     g = model_curve(2)
     x = np.array([[0.5, 1.0], [1.0, -0.5]])
-    tables, full = dc.interval_values(eng.bump(0.0, 1.0), dc.DyadicFamily.default(2),
-                                      g, 16.0, x)
+    f = eng.bump(0.0, 1.0)
+    fam = dc.DyadicFamily.default(2)
+    tables, full = dc.interval_values(f, fam, g, 16.0, x)
     np.testing.assert_allclose(tables[1].sum(axis=0), full, rtol=0, atol=1e-8)
+    assert tables[fam.depth].tobytes() == _per_interval(f, fam, g, 16.0, x, fam.depth).tobytes()
 
 
 def test_interval_values_worker_count_byte_identical():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveext import engine as eng
 from curveext import measures as ms
@@ -52,6 +54,39 @@ def test_restrict_empty_intersection_is_zero():
     f = eng.restrict(eng.indicator(0.0, 0.25), 0.5, 1.0)
     assert f.kind == "zero"
     assert f.lp_norm(2) == 0.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 130).flatmap(lambda n: st.lists(
+    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False), min_size=n, max_size=n)))
+def test_trig_matches_cos_sin_oracle(coeffs):
+    # odd and even lengths, degrees 0 to 64: an even tuple ends in an a_k
+    # without its b_k.  Horner rounds by about degree * eps * sum |c_k|
+    # (1.04e-13 for a_30 = b_30 = 2 against mpmath), so the tolerance is
+    # 1e-13 per unit of that bound on |f|
+    f = eng.TestFunction("trig", 0.0, 1.0, coeffs=tuple(coeffs))
+    ts = np.linspace(-0.25, 1.25, 301)
+    ref = np.full_like(ts, coeffs[0])
+    for j, c in enumerate(coeffs[1:]):
+        k = j // 2 + 1
+        ref += c * (np.cos if j % 2 == 0 else np.sin)(2.0 * math.pi * k * ts)
+    ref[(ts < 0.0) | (ts > 1.0)] = 0.0
+    np.testing.assert_allclose(f(ts), ref, rtol=0,
+                               atol=1e-13 * max(1.0, float(np.sum(np.abs(coeffs)))))
+    assert f.bandwidth() == 2.0 * math.pi * (len(coeffs) // 2)
+
+
+def test_restricted_bump_is_the_bump_on_the_subinterval():
+    # restrict used to build a new full bump on [0, 0.5]: 1.0 at t = 0.25
+    f = eng.bump(0.0, 1.0)
+    r = eng.restrict(f, 0.0, 0.5)
+    ts = np.linspace(-0.1, 1.1, 121)
+    np.testing.assert_array_equal(r(ts), np.where(ts <= 0.5, f(ts), 0.0))
+    assert r(0.25) == pytest.approx(0.7165313105737893, abs=1e-15)
+    assert r.bandwidth() == f.bandwidth()
+    # the profile moves with the support under pullback
+    p = eng.pullback(r, 0.25, 0.5)
+    np.testing.assert_allclose(p((ts - 0.25) / 0.5), r(ts), rtol=0, atol=1e-15)
 
 
 def test_trig_lp_norm_against_dense_grid():
@@ -256,6 +291,35 @@ def test_grid_matches_scattered(curve, alpha):
     pts = np.array([[a[i] for a, i in zip(axes, ix)] for ix in picks])
     ref = eng.extension_eval(curve, 16.0, pts, f, alpha=alpha)
     np.testing.assert_allclose([vals[ix] for ix in picks], ref, rtol=0, atol=1e-10)
+
+
+def test_axis_factor_recurrence_matches_direct_exp():
+    # 200 points: more than two restart blocks of the recurrence
+    lam = 4096.0
+    a = np.linspace(-16.0, 16.0, 200)
+    g = np.random.default_rng(4).uniform(-1.0, 1.0, 5000)
+    assert a.size > 2 * eng.PHASE_RESTART
+    ref = np.exp(1j * lam * np.outer(a, g))
+    tol = lam * np.max(np.abs(a)) * np.max(np.abs(g)) * 1e-15
+    np.testing.assert_allclose(eng._axis_factor(a, g, lam), ref, rtol=0, atol=tol)
+
+
+def test_axis_factor_nonuniform_axis_is_direct_exp():
+    a = np.linspace(-3.0, 3.0, 150) ** 3
+    g = np.random.default_rng(5).uniform(-1.0, 1.0, 700)
+    got = eng._axis_factor(a, g, 300.0)
+    assert got.tobytes() == np.exp(1j * 300.0 * np.outer(a, g)).tobytes()
+
+
+def test_grid_matches_scattered_on_long_axis():
+    # the leading axis spans more than one restart block of the recurrence
+    g = model_curve(2)
+    axes = [np.linspace(-2.0, 2.0, 150), np.linspace(-1.0, 1.5, 5)]
+    f = eng.trig_poly(3, degree=8)
+    vals = eng.extension_eval_grid(g, 64.0, axes, f)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    ref = eng.extension_eval(g, 64.0, pts, f).reshape(vals.shape)
+    np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-10)
 
 
 def test_weighted_value_at_origin_is_weight_integral():
