@@ -51,21 +51,22 @@ def _fmt(v):
 
 
 class OutputDir:
+    """Result directory; a non-empty one is refused unless force is set.
+
+    Subcommands create it before running their experiment, so a refused
+    directory costs no computation.
+    """
+
     def __init__(self, path, force=False, config_hash=""):
         self.path = Path(path)
-        self.force = force
         self.config_hash = config_hash
+        if not force and self.path.is_dir() and any(self.path.iterdir()):
+            raise ConfigError(
+                f"{self.path} is not empty; pass --force to overwrite")
         self.path.mkdir(parents=True, exist_ok=True)
 
-    def _target(self, name):
-        target = self.path / name
-        if target.exists() and not self.force:
-            raise ConfigError(
-                f"{target} exists; pass --force to overwrite")
-        return target
-
     def write_csv(self, name, header, rows):
-        target = self._target(name)
+        target = self.path / name
         lines = [f"# config_hash={self.config_hash}", ",".join(header)]
         for row in rows:
             lines.append(",".join(_fmt(v) for v in row))
@@ -73,7 +74,7 @@ class OutputDir:
         return target
 
     def write_verdict(self, name, items):
-        target = self._target(name)
+        target = self.path / name
         lines = [f"config_hash = {self.config_hash}"]
         for k, v in items:
             lines.append(f"{k} = {_fmt(v)}")
@@ -81,7 +82,7 @@ class OutputDir:
         return target
 
     def write_text(self, name, text):
-        target = self._target(name)
+        target = self.path / name
         target.write_text(text)
         return target
 
@@ -235,11 +236,10 @@ def cmd_scaling(args):
             _get(cfg, "measure", "grading_levels", int))
     else:
         mu = measure_from_config(cfg)
-    rep = lab.scaling_experiment(
-        curve, p, q, alpha, lams, mu=mu, grid=grid,
-        radius=_get(cfg, "experiment", "radius", float, lab.DEFAULT_RADIUS),
-        seed=seed, npw=npw)
+    radius = _get(cfg, "experiment", "radius", float, lab.DEFAULT_RADIUS)
     out = OutputDir(args.out, force=args.force, config_hash=chash)
+    rep = lab.scaling_experiment(curve, p, q, alpha, lams, mu=mu, grid=grid,
+                                 radius=radius, seed=seed, npw=npw)
     out.write_csv("scaling_results.csv",
                   ("lambda", "family_sup_norm", "best_label"),
                   zip(rep.lam_grid, rep.sup_norms, rep.best_labels))
@@ -259,10 +259,9 @@ def cmd_sharpness(args):
     q = _get(cfg, "experiment", "q", float)
     alpha = _get(cfg, "experiment", "alpha", float)
     lams = lambda_grid_from_config(cfg)
-    rep = lab.sharpness_experiment(
-        curve, mu, alpha, p, q, lams,
-        config=lab.KnappConfig(c=_get(cfg, "experiment", "c", float, 0.1)))
+    c = _get(cfg, "experiment", "c", float, lab.KNAPP_SCALE)
     out = OutputDir(args.out, force=args.force, config_hash=chash)
+    rep = lab.sharpness_experiment(curve, mu, alpha, p, q, lams, c=c)
     out.write_csv("sharpness_results.csv",
                   ("lambda", "rect_mass", "normalized_ratio"),
                   zip(rep.lam_grid, rep.rect_masses, rep.ratios))
@@ -297,7 +296,9 @@ def cmd_decompose(args):
     rng = np.random.default_rng(seed)
     f = eng.trig_poly(seed, _get(cfg, "experiment", "degree", int, 16))
     targets = rng.uniform(-radius, radius, size=(n_targets, d))
-    certs = dc.decompose_batch(f, family, curve, lam, targets)
+    out = OutputDir(args.out, force=args.force, config_hash=chash)
+    certs = dc.decompose_batch(f, family, curve, lam, targets,
+                               workers=args.workers or 1)
     failures = []
     rows = []
     for i, cert in enumerate(certs):
@@ -305,7 +306,6 @@ def cmd_decompose(args):
         if not ok:
             failures.append(f"certificate {i}")
         rows.append((i, cert.lhs, cert.rhs, slack, ok))
-    out = OutputDir(args.out, force=args.force, config_hash=chash)
     out.write_csv("decompose_results.csv",
                   ("target", "lhs", "rhs", "slack", "verified"), rows)
     out.write_text("decompose_certificates.txt",
@@ -329,6 +329,7 @@ def cmd_multilinear(args):
     fs = [eng.indicator(float(pieces[2 * i]), float(pieces[2 * i + 1]))
           for i in range(curve.d)]
     box_r = _get(cfg, "experiment", "box_r", float, 16.0)
+    out = OutputDir(args.out, force=args.force, config_hash=chash)
     rows, failures = [], []
     for lam in lams:
         res = eng.multilinear_l2(curve, fs, lam, box_r=box_r)
@@ -337,7 +338,6 @@ def cmd_multilinear(args):
             failures.append(f"lambda={lam}")
         rows.append((lam, res.lhs, res.bound, res.ratio,
                      res.tail_fraction, ok))
-    out = OutputDir(args.out, force=args.force, config_hash=chash)
     out.write_csv("multilinear_results.csv",
                   ("lambda", "lhs", "bound", "ratio", "tail_fraction",
                    "holds"), rows)
@@ -359,6 +359,7 @@ def cmd_finitetype(args):
         curve.d, _get(cfg, "measure", "half", float, 8.0),
         _get(cfg, "measure", "resolution", int, 128),
         _get(cfg, "measure", "grading_levels", int, 9))
+    out = OutputDir(args.out, force=args.force, config_hash=chash)
     reports, slope, target, verdict = lab.finite_type_pipeline(
         curve, _get(cfg, "experiment", "tau", float, 0.0), grid, alpha, p,
         q, lams,
@@ -375,7 +376,6 @@ def cmd_finitetype(args):
         failures.append("block decay rate")
     if verdict != "PASS":
         failures.append("aggregate slope")
-    out = OutputDir(args.out, force=args.force, config_hash=chash)
     out.write_csv("finitetype_results.csv", ("lambda", "block", "norm"),
                   rows)
     out.write_verdict("finitetype_verdict.txt", [
@@ -390,8 +390,8 @@ def cmd_measure_audit(args):
     cfg, chash = load_config(args.config)
     seed = require_seed(args, cfg)
     mu = measure_from_config(cfg)
-    report = ms.regularity_audit(mu, seed=seed)
     out = OutputDir(args.out, force=args.force, config_hash=chash)
+    report = ms.regularity_audit(mu, seed=seed)
     out.write_verdict("measure_audit_verdict.txt", [
         ("alpha", mu.alpha), ("c_mu", mu.c_mu),
         ("c_estimate", report.c_est),
@@ -412,9 +412,9 @@ def cmd_bench(args):
                     _get(cfg, "experiment", "workers", str, "1 2 4").split())
     if args.workers is not None:
         workers = tuple(sorted(set(workers) | {args.workers}))
+    out = OutputDir(args.out, force=args.force, config_hash=chash)
     report = eng.throughput_benchmark(curve, lam, n_targets, workers,
                                       seed=seed)
-    out = OutputDir(args.out, force=args.force, config_hash=chash)
     # wall-clock numbers are not deterministic, so they live in the
     # sidecar log; the result files carry only reproducible fields
     base = report.seconds[min(report.seconds)]

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curves import affine_weight, torsion_poly  # torsion_poly: public via engine too
+from .curves import affine_weight
 
 NODES_PER_WAVELENGTH = 10
 PANEL_ORDER = 16
@@ -177,7 +177,7 @@ def _panel_nodes(edges):
     return ts, ws
 
 
-def _graded_edges(lo, hi, base_width, grade_points, min_width=GRADE_MIN_WIDTH):
+def _graded_edges(lo, hi, base_width, grade_points):
     """Panel edges on [lo, hi], geometric (ratio 2) toward each grade point."""
     cuts = {lo, hi}
     for p in grade_points:
@@ -194,7 +194,7 @@ def _graded_edges(lo, hi, base_width, grade_points, min_width=GRADE_MIN_WIDTH):
             ):
                 pts = []
                 w = b - a
-                while w / 2.0 > min_width:
+                while w / 2.0 > GRADE_MIN_WIDTH:
                     w /= 2.0
                     pts.append(a + w if not mirror else b - w)
                 sub.extend(pts)
@@ -448,7 +448,7 @@ def lq_norm(values, mu, q):
     if values.shape[0] != mu.n:
         raise ValueError("values not aligned with measure atoms")
     if q == math.inf:
-        return float(np.max(np.abs(values)))
+        return float(np.max(np.abs(values), initial=0.0))
     if q < 1:
         raise ValueError("q must be >= 1")
     return float(np.sum(mu.weights * np.abs(values) ** q)) ** (1.0 / q)

@@ -44,6 +44,7 @@ FAMILY_TRIG = 32
 TRIG_DEGREE = 64
 DEFAULT_RADIUS = 64.0
 MOLLIFIER_CHAIN_CONSTANT = 8.0
+MAX_RECT_SAMPLES = 256
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +131,9 @@ def fit_line(xs, ys):
 # ---------------------------------------------------------------------------
 
 
-def knapp_interval(d, lam, tau=0.0, h=1.0):
-    """The cap [tau + h - h lam^{-1/d}, tau + h] at frequency lam."""
-    w = h * lam ** (-1.0 / d)
-    return tau + h - w, tau + h
+def knapp_interval(d, lam):
+    """The cap [1 - lam^{-1/d}, 1] at frequency lam."""
+    return 1.0 - lam ** (-1.0 / d), 1.0
 
 
 def knapp_family(d, lam, positions=FAMILY_POSITIONS, widths=FAMILY_WIDTHS):
@@ -167,13 +167,13 @@ def trig_family(seed, count=FAMILY_TRIG, degree=TRIG_DEGREE):
     ]
 
 
-def default_test_family(d, lam, seed=0, trig_count=FAMILY_TRIG):
+def default_test_family(d, lam, seed=0):
     """The standard finite family used to estimate the operator norm from
     below: Knapp indicators across positions and dyadic widths, smooth
     bumps, and seeded random trigonometric polynomials."""
     fam = knapp_family(d, lam)
     fam += bump_family(d, lam)
-    fam += trig_family(seed, count=trig_count)
+    fam += trig_family(seed)
     return fam
 
 
@@ -205,11 +205,6 @@ class GradedGrid:
             resolution=self.resolution,
             grading_levels=self.grading_levels,
         )
-
-    def doubled(self):
-        """Same finest cell over a box of twice the half-width."""
-        return GradedGrid(self.d, 2.0 * self.half, self.resolution,
-                          self.grading_levels + 1)
 
     def extension_lq(self, curve, lam, f, q, alpha=None,
                      nodes_per_wavelength=eng.NODES_PER_WAVELENGTH,
@@ -256,40 +251,30 @@ class ScalingReport:
     target_slope: float
     tol: float
     verdict: str
-    sensitivity: float | None = None
 
     def passed(self):
         return self.verdict == "PASS"
 
 
-def _norm_eval(curve, lam, f, q, mu, grid, radius, alpha, npw):
-    if grid is not None:
-        return grid.extension_lq(curve, lam, f, q, alpha=alpha,
-                                 nodes_per_wavelength=npw)
-    atoms = mu.atoms
-    if radius is not None:
-        mask = np.linalg.norm(atoms, axis=1) <= radius
-        lr = None if mu.local_resolution is None else mu.local_resolution[mask]
-        sub = ms.DiscreteMeasure(
-            atoms=atoms[mask], weights=mu.weights[mask], alpha=mu.alpha,
-            c_mu=mu.c_mu, resolution=mu.resolution, generator=mu.generator,
-            seed=mu.seed, local_resolution=lr)
-    else:
-        sub = mu
-    vals = extension_eval(curve, lam, sub.atoms, f, alpha=alpha,
-                          nodes_per_wavelength=npw)
-    return lq_norm(vals, sub, q)
+def family_sup(curve, lam, family, p, q, mu=None, grid=None, alpha=None,
+               npw=eng.NODES_PER_WAVELENGTH):
+    """Sup over the family of ||T f||_{L^q} / ||f||_p; returns (value, label).
 
-
-def family_sup(curve, lam, family, p, q, mu=None, grid=None,
-               radius=None, alpha=None, npw=eng.NODES_PER_WAVELENGTH):
-    """Sup over the family of ||T f||_{L^q} / ||f||_p; returns (value, label)."""
+    The L^q norm is taken on the graded grid when one is given, else
+    against the measure mu.
+    """
     best, label = 0.0, "none"
     for name, f in family:
         fp = f.lp_norm(p)
         if fp == 0.0:
             continue
-        val = _norm_eval(curve, lam, f, q, mu, grid, radius, alpha, npw) / fp
+        if grid is not None:
+            norm = grid.extension_lq(curve, lam, f, q, alpha=alpha,
+                                     nodes_per_wavelength=npw)
+        else:
+            norm = lq_norm(extension_eval(curve, lam, mu.atoms, f, alpha=alpha,
+                                          nodes_per_wavelength=npw), mu, q)
+        val = norm / fp
         if val > best:
             best, label = val, name
     return best, label
@@ -298,65 +283,44 @@ def family_sup(curve, lam, family, p, q, mu=None, grid=None,
 def scaling_experiment(curve, p, q, alpha, lam_grid, mu=None, grid=None,
                        radius=DEFAULT_RADIUS, seed=0, family_fn=None,
                        weighted=False, tol=SLOPE_TOL,
-                       npw=eng.NODES_PER_WAVELENGTH,
-                       check_sensitivity=False):
+                       npw=eng.NODES_PER_WAVELENGTH):
     """Family-sup norm sweep over a geometric lambda ladder.
 
-    Verdict is PASS when the fitted log2 slope is at most -alpha/q plus
-    the tolerance, vacuous when the family never produces a nonzero norm.
-    With check_sensitivity the top-lambda supremum is recomputed on a
-    doubled truncation radius and the relative change recorded.
+    Without a grid, norms are taken against mu restricted to the ball of
+    the given radius.  Verdict is PASS when the fitted log2 slope is at
+    most -alpha/q plus the tolerance, vacuous when the family never
+    produces a nonzero norm.
     """
     lam_grid = tuple(float(l) for l in lam_grid)
     if len(lam_grid) < 6:
         raise ValueError("lambda ladder needs at least 6 points")
     if family_fn is None:
         family_fn = lambda lam: default_test_family(curve.d, lam, seed=seed)
+    if grid is None and radius is not None:
+        mu = mu.restrict(np.linalg.norm(mu.atoms, axis=1) <= radius)
     w_alpha = alpha if weighted else None
     sups, labels = [], []
     for lam in lam_grid:
         val, label = family_sup(curve, lam, family_fn(lam), p, q, mu=mu,
-                                grid=grid, radius=radius, alpha=w_alpha,
-                                npw=npw)
+                                grid=grid, alpha=w_alpha, npw=npw)
         sups.append(val)
         labels.append(label)
     target = -alpha / q
     if max(sups) == 0.0:
-        return ScalingReport(
-            kind="family-sup", lam_grid=lam_grid, sup_norms=tuple(sups),
-            best_labels=tuple(labels), radius=radius if grid is None
-            else grid.half, p=p, q=q, alpha=alpha, slope=0.0, stderr=0.0,
-            target_slope=target, tol=tol, verdict="vacuous")
-    slope, _, stderr = fit_line(lam_grid, sups)
-    sens = None
-    if check_sensitivity:
-        lam_top = lam_grid[-1]
-        if grid is not None:
-            big_grid, big_mu, big_r = grid.doubled(), None, None
-        else:
-            big_grid, big_mu, big_r = None, mu, 2.0 * radius
-        val, _ = family_sup(curve, lam_top, family_fn(lam_top), p, q,
-                            mu=big_mu, grid=big_grid, radius=big_r,
-                            alpha=w_alpha, npw=npw)
-        sens = abs(val - sups[-1]) / max(sups[-1], 1e-300)
-    verdict = "PASS" if slope <= target + tol else "FAIL"
+        slope, stderr, verdict = 0.0, 0.0, "vacuous"
+    else:
+        slope, _, stderr = fit_line(lam_grid, sups)
+        verdict = "PASS" if slope <= target + tol else "FAIL"
     return ScalingReport(
         kind="family-sup", lam_grid=lam_grid, sup_norms=tuple(sups),
         best_labels=tuple(labels), radius=radius if grid is None
         else grid.half, p=p, q=q, alpha=alpha, slope=slope, stderr=stderr,
-        target_slope=target, tol=tol, verdict=verdict, sensitivity=sens)
+        target_slope=target, tol=tol, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
 # Knapp sharpness
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KnappConfig:
-    tau: float = 0.0
-    h: float = 1.0
-    c: float = KNAPP_SCALE
 
 
 def knapp_rectangle_mask(atoms, d, lam, c=KNAPP_SCALE):
@@ -389,15 +353,13 @@ class SharpnessReport:
     ratio_slope: float
     lower_bound_ok: bool
     min_peak_fraction: float
-    config: KnappConfig
 
     def mass_ok(self, tol=SLOPE_TOL):
         return abs(self.mass_slope - self.mass_target) <= tol
 
 
-def sharpness_experiment(curve, mu, alpha, p, q, lam_grid,
-                         config=KnappConfig(), weighted=True,
-                         npw=eng.NODES_PER_WAVELENGTH, max_rect_samples=256):
+def sharpness_experiment(curve, mu, alpha, p, q, lam_grid, c=KNAPP_SCALE,
+                         weighted=True, npw=eng.NODES_PER_WAVELENGTH):
     """Knapp cap against the dual rectangle.
 
     Tracks the measure of the rectangle (predicted log2 slope
@@ -413,29 +375,24 @@ def sharpness_experiment(curve, mu, alpha, p, q, lam_grid,
     min_frac = math.inf
     w_alpha = alpha if weighted else None
     for lam in lam_grid:
-        lo, hi = knapp_interval(d, lam, config.tau, config.h)
-        f = indicator(lo, hi)
-        mask = knapp_rectangle_mask(mu.atoms, d, lam, config.c)
-        masses.append(float(np.sum(mu.weights[mask])))
+        f = indicator(*knapp_interval(d, lam))
+        mask = knapp_rectangle_mask(mu.atoms, d, lam, c)
+        rect = mu.restrict(mask)
+        masses.append(rect.total_mass())
         vals = extension_eval(curve, lam, mu.atoms, f, alpha=w_alpha,
                               nodes_per_wavelength=npw)
         origin = extension_eval(curve, lam, np.zeros((1, d)), f,
                                 alpha=w_alpha, nodes_per_wavelength=npw)
         peak = float(np.abs(origin[0]))
         idx = np.flatnonzero(mask)
-        if idx.size > max_rect_samples:
-            idx = idx[:: idx.size // max_rect_samples]
+        if idx.size > MAX_RECT_SAMPLES:
+            idx = idx[:: idx.size // MAX_RECT_SAMPLES]
         if idx.size and peak > 0:
             frac = float(np.min(np.abs(vals[idx]))) / peak
             min_frac = min(min_frac, frac)
             if frac < 0.5:
                 lb_ok = False
-        if q == math.inf:
-            rect_norm = float(np.max(np.abs(vals[mask]), initial=0.0))
-        else:
-            rect_norm = float(
-                np.sum(mu.weights[mask] * np.abs(vals[mask]) ** q)
-            ) ** (1.0 / q)
+        rect_norm = lq_norm(vals[mask], rect, q)
         ratios.append(rect_norm * lam ** (alpha / q) / f.lp_norm(p))
     mass_slope = fit_line(lam_grid, masses)[0] if max(masses) > 0 else 0.0
     ratio_slope = fit_line(lam_grid, ratios)[0] if max(ratios) > 0 else 0.0
@@ -444,8 +401,7 @@ def sharpness_experiment(curve, mu, alpha, p, q, lam_grid,
         mass_slope=mass_slope, mass_target=-alpha + beta / d,
         ratios=tuple(ratios), ratio_slope=ratio_slope,
         lower_bound_ok=lb_ok,
-        min_peak_fraction=min_frac if min_frac < math.inf else 0.0,
-        config=config)
+        min_peak_fraction=min_frac if min_frac < math.inf else 0.0)
 
 
 def quotient_slope_prediction(alpha, d, p, q):
@@ -471,8 +427,8 @@ class MultilinearLqResult:
     ratio: float
 
 
-def multilinear_lq_check(curve, fs, mu, lam, q, p=2.0, box_r=32.0,
-                         npw=eng.NODES_PER_WAVELENGTH, **ml_kw):
+def multilinear_lq_check(curve, fs, mu, lam, q, box_r=32.0,
+                         npw=eng.NODES_PER_WAVELENGTH):
     """Product of extensions in L^q against a fractal measure.
 
     Chains Hoelder between q = 2 and q = infinity, the mollified-measure
@@ -482,13 +438,12 @@ def multilinear_lq_check(curve, fs, mu, lam, q, p=2.0, box_r=32.0,
     """
     if q < 2:
         raise ValueError("the chain needs q >= 2")
-    d = curve.d
     vals = np.ones(mu.n, dtype=complex)
     for f in fs:
         vals *= extension_eval(curve, lam, mu.atoms, f,
                                nodes_per_wavelength=npw)
     lhs = lq_norm(vals, mu, q)
-    ml = eng.multilinear_l2(curve, fs, lam, box_r=box_r, **ml_kw)
+    ml = eng.multilinear_l2(curve, fs, lam, box_r=box_r)
     moll = ms.mollified_sup(mu, lam)
     l2mu = math.sqrt(MOLLIFIER_CHAIN_CONSTANT * moll) * ml.bound
     linf = 1.0
@@ -501,8 +456,7 @@ def multilinear_lq_check(curve, fs, mu, lam, q, p=2.0, box_r=32.0,
         linf=linf, ratio=lhs / bound if bound > 0 else math.inf)
 
 
-def multilinear_knapp_slope(curve, lam_grid, taus=None, box_fn=None,
-                            **ml_kw):
+def multilinear_knapp_slope(curve, lam_grid):
     """Decay slope of ||prod T f_i||_{L^2(dx)} / prod ||f_i||_2 for a
     separated Knapp product.
 
@@ -511,14 +465,13 @@ def multilinear_knapp_slope(curve, lam_grid, taus=None, box_fn=None,
     saturates that power.
     """
     d = curve.d
-    if taus is None:
-        taus = tuple((i + 0.6) / (d + 1) for i in range(d))
+    taus = tuple((i + 0.6) / (d + 1) for i in range(d))
     vals = []
     for lam in lam_grid:
         w = lam ** (-1.0 / d)
         fs = [indicator(t, t + w) for t in taus]
-        br = box_fn(lam) if box_fn is not None else max(16.0, 1.5 * math.sqrt(lam))
-        res = eng.multilinear_l2(curve, fs, lam, box_r=br, **ml_kw)
+        res = eng.multilinear_l2(curve, fs, lam,
+                                 box_r=max(16.0, 1.5 * math.sqrt(lam)))
         norm = 1.0
         for f in fs:
             norm *= f.lp_norm(2.0)

@@ -8,7 +8,7 @@ audit protocol with an honest discretization floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -22,6 +22,9 @@ MAX_ATOMS = 10_000_000
 AUDIT_CENTERS = 512
 AUDIT_SLACK = 1.1
 AUDIT_FLOOR_FACTOR = 4.0
+
+# atoms per block of the mollifier sum
+MOLLIFY_CHUNK = 4096
 
 # rectangle-to-cube covering factor entering rescale certificates
 def covering_constant(d):
@@ -70,6 +73,12 @@ class DiscreteMeasure:
     @property
     def n(self):
         return self.atoms.shape[0]
+
+    def restrict(self, mask):
+        """The same measure on the atoms where mask is true."""
+        lr = self.local_resolution
+        return replace(self, atoms=self.atoms[mask], weights=self.weights[mask],
+                       local_resolution=None if lr is None else lr[mask])
 
     def total_mass(self):
         return float(np.sum(self.weights))
@@ -301,7 +310,7 @@ def make_appendix_a(d, alpha, j, extent=1.0, resolution=32, grading_levels=0):
     )
 
 
-def make_cantor(d, ratio, depth, embedding=None):
+def make_cantor(d, ratio, depth):
     """Self-similar product measure with alpha = d*log2/log(1/ratio)."""
     if not (0.0 < ratio < 0.5):
         raise ValueError("ratio must lie in (0, 1/2)")
@@ -329,8 +338,6 @@ def make_cantor(d, ratio, depth, embedding=None):
     grids = np.meshgrid(*([centers1] * d), indexing="ij")
     atoms = np.stack([g.ravel() for g in grids], axis=-1)
     weights = np.full(atoms.shape[0], 2.0 ** (-depth * d))
-    if embedding is not None:
-        atoms = atoms @ np.asarray(embedding, dtype=float).T
     alpha = d * alpha1
     c_mu = (2.0 * ratio ** (-alpha1)) ** d
     return DiscreteMeasure(
@@ -516,7 +523,7 @@ def kernel_profile(r2, d):
     return (1.0 + r2) ** (-(d + 2.0))
 
 
-def mollified_sup(mu, lam, candidates=None, chunk=4096):
+def mollified_sup(mu, lam, candidates=None):
     """Sup over candidate centers of the lambda-mollified measure.
 
     Evaluates sum_y lambda^d phi(lambda (x - y)) dmu(y) with the heavy-tail
@@ -533,9 +540,9 @@ def mollified_sup(mu, lam, candidates=None, chunk=4096):
     for start in range(0, candidates.shape[0], 64):
         cs = candidates[start : start + 64]
         acc = np.zeros(cs.shape[0])
-        for a0 in range(0, mu.n, chunk):
-            block = mu.atoms[a0 : a0 + chunk]
-            w = mu.weights[a0 : a0 + chunk]
+        for a0 in range(0, mu.n, MOLLIFY_CHUNK):
+            block = mu.atoms[a0 : a0 + MOLLIFY_CHUNK]
+            w = mu.weights[a0 : a0 + MOLLIFY_CHUNK]
             diff = cs[:, None, :] - block[None, :, :]
             r2 = (lam * lam) * np.sum(diff * diff, axis=-1)
             acc += (kernel_profile(r2, mu.d) * w[None, :]).sum(axis=1)

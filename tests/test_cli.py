@@ -150,6 +150,18 @@ seed = 3
         assert cli.main(["scaling", cfg, "--out", str(tmp_path / "o"),
                          "--force"]) == 0
 
+    def test_nonempty_out_refused_before_running(self, tmp_path,
+                                                 monkeypatch):
+        def not_run(*args, **kwargs):
+            raise AssertionError("experiment ran")
+
+        monkeypatch.setattr(cli.lab, "scaling_experiment", not_run)
+        cfg = write_config(tmp_path, self.SMALL_SCALING)
+        (tmp_path / "o").mkdir()
+        (tmp_path / "o" / "scaling_results.csv").write_text("old\n")
+        assert cli.main(["scaling", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert (tmp_path / "o" / "scaling_results.csv").read_text() == "old\n"
+
     def test_missing_seed_exit_2(self, tmp_path):
         body = self.SMALL_SCALING.replace("seed = 3\n", "")
         cfg = write_config(tmp_path, body)
@@ -193,6 +205,27 @@ seed = 11
         verdict = (tmp_path / "o" / "decompose_verdict.txt").read_text()
         assert "verified = 8" in verdict and "verdict = PASS" in verdict
         assert (tmp_path / "o" / "decompose_certificates.txt").exists()
+
+    def test_decompose_workers_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, """
+[curve]
+kind = model
+d = 2
+
+[experiment]
+lambda = 64
+targets = 6
+radius = 4.0
+degree = 8
+seed = 5
+""")
+        for w in ("1", "2"):
+            assert cli.main(["decompose", cfg, "--workers", w,
+                             "--out", str(tmp_path / w)]) == 0
+        for name in ("decompose_results.csv", "decompose_certificates.txt",
+                     "decompose_verdict.txt"):
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes())
 
     def test_multilinear_holds(self, tmp_path):
         cfg = write_config(tmp_path, """

@@ -17,6 +17,7 @@ from curveext.curves import (
     model_curve,
     monomial_model,
     normalize_curve,
+    torsion_poly,
 )
 
 
@@ -116,7 +117,7 @@ def test_rule_weights_integrate_support():
 
 def test_torsion_poly_matches_pointwise():
     g = CurveSpec(d=3, coeffs=((0, 1, 0.3), (0, 0.2, 0.5, 0.1), (0, 0, 0.1, 0.4)))
-    coeffs = eng.torsion_poly(g)
+    coeffs = torsion_poly(g)
     ts = np.linspace(0, 1, 7)
     np.testing.assert_allclose(
         np.polynomial.polynomial.polyval(ts, coeffs),
@@ -337,6 +338,9 @@ def test_lq_norm_contracts():
     vals = np.ones(mu.n)
     assert eng.lq_norm(vals, mu, 4) == pytest.approx(1.0)
     assert eng.lq_norm(2 * vals, mu, math.inf) == 2.0
+    empty = ms.DiscreteMeasure(atoms=np.zeros((0, 2)), weights=np.zeros(0),
+                               alpha=2.0, c_mu=1.0, resolution=1.0)
+    assert eng.lq_norm(np.zeros(0), empty, math.inf) == 0.0
     with pytest.raises(ValueError):
         eng.lq_norm(vals[:-1], mu, 2)
 

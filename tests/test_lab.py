@@ -159,6 +159,28 @@ class TestScaling:
 # ---------------------------------------------------------------------------
 
 
+def test_scaling_on_measure_restricts_to_radius():
+    curve, p, q, radius = model_curve(2), 2.0, 8.0, 1.5
+    mu = ms.make_lebesgue(2, box=(-2.0, 2.0), resolution=8)
+    members = [("left", eng.indicator(0.0, 0.5)),
+               ("right", eng.indicator(0.25, 1.0))]
+    lams = [2.0**k for k in range(1, 7)]
+    rep = lab.scaling_experiment(curve, p, q, 2.0, lams, mu=mu, radius=radius,
+                                 family_fn=lambda lam: members)
+    inside = np.linalg.norm(mu.atoms, axis=1) <= radius
+    assert 0 < inside.sum() < mu.n
+    ball = ms.DiscreteMeasure(atoms=mu.atoms[inside],
+                              weights=mu.weights[inside], alpha=2.0,
+                              c_mu=mu.c_mu, resolution=mu.resolution)
+    for lam, sup, label in zip(lams, rep.sup_norms, rep.best_labels):
+        norms = {name: eng.lq_norm(eng.extension_eval(curve, lam, ball.atoms, f),
+                                   ball, q) / f.lp_norm(p)
+                 for name, f in members}
+        assert label == max(norms, key=norms.get)
+        assert sup == pytest.approx(norms[label], rel=1e-12)
+    assert rep.radius == radius
+
+
 @pytest.fixture(scope="module")
 def line_measure():
     return ms.make_appendix_a(2, 1.0, 1, extent=1.0, resolution=2048)

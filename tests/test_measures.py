@@ -62,6 +62,19 @@ def test_appendix_a_plane_slice_is_lebesgue():
     assert np.allclose(mu.weights, mu.weights[0])
 
 
+def test_restrict_keeps_certificate_and_masks_arrays():
+    mu = ms.make_appendix_a(2, 1.0, 1, extent=1.0, resolution=16,
+                            grading_levels=2)
+    mask = np.arange(mu.n) % 3 == 1
+    sub = mu.restrict(mask)
+    np.testing.assert_array_equal(sub.atoms, mu.atoms[mask])
+    np.testing.assert_array_equal(sub.weights, mu.weights[mask])
+    np.testing.assert_array_equal(sub.local_resolution,
+                                  mu.local_resolution[mask])
+    assert (sub.alpha, sub.c_mu, sub.resolution, sub.generator) == (
+        mu.alpha, mu.c_mu, mu.resolution, mu.generator)
+
+
 def test_cantor_basic():
     mu = ms.make_cantor(1, ratio=1 / 3, depth=6)
     assert mu.n == 64
