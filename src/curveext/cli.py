@@ -167,19 +167,19 @@ def measure_from_config(cfg):
     raise ConfigError(f"unknown measure kind {kind!r}")
 
 
-def lambda_grid_from_config(cfg, section="experiment"):
-    lo = _get(cfg, section, "lambda_min_exp", int)
-    hi = _get(cfg, section, "lambda_max_exp", int)
+def lambda_grid_from_config(cfg):
+    lo = _get(cfg, "experiment", "lambda_min_exp", int)
+    hi = _get(cfg, "experiment", "lambda_max_exp", int)
     if hi < lo:
         raise ConfigError("lambda_max_exp < lambda_min_exp")
     return [2.0**k for k in range(lo, hi + 1)]
 
 
-def require_seed(args, cfg=None, section="experiment"):
+def require_seed(args, cfg):
     if args.seed is not None:
         return args.seed
-    if cfg is not None and cfg.has_option(section, "seed"):
-        return _get(cfg, section, "seed", int)
+    if cfg.has_option("experiment", "seed"):
+        return _get(cfg, "experiment", "seed", int)
     raise ConfigError("randomized experiment needs --seed (or a seed key)")
 
 

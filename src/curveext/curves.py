@@ -377,9 +377,9 @@ class FrameMatrix:
     def det(self):
         return det_exact(self.matrix)
 
-    def is_singular(self, tol=RANK_TOL):
+    def is_singular(self):
         scale = max(1.0, float(np.max(np.abs(self.matrix))))
-        return abs(self.det) <= tol * scale ** self.a.d
+        return abs(self.det) <= RANK_TOL * scale ** self.a.d
 
 
 def frame_matrix(curve, tau, a=None):
@@ -574,15 +574,14 @@ def affine_weight(curve, alpha, t):
     return np.abs(tor) ** (1.0 / b)
 
 
-def weight_scaling_check(curve, tau, h, a, alpha, t_grid=None):
+def weight_scaling_check(curve, tau, h, a, alpha):
     """Max relative error of the weight rescaling identity on a t-grid.
 
-    Checks |det M|^{1/beta} |h|^{sigma-1} w_{normalized}(t) = w(h t + tau).
+    Checks |det M|^{1/beta} |h|^{sigma-1} w_{normalized}(t) = w(h t + tau)
+    at 257 points of [1e-3, 1].
     """
     a = a if isinstance(a, ExponentTuple) else ExponentTuple(tuple(a))
-    if t_grid is None:
-        t_grid = np.linspace(1e-3, 1.0, 257)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.linspace(1e-3, 1.0, 257)
     b = beta_alpha(alpha, curve.d)
     sig = sigma_exponent(a, alpha)
     norm = normalize_curve(curve, tau, h, a)
@@ -654,6 +653,8 @@ class QuadratureToleranceError(RuntimeError):
 
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL16 = np.polynomial.legendre.leggauss(16)
+# bisection depth at which adaptive_quad gives up
+QUAD_MAX_DEPTH = 20
 
 
 def _gl_panel(f, a, b, rule):
@@ -663,15 +664,15 @@ def _gl_panel(f, a, b, rule):
     return half * float(np.sum(w * np.asarray([f(mid + half * xi) for xi in x])))
 
 
-def adaptive_quad(f, a, b, tol=1e-8, max_depth=20):
+def adaptive_quad(f, a, b, tol=1e-8):
     """Adaptive panel bisection with a GL8/GL16 error estimate."""
     if a == b:
         return 0.0
     def recurse(lo, hi, depth):
         coarse = _gl_panel(f, lo, hi, _GL8)
         fine = _gl_panel(f, lo, hi, _GL16)
-        if abs(fine - coarse) <= tol or depth >= max_depth:
-            if abs(fine - coarse) > tol and depth >= max_depth:
+        if abs(fine - coarse) <= tol or depth >= QUAD_MAX_DEPTH:
+            if abs(fine - coarse) > tol and depth >= QUAD_MAX_DEPTH:
                 raise QuadratureToleranceError(
                     f"panel [{lo}, {hi}] did not reach tol {tol} at depth {depth}"
                 )
@@ -727,7 +728,7 @@ def _phi_minor_functions(curve, b):
     return phi_k
 
 
-def ik_recursion(curve, probe, tol=1e-8, max_depth=20):
+def ik_recursion(curve, probe):
     """Nested-integral evaluation of the sum-map Jacobian determinant.
 
     Builds the sequence I_1, ..., I_n from the rescaled leading minors and
@@ -763,8 +764,7 @@ def ik_recursion(curve, probe, tol=1e-8, max_depth=20):
                 return eval_ik(k - 1, tuple(depth_args))
             return adaptive_quad(
                 lambda s: integrand(depth_args + [s], level + 1),
-                args[level], args[level + 1], tol=tol, max_depth=max_depth,
-            )
+                args[level], args[level + 1])
         inner = integrand([], 0)
         return pref * inner
 

@@ -326,9 +326,8 @@ def decompose_batch(f, family, curve, lam, targets, workers=1):
     return certs
 
 
-def decompose(f, family, curve, lam, x, workers=1):
-    return decompose_batch(f, family, curve, lam, np.atleast_2d(x),
-                           workers=workers)[0]
+def decompose(f, family, curve, lam, x):
+    return decompose_batch(f, family, curve, lam, np.atleast_2d(x))[0]
 
 
 def verify_certificate(cert, family, d):

@@ -134,10 +134,10 @@ def zero_function():
     return TestFunction("zero", 0.0, 0.0)
 
 
-def trig_poly(seed, degree=64, lo=0.0, hi=1.0):
+def trig_poly(seed, degree=64):
     rng = np.random.default_rng(seed)
     coeffs = tuple(rng.standard_normal(2 * degree + 1) / math.sqrt(2 * degree + 1))
-    return TestFunction("trig", float(lo), float(hi), coeffs=coeffs,
+    return TestFunction("trig", 0.0, 1.0, coeffs=coeffs,
                         label=f"trig(seed={seed}, degree={degree})")
 
 

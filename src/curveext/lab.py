@@ -160,9 +160,9 @@ def bump_family(d, lam, count=FAMILY_BUMPS):
     return out
 
 
-def trig_family(seed, count=FAMILY_TRIG, degree=TRIG_DEGREE):
+def trig_family(seed, count=FAMILY_TRIG):
     return [
-        (f"trig[{seed + j}]", trig_poly(seed + j, degree))
+        (f"trig[{seed + j}]", trig_poly(seed + j, TRIG_DEGREE))
         for j in range(count)
     ]
 
@@ -185,44 +185,31 @@ def default_test_family(d, lam, seed=0):
 class GradedGrid:
     """Origin-graded dyadic Lebesgue grid with its tensor levels exposed.
 
-    The associated measure equals make_lebesgue with the same arguments;
-    keeping the per-level axes lets extension norms be evaluated with the
-    separable grid kernel, which is what makes large-lambda sweeps
-    affordable.
+    The measure is make_lebesgue with the same arguments, whose atoms are
+    the levels' kept cells in order; keeping the per-level axes lets
+    extension norms be evaluated with the separable grid kernel, which is
+    what makes large-lambda sweeps affordable.
     """
 
     def __init__(self, d, half, resolution, levels):
         self.d = d
         self.half = float(half)
-        self.resolution = int(resolution)
-        self.grading_levels = int(levels)
-        self.levels = ms.graded_level_structure(d, half, resolution, levels)
+        box = (-self.half, self.half)
+        self.levels = ms.graded_level_structure(d, box, resolution, levels)
+        self._mu = ms.make_lebesgue(d, box=box, resolution=resolution,
+                                    grading_levels=levels)
 
     def measure(self):
-        return ms.make_lebesgue(
-            self.d,
-            box=(-self.half, self.half),
-            resolution=self.resolution,
-            grading_levels=self.grading_levels,
-        )
+        return self._mu
 
     def extension_lq(self, curve, lam, f, q, alpha=None,
-                     nodes_per_wavelength=eng.NODES_PER_WAVELENGTH,
-                     self_check=False):
+                     nodes_per_wavelength=eng.NODES_PER_WAVELENGTH):
         """L^q norm of T f against the grid's Lebesgue measure."""
-        acc = 0.0
-        peak = 0.0
-        for axes, keep, cell in self.levels:
-            vals = extension_eval_grid(
-                curve, lam, axes, f, alpha=alpha, self_check=self_check,
-                nodes_per_wavelength=nodes_per_wavelength)
-            mag = np.abs(vals)[keep]
-            peak = max(peak, float(np.max(mag, initial=0.0)))
-            if q != math.inf:
-                acc += cell**self.d * float(np.sum(mag**q))
-        if q == math.inf:
-            return peak
-        return acc ** (1.0 / q)
+        vals = [extension_eval_grid(
+                    curve, lam, axes, f, alpha=alpha, self_check=False,
+                    nodes_per_wavelength=nodes_per_wavelength)[keep]
+                for axes, keep, _ in self.levels]
+        return lq_norm(np.concatenate(vals), self._mu, q)
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +269,19 @@ def family_sup(curve, lam, family, p, q, mu=None, grid=None, alpha=None,
 
 def scaling_experiment(curve, p, q, alpha, lam_grid, mu=None, grid=None,
                        radius=DEFAULT_RADIUS, seed=0, family_fn=None,
-                       weighted=False, tol=SLOPE_TOL,
-                       npw=eng.NODES_PER_WAVELENGTH):
+                       weighted=False, npw=eng.NODES_PER_WAVELENGTH):
     """Family-sup norm sweep over a geometric lambda ladder.
 
     Without a grid, norms are taken against mu restricted to the ball of
     the given radius.  Verdict is PASS when the fitted log2 slope is at
-    most -alpha/q plus the tolerance, vacuous when the family never
+    most -alpha/q plus SLOPE_TOL, vacuous when the family never
     produces a nonzero norm.
     """
     lam_grid = tuple(float(l) for l in lam_grid)
     if len(lam_grid) < 6:
         raise ValueError("lambda ladder needs at least 6 points")
+    if mu is None and grid is None:
+        raise ValueError("scaling_experiment needs a measure mu or a grid")
     if family_fn is None:
         family_fn = lambda lam: default_test_family(curve.d, lam, seed=seed)
     if grid is None and radius is not None:
@@ -310,12 +298,12 @@ def scaling_experiment(curve, p, q, alpha, lam_grid, mu=None, grid=None,
         slope, stderr, verdict = 0.0, 0.0, "vacuous"
     else:
         slope, _, stderr = fit_line(lam_grid, sups)
-        verdict = "PASS" if slope <= target + tol else "FAIL"
+        verdict = "PASS" if slope <= target + SLOPE_TOL else "FAIL"
     return ScalingReport(
         kind="family-sup", lam_grid=lam_grid, sup_norms=tuple(sups),
         best_labels=tuple(labels), radius=radius if grid is None
         else grid.half, p=p, q=q, alpha=alpha, slope=slope, stderr=stderr,
-        target_slope=target, tol=tol, verdict=verdict)
+        target_slope=target, tol=SLOPE_TOL, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +320,11 @@ def knapp_rectangle_mask(atoms, d, lam, c=KNAPP_SCALE):
     return mask
 
 
-def lebesgue_rectangle_mass(d, lam, c=KNAPP_SCALE, half=None):
-    """Exact Lebesgue volume of the dual rectangle (clipped to the box)."""
+def lebesgue_rectangle_mass(d, lam):
+    """Exact Lebesgue volume of the dual rectangle at c = KNAPP_SCALE."""
     vol = 1.0
     for i in range(d):
-        side = 2.0 * c * lam ** ((i + 1.0) / d - 1.0)
-        if half is not None:
-            side = min(side, 2.0 * half)
-        vol *= side
+        vol *= 2.0 * KNAPP_SCALE * lam ** ((i + 1.0) / d - 1.0)
     return vol
 
 
@@ -354,8 +339,8 @@ class SharpnessReport:
     lower_bound_ok: bool
     min_peak_fraction: float
 
-    def mass_ok(self, tol=SLOPE_TOL):
-        return abs(self.mass_slope - self.mass_target) <= tol
+    def mass_ok(self):
+        return abs(self.mass_slope - self.mass_target) <= SLOPE_TOL
 
 
 def sharpness_experiment(curve, mu, alpha, p, q, lam_grid, c=KNAPP_SCALE,
@@ -484,20 +469,19 @@ def multilinear_knapp_slope(curve, lam_grid):
 # ---------------------------------------------------------------------------
 
 
-def pushforward_mass_exponent(mu, a, h_list, rho, matrix=None):
+def pushforward_mass_exponent(mu, a, h_list, rho):
     """Mass of the rho-ball seen through the anisotropic dilation.
 
     For each h the probe is the mu-mass of the preimage of B(0, rho)
-    under D_h A; the predicted log2 growth exponent in h is
+    under D_h; the predicted log2 growth exponent in h is
     d(d+1)/2 - beta - sum(a), matching the certified constant's scaling.
     Returns (fitted_exponent, predicted_exponent, masses).
     """
     a = a if isinstance(a, ExponentTuple) else ExponentTuple(tuple(a))
     d = mu.d
-    mat = np.eye(d) if matrix is None else np.asarray(matrix, dtype=float)
     masses = []
     for h in h_list:
-        spec = ms.PushforwardSpec(a=a, h=float(h), matrix=mat)
+        spec = ms.PushforwardSpec(a=a, h=float(h))
         img = mu.atoms @ spec.linear_map().T
         inside = np.linalg.norm(img, axis=1) <= rho
         masses.append(float(np.sum(mu.weights[inside])))
@@ -667,7 +651,7 @@ def finite_type_blocks(curve, grid, a, alpha, p, q, lam, n_blocks=7,
 
 
 def finite_type_pipeline(curve, tau, grid, alpha, p, q, lam_grid,
-                         n_blocks=7, fit_blocks=5, tol=SLOPE_TOL,
+                         n_blocks=7, fit_blocks=5,
                          npw=eng.NODES_PER_WAVELENGTH,
                          widths=(1.0, 2.0, 4.0)):
     """Dyadic block sweep over a lambda ladder for a degenerate curve.
@@ -691,5 +675,5 @@ def finite_type_pipeline(curve, tau, grid, alpha, p, q, lam_grid,
     aggs = [r.aggregate for r in reports]
     slope = fit_line(lam_grid, aggs)[0] if min(aggs) > 0 else 0.0
     target = -alpha / q
-    verdict = "PASS" if slope <= target + tol else "FAIL"
+    verdict = "PASS" if slope <= target + SLOPE_TOL else "FAIL"
     return reports, slope, target, verdict

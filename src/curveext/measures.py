@@ -154,30 +154,44 @@ class DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 
-def graded_level_structure(d, half, resolution, grading_levels):
-    """Tensor levels of an origin-graded dyadic partition of [-half, half]^d.
+def _product(*axes):
+    """Points of the tensor product of 1-D axes in C order, one row each."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def graded_level_structure(d, box, resolution, grading_levels):
+    """Tensor levels of a Lebesgue grid on [lo, hi]^d, graded toward 0.
 
     Returns a list of (axes, keep_mask, cell_side): level l covers the box
-    of half-width half * 2^{-l} with resolution^d cells; all but the last
-    level keep only cells outside the next finer box (even resolution makes
-    the boxes align with cell edges, so the union is an exact partition).
+    scaled by 2^{-l} with resolution^d cells; all but the last level keep
+    only cells outside the next finer box (a resolution divisible by 4
+    makes the boxes align with cell edges, so the union is an exact
+    partition).  A plain box (grading_levels = 0) is one level that keeps
+    every cell.
     """
-    if resolution % 2:
-        raise ValueError("graded grids require even resolution")
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2 per axis")
+    lo, hi = float(box[0]), float(box[1])
+    if grading_levels:
+        if abs(lo + hi) > 1e-12:
+            raise ValueError("graded grids require an origin-centered box")
+        if resolution % 2:
+            raise ValueError("graded grids require even resolution")
+        lo = -hi  # a box centred within 1e-12 is graded as (-hi, hi)
+    full = resolution ** d
+    if full + grading_levels * (full - (resolution // 2) ** d) > MAX_ATOMS:
+        raise ValueError("atom count overflow")
     out = []
     for level in range(grading_levels + 1):
-        h_l = half * 2.0 ** (-level)
-        edges = np.linspace(-h_l, h_l, resolution + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        cell = 2.0 * h_l / resolution
-        axes = tuple(centers.copy() for _ in range(d))
-        grids = np.meshgrid(*axes, indexing="ij")
-        rad = np.max(np.abs(np.stack(grids, axis=-1)), axis=-1)
+        s = 2.0 ** (-level)
+        edges = np.linspace(lo * s, hi * s, resolution + 1)
+        axes = (0.5 * (edges[:-1] + edges[1:]),) * d
+        keep = np.ones((resolution,) * d, dtype=bool)
         if level < grading_levels:
-            keep = rad > h_l / 2.0
-        else:
-            keep = np.ones_like(rad, dtype=bool)
-        out.append((axes, keep, cell))
+            rad = np.max(np.abs(_product(*axes)), axis=1)
+            keep = (rad > hi * s / 2.0).reshape(keep.shape)
+        out.append((axes, keep, (hi * s - lo * s) / resolution))
     return out
 
 
@@ -188,44 +202,19 @@ def make_lebesgue(d, box=None, resolution=64, grading_levels=0):
     restriction of Lebesgue measure to the box at the grid's resolution.
     With ``grading_levels`` > 0 the box must be centered at the origin and
     cells are refined dyadically toward it (still an exact partition).
+    Atoms are the levels of graded_level_structure in order, each level's
+    kept cells in C order.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2 per axis")
-    if box is None:
-        box = (-1.0, 1.0)
-    lo, hi = float(box[0]), float(box[1])
-    if grading_levels == 0:
-        if resolution ** d > MAX_ATOMS:
-            raise ValueError("atom count overflow")
-        edges = np.linspace(lo, hi, resolution + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        cell = (hi - lo) / resolution
-        grids = np.meshgrid(*([centers] * d), indexing="ij")
-        atoms = np.stack([g.ravel() for g in grids], axis=-1)
-        weights = np.full(atoms.shape[0], cell ** d)
-        res = cell
-    else:
-        if abs(lo + hi) > 1e-12:
-            raise ValueError("graded grids require an origin-centered box")
-        pieces = []
-        wts = []
-        for axes, keep, cell in graded_level_structure(
-                d, hi, resolution, grading_levels):
-            grids = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([g.ravel() for g in grids], axis=-1)[keep.ravel()]
-            pieces.append(pts)
-            wts.append(np.full(pts.shape[0], cell ** d))
-            res = cell
-        atoms = np.concatenate(pieces)
-        weights = np.concatenate(wts)
-        if atoms.shape[0] > MAX_ATOMS:
-            raise ValueError("atom count overflow")
+    lo, hi = (-1.0, 1.0) if box is None else (float(box[0]), float(box[1]))
+    levels = graded_level_structure(d, (lo, hi), resolution, grading_levels)
     return DiscreteMeasure(
-        atoms=atoms,
-        weights=weights,
+        atoms=np.concatenate([_product(*axes)[keep.ravel()]
+                              for axes, keep, _ in levels]),
+        weights=np.concatenate([np.full(np.count_nonzero(keep), cell ** d)
+                                for _, keep, cell in levels]),
         alpha=float(d),
         c_mu=unit_ball_volume(d) * 1.1,
-        resolution=res,
+        resolution=levels[-1][2],
         generator=f"lebesgue(d={d}, box=({lo},{hi}), resolution={resolution}, "
                   f"grading={grading_levels})",
     )
@@ -274,39 +263,33 @@ def make_appendix_a(d, alpha, j, extent=1.0, resolution=32, grading_levels=0):
     flat_edges = np.linspace(-extent, extent, resolution + 1)
     flat_centers = 0.5 * (flat_edges[:-1] + flat_edges[1:])
     flat_cell = 2.0 * extent / resolution
-
-    axes_centers = [sing_centers] + [flat_centers] * (live - 1)
-    axes_weights = [sing_weights] + [np.full(flat_centers.size, flat_cell)] * (live - 1)
-    grids = np.meshgrid(*axes_centers, indexing="ij")
-    wgrids = np.meshgrid(*axes_weights, indexing="ij")
-    pts_live = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=1)
+    flat_cells = np.full(flat_centers.size, flat_cell)
     sing_cells = np.diff(sing_edges)
-    cell_grid = np.meshgrid(
-        *([sing_cells] + [np.full(flat_centers.size, flat_cell)] * (live - 1)),
-        indexing="ij",
-    )
-    local = np.max(np.stack([g.ravel() for g in cell_grid], axis=-1), axis=1)
-    if pts_live.shape[0] > MAX_ATOMS:
+
+    # per axis (centres, masses, widths); each of the j point-mass axes is
+    # the single point 0, of unit mass and no width
+    point = (np.zeros(1), np.ones(1), np.zeros(1))
+    centers, masses, widths = zip(
+        *([point] * j + [(sing_centers, sing_weights, sing_cells)]
+          + [(flat_centers, flat_cells, flat_cells)] * (live - 1)))
+    if math.prod(c.size for c in centers) > MAX_ATOMS:
         raise ValueError("atom count overflow")
-    atoms = np.zeros((pts_live.shape[0], d))
-    atoms[:, j:] = pts_live
 
     # worst ball mass: square of side 2 rho around the singular axis
     if p <= 0:
         c_mu = 2.0 ** live / (p + 1.0)
     else:
         c_mu = 2.0 ** live * extent ** p
-    res = float(np.min(np.diff(sing_edges)))
+    res = float(np.min(sing_cells))
     return DiscreteMeasure(
-        atoms=atoms,
-        weights=weights,
+        atoms=_product(*centers),
+        weights=np.prod(_product(*masses), axis=1),
         alpha=float(alpha),
         c_mu=c_mu,
         resolution=min(res, flat_cell),
         generator=f"appendix_a(d={d}, alpha={alpha}, j={j}, extent={extent}, "
                   f"resolution={resolution}, grading={grading_levels})",
-        local_resolution=local,
+        local_resolution=np.max(_product(*widths), axis=1),
     )
 
 
@@ -335,8 +318,7 @@ def make_cantor(d, ratio, depth):
         length *= ratio
     centers1 = np.sort(starts + length / 2.0)
     alpha1 = math.log(2.0) / math.log(1.0 / ratio)
-    grids = np.meshgrid(*([centers1] * d), indexing="ij")
-    atoms = np.stack([g.ravel() for g in grids], axis=-1)
+    atoms = _product(*([centers1] * d))
     weights = np.full(atoms.shape[0], 2.0 ** (-depth * d))
     alpha = d * alpha1
     c_mu = (2.0 * ratio ** (-alpha1)) ** d
@@ -362,13 +344,13 @@ class AuditReport:
     floor: float
 
 
-def regularity_audit(mu, n_centers=AUDIT_CENTERS, seed=0, slack=AUDIT_SLACK):
+def regularity_audit(mu, n_centers=AUDIT_CENTERS, seed=0):
     """Estimate sup mu(B(x, rho))/rho^alpha over atoms and dyadic radii.
 
     The discretization floor is per center: radii below 4x the local atom
     spacing (nearest-neighbor distance) are ignored there, so graded clouds
     are audited honestly at every scale they actually resolve.  Passes iff
-    the estimate is <= C_mu * slack.
+    the estimate is <= C_mu * AUDIT_SLACK.
     """
     rng = np.random.default_rng(seed)
     if mu.n <= n_centers:
@@ -422,7 +404,7 @@ def regularity_audit(mu, n_centers=AUDIT_CENTERS, seed=0, slack=AUDIT_SLACK):
     return AuditReport(
         c_est=worst,
         exponent_fit=fit,
-        passed=worst <= mu.c_mu * slack,
+        passed=worst <= mu.c_mu * AUDIT_SLACK,
         worst_center=np.asarray(worst_center),
         worst_radius=float(worst_radius),
         floor=floor,

@@ -1,16 +1,26 @@
 """Source hygiene of the curveext package, checked with the standard ast
-module: every import is used, and every function reads each of its
-parameters.  `self`, `cls` and names starting with `_` are exempt."""
+module: every import is used, every function reads each of its
+parameters, and every defaulted parameter of a public function is passed
+by some call in the package, its tests or its benchmark.  `self`, `cls`
+and names starting with `_` are exempt."""
 
 import ast
 import importlib.resources as importlib_resources
+import math
 from pathlib import Path
 
 import pytest
 
 SRC = Path(importlib_resources.files("curveext"))
 MODULES = sorted(SRC.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
+CALLERS = MODULES + sorted((REPO / "tests").glob("*.py")) + sorted(
+    (REPO / "bench").glob("*.py"))
 EXEMPT = {"self", "cls"}
+# Kept settable although no caller sets them: `weighted` switches to the
+# affine-arclength measure the estimates are stated for, and the nodes per
+# wavelength set the quadrature density a convergence study varies.
+KEPT_DEFAULTS = {"weighted", "npw", "nodes_per_wavelength"}
 
 
 def _loaded_names(tree):
@@ -47,6 +57,56 @@ def unused_parameters(tree):
     return out
 
 
+def _passed(trees):
+    """Callee name -> (keywords passed, most positional arguments passed);
+    a `**` argument counts as every keyword, a `*` one as any position."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            keywords, npos = out.get(name, (set(), 0))
+            keywords |= {k.arg for k in node.keywords}
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                npos = math.inf
+            out[name] = (keywords, max(npos, len(node.args)))
+    return out
+
+
+def unset_defaults(defs, calls):
+    """Defaulted parameters of the public functions and methods in `defs`
+    that no call in `calls` passes, by keyword or by position.  Calls are
+    matched to definitions by name alone."""
+    passed = _passed(calls)
+    out = []
+    for tree in defs:
+        scopes = [(tree, 0)] + [(c, 1) for c in ast.walk(tree)
+                                if isinstance(c, ast.ClassDef)]
+        for scope, bound in scopes:
+            for node in scope.body:
+                if (not isinstance(node, ast.FunctionDef)
+                        or node.name.startswith("_")):
+                    continue
+                shift = bound and not any(
+                    getattr(dec, "id", None) == "staticmethod"
+                    for dec in node.decorator_list)
+                a = node.args
+                pos = a.posonlyargs + a.args
+                cands = [(i - shift, p) for i, p in enumerate(pos)
+                         if i >= len(pos) - len(a.defaults)]
+                cands += [(math.inf, p) for p, dflt
+                          in zip(a.kwonlyargs, a.kw_defaults) if dflt is not None]
+                keywords, npos = passed.get(node.name, (set(), 0))
+                out += [f"{node.name}({p.arg})" for i, p in cands
+                        if not p.arg.startswith("_")
+                        and p.arg not in KEPT_DEFAULTS
+                        and p.arg not in keywords and None not in keywords
+                        and npos <= i]
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -63,3 +123,26 @@ def test_scan_catches_both_kinds():
                      "class K:\n    def m(self, cls, v):\n        return 0\n")
     assert unused_imports(tree) == ["os", "c"]
     assert unused_parameters(tree) == ["f(y)", "f(args)", "m(v)"]
+
+
+def test_every_default_is_set_by_some_call():
+    calls = [ast.parse(p.read_text()) for p in CALLERS]
+    assert unset_defaults([ast.parse(p.read_text()) for p in MODULES],
+                          calls) == []
+
+
+def test_default_scan_matches_by_keyword_position_and_star():
+    defs = ast.parse(
+        "def f(x, y=1, *, z=2, npw=3, _p=4):\n    pass\n"
+        "def g(u=1, v=2):\n    pass\n"
+        "def _h(w=1):\n    pass\n"
+        "class K:\n"
+        "    def m(self, a=1, b=2):\n        pass\n"
+        "    @staticmethod\n"
+        "    def s(c=1):\n        pass\n"
+        "    def __init__(self, e=0):\n        pass\n")
+    assert unset_defaults([defs], [ast.parse("")]) == [
+        "f(y)", "f(z)", "g(u)", "g(v)", "m(a)", "m(b)", "s(c)"]
+    calls = ast.parse("f(0, 5)\nobj.f(z=3)\ng(**opts)\nK().m(1)\n"
+                      "K.s(*args)\n")
+    assert unset_defaults([defs], [calls]) == ["m(b)"]

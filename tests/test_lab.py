@@ -104,6 +104,17 @@ class TestGradedGrid:
         direct = eng.lq_norm(vals, mu, 4.0)
         assert abs(viagrid - direct) < 1e-10 * max(direct, 1.0)
 
+    @pytest.mark.parametrize("args", [(2, 4.0, 16, 3), (3, 2.0, 8, 1)])
+    def test_measure_is_the_levels_kept_cells_in_order(self, args):
+        # extension_lq pairs the levels' kept grid values with these atoms
+        grid = lab.GradedGrid(*args)
+        mu = grid.measure()
+        np.testing.assert_array_equal(mu.atoms, np.concatenate(
+            [ms._product(*axes)[keep.ravel()] for axes, keep, _ in grid.levels]))
+        np.testing.assert_array_equal(mu.weights, np.concatenate(
+            [np.full(int(keep.sum()), cell ** grid.d)
+             for _, keep, cell in grid.levels]))
+
     def test_sup_norm_mode(self):
         grid = lab.GradedGrid(2, 2.0, 8, 2)
         f = eng.indicator(0.0, 1.0)
@@ -147,6 +158,12 @@ class TestScaling:
         assert rep.target_slope == 0.0
         assert abs(rep.slope) <= rep.tol
         assert rep.verdict == "PASS"
+
+    def test_missing_measure_named(self):
+        # used to fail with AttributeError on None.restrict
+        with pytest.raises(ValueError, match="measure mu or a grid"):
+            lab.scaling_experiment(model_curve(2), math.inf, 8.0, 2.0,
+                                   [2.0**k for k in range(2, 8)])
 
     def test_ladder_validation(self):
         with pytest.raises(ValueError):

@@ -99,6 +99,91 @@ def test_cantor_ratio_validation():
 
 
 # ---------------------------------------------------------------------------
+# tensor layout against meshgrid oracles
+# ---------------------------------------------------------------------------
+
+
+def _mesh(*axes):
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([g.reshape(-1) for g in grids])
+
+
+def _centers(lo, hi, n):
+    edges = np.linspace(lo, hi, n + 1)
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
+@pytest.mark.parametrize("d, box, res, levels", [
+    (1, (-0.3, 1.7), 5, 0), (2, (-0.3, 1.7), 5, 0), (3, (0.0, 1.0), 3, 0),
+    (2, (-2.0, 2.0), 8, 3), (3, (-1.0, 1.0), 4, 2)])
+def test_lebesgue_matches_meshgrid_oracle(d, box, res, levels):
+    atoms, weights = [], []
+    for level in range(levels + 1):
+        lo, hi = box[0] * 2.0 ** -level, box[1] * 2.0 ** -level
+        pts = _mesh(*[_centers(lo, hi, res)] * d)
+        if level < levels:
+            pts = pts[np.max(np.abs(pts), axis=1) > hi / 2.0]
+        atoms.append(pts)
+        weights.append(np.full(len(pts), ((hi - lo) / res) ** d))
+    mu = ms.make_lebesgue(d, box=box, resolution=res, grading_levels=levels)
+    np.testing.assert_array_equal(mu.atoms, np.concatenate(atoms))
+    np.testing.assert_array_equal(mu.weights, np.concatenate(weights))
+    assert mu.resolution == (hi - lo) / res
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_cantor_matches_meshgrid_oracle(d, depth):
+    ratio = 0.25  # dyadic, so the oracle's interval ends are exact
+    intervals = [(0.0, 1.0)]
+    for _ in range(depth):
+        intervals = [piece for a, b in intervals for piece in
+                     ((a, a + ratio * (b - a)), (b - ratio * (b - a), b))]
+    centers = np.sort([a + 0.5 * (b - a) for a, b in intervals])
+    mu = ms.make_cantor(d, ratio, depth)
+    np.testing.assert_array_equal(mu.atoms, _mesh(*[centers] * d))
+    np.testing.assert_array_equal(mu.weights, np.full(2 ** (depth * d),
+                                                      2.0 ** (-depth * d)))
+
+
+@pytest.mark.parametrize("d, j, alpha, grading", [
+    (2, 0, 1.5, 2), (2, 1, 1.0, 0), (3, 0, 2.5, 0), (3, 1, 2.0, 2),
+    (3, 1, 1.5, 0)])
+def test_appendix_a_matches_meshgrid_oracle(d, j, alpha, grading):
+    p = alpha - d + j
+    edges = ms._graded_symmetric_edges(1.0, 9, grading)
+    sing = 0.5 * (edges[:-1] + edges[1:])
+    mass = np.array([ms._signed_power_integral(a, b, p)
+                     for a, b in zip(edges[:-1], edges[1:])])
+    flat = _centers(-1.0, 1.0, 9)
+    cell = np.full(9, 2.0 / 9)
+    live = d - j
+    pts = _mesh(sing, *[flat] * (live - 1))
+    mu = ms.make_appendix_a(d, alpha, j, extent=1.0, resolution=9,
+                            grading_levels=grading)
+    np.testing.assert_array_equal(mu.atoms[:, :j], 0.0)
+    np.testing.assert_array_equal(mu.atoms[:, j:], pts)
+    np.testing.assert_array_equal(
+        mu.weights, np.prod(_mesh(mass, *[cell] * (live - 1)), axis=1))
+    np.testing.assert_array_equal(
+        mu.local_resolution,
+        np.max(_mesh(np.diff(edges), *[cell] * (live - 1)), axis=1))
+
+
+@pytest.mark.parametrize("d, res, levels", [(2, 7, 0), (3, 8, 2)])
+def test_lebesgue_atom_guard_counts_exactly(monkeypatch, d, res, levels):
+    n = res ** d + levels * (res ** d - (res // 2) ** d)
+    monkeypatch.setattr(ms, "MAX_ATOMS", n)
+    mu = ms.make_lebesgue(d, box=(-1.0, 1.0), resolution=res,
+                          grading_levels=levels)
+    assert mu.n == n
+    monkeypatch.setattr(ms, "MAX_ATOMS", n - 1)
+    with pytest.raises(ValueError, match="atom count overflow"):
+        ms.make_lebesgue(d, box=(-1.0, 1.0), resolution=res,
+                         grading_levels=levels)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
