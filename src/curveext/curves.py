@@ -321,18 +321,20 @@ def torsion(curve, t):
 
 
 def _squarefree(p, tol=GCD_TOL):
-    """p / gcd(p, p'), with the gcd from Euclid's algorithm on max-normalized
-    coefficients (low to high).
+    """p / gcd(p, p') by Euclid's algorithm on max-normalized coefficients
+    (low to high), and whether the two multiply back to p to rounding.
 
     A remainder coefficient at most `tol` counts as zero, so roots closer
-    than about sqrt(tol) merge.
+    than about sqrt(tol) merge; distinct ones then miss that product.
     """
     a = p / np.max(np.abs(p))
     b = npoly.polyder(a)
     while True:
         b = np.trim_zeros(np.where(np.abs(b) > tol, b, 0.0), "b")
         if b.size == 0:
-            return npoly.polydiv(p, a)[0]
+            q = npoly.polydiv(p, a)[0]
+            miss = np.max(np.abs(npoly.polysub(npoly.polymul(q, a), p)))
+            return q, miss <= 16 * p.size * np.finfo(float).eps * np.max(np.abs(p))
         b = b / np.max(np.abs(b))
         a, b = b, npoly.polydiv(a, b)[1]
 
@@ -342,13 +344,20 @@ def real_roots(coeffs):
 
     Roots come from the square-free part, whose roots are simple: polyroots
     moves a root of multiplicity m off the real axis by about eps^(1/m),
-    which an imaginary-part filter on p itself would drop.
+    which an imaginary-part filter on p itself would drop.  Where it merged
+    distinct roots (see _squarefree), p's own roots take their place.
     """
     p = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if p.size <= 1:
         return ()
-    q = _squarefree(p)
-    roots = npoly.polyroots(q) if q.size > 1 else ()
+    q, exact = _squarefree(p)
+    roots = npoly.polyroots(q)
+    if not exact:
+        merged = np.abs(npoly.polyval(roots, p)) > (
+            4 * p.size * np.finfo(float).eps * npoly.polyval(np.abs(roots), np.abs(p)))
+        own = npoly.polyroots(p)
+        nearest = np.argmin(np.abs(own[:, None] - roots[None, :]), axis=1)
+        roots = np.concatenate([roots[~merged], own[merged[nearest]]])
     # + 0.0 turns a root -0.0 into 0.0
     return tuple(sorted({float(r.real) + 0.0 for r in roots if abs(r.imag) < 1e-9}))
 

@@ -258,23 +258,30 @@ def weight_zeros(curve, lo=0.0, hi=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _setup(curve, f, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1):
-    """Rules for T f up to |x| = xmax, one per piece, and their nodes' data.
+def _setup(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1):
+    """Rules for T up to |x| = xmax, one per piece, and their nodes' data.
 
-    Each piece (f itself, or f restricted to a subinterval) gets the rule
-    build_rule gives it alone; the curve points (d, n) and the amplitude
-    f(t) w(t) [affine weight] are formed once over all their nodes in order.
+    Each piece (a function, or one restricted to a subinterval) gets the
+    rule build_rule gives it alone.  Returns the rules, the curve points
+    (d, n) of all their nodes in order, and amplitude(f) = f(t) w(t)
+    [affine weight] over those nodes for any f.
     """
     omega = lam * xmax * curve.velocity_sup(0.0, 1.0)
     rules = [build_rule(p, omega, nodes_per_wavelength, split=split,
                         grade_points=() if alpha is None
                         else weight_zeros(curve, p.lo, p.hi))
              for p in pieces]
-    nodes = np.concatenate([r.nodes for r in rules])
-    amp = f(nodes) * np.concatenate([r.weights for r in rules])
-    if alpha is not None:
-        amp = amp * affine_weight(curve, alpha, nodes)
-    return rules, curve.point(nodes).T.copy(), amp.astype(complex)
+
+    def joined(field):  # joined per use: no copy outlives the set-up
+        return np.concatenate([getattr(r, field) for r in rules])
+
+    aw = None if alpha is None else affine_weight(curve, alpha, joined("nodes"))
+
+    def amplitude(f):
+        amp = f(joined("nodes")) * joined("weights")
+        return (amp if aw is None else amp * aw).astype(complex)
+
+    return rules, curve.point(joined("nodes")).T.copy(), amplitude
 
 
 def _eval_block(block, gamma_nodes, amp, lam):
@@ -316,16 +323,17 @@ def _evaluate(targets, gamma_nodes, amp, rules, lam, workers=1):
     return np.concatenate([np.zeros(0, dtype=complex)] + parts).reshape(len(rules), m)
 
 
-def _self_check(setup, lam, points, got, rules):
+def _self_check(setup, f, lam, points, got):
     """Recompute `got` (pieces x points) with every panel split in two.
 
     `setup(split=...)` rebuilds the rules that gave `got`; disagreement
     beyond the absolute tolerance raises QuadratureBudgetError.
     """
-    fine, gamma_nodes, amp = setup(split=2)
-    ref = _evaluate(points, gamma_nodes, amp, fine, lam)
+    fine, gamma_nodes, amplitude = setup(split=2)
+    ref = _evaluate(points, gamma_nodes, amplitude(f), fine, lam)
     err = float(np.max(np.abs(got - ref), initial=0.0))
     if err > SELF_CHECK_TOL:
+        rules = setup()[0]
         raise QuadratureBudgetError(
             f"self-check error {err:.3e} at lambda={lam}, "
             f"nodes={sum(r.n for r in rules)}, "
@@ -348,13 +356,13 @@ def extension_eval_pieces(curve, lam, targets, f, pieces, alpha=None, workers=1,
     if targets.shape[1] != curve.d:
         raise ValueError("target dimension mismatch")
     xmax = float(np.max(np.linalg.norm(targets, axis=1))) if targets.size else 0.0
-    setup = partial(_setup, curve, f, pieces, lam, xmax, alpha,
+    setup = partial(_setup, curve, pieces, lam, xmax, alpha,
                     nodes_per_wavelength)
-    rules, gamma_nodes, amp = setup()
-    values = _evaluate(targets, gamma_nodes, amp, rules, lam, workers)
+    rules, gamma_nodes, amplitude = setup()
+    values = _evaluate(targets, gamma_nodes, amplitude(f), rules, lam, workers)
     if self_check and targets.shape[0] > 0:
         idx = np.arange(0, targets.shape[0], SELF_CHECK_STRIDE)
-        _self_check(setup, lam, targets[idx], values[:, idx], rules)
+        _self_check(setup, f, lam, targets[idx], values[:, idx])
     return values
 
 
@@ -394,19 +402,58 @@ def _axis_factor(a, g, lam):
     return u
 
 
-def _grid_planes(gamma_nodes, amp, axes, lam):
-    """Yield (trailing index, T on the leading two axes) over a tensor grid.
-
-    The phase factors per axis, exp(i lam axis gamma_k), make the exp cost
-    scale with the axis lengths (less on uniform axes, see _axis_factor);
-    each trailing index costs one GEMM.
-    """
-    us = [_axis_factor(a, g, lam) for a, g in zip(axes, gamma_nodes)]
-    for idx in product(*(range(a.size) for a in axes[2:])):
+def _grid_planes(us, amp):
+    """Yield (trailing index, T on the leading two axes) over a tensor grid
+    from its axis factors `us`: one GEMM per trailing index."""
+    for idx in product(*(range(u.shape[0]) for u in us[2:])):
         a2 = amp
         for u, i in zip(us[2:], idx):
             a2 = a2 * u[i]
         yield idx, us[0] @ (us[1] * a2).T
+
+
+def _grid_values(us, amp):
+    """T on the tensor grid of the axis factors `us` for one amplitude."""
+    values = None
+    for idx, plane in _grid_planes(us, amp):
+        if values is None:  # after the first GEMM has freed its operands
+            values = np.empty(tuple(u.shape[0] for u in us), dtype=complex)
+        values[(slice(None), slice(None)) + idx] = plane
+    return values
+
+
+def _grid_xmax(axes):
+    return math.sqrt(sum(float(np.max(np.abs(a), initial=0.0)) ** 2 for a in axes))
+
+
+def _grid_factors(curve, f, lam, axes, alpha, nodes_per_wavelength):
+    """Per-axis phase factors exp(i lam axis gamma_k) and amplitude() on f's rule."""
+    _, gamma_nodes, amplitude = _setup(curve, [f], lam, _grid_xmax(axes), alpha,
+                                       nodes_per_wavelength)
+    return [_axis_factor(a, g, lam) for a, g in zip(axes, gamma_nodes)], amplitude
+
+
+def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
+                               nodes_per_wavelength=NODES_PER_WAVELENGTH):
+    """Yield (j, T fs[j] on the tensor grid spanned by `axes`) for every j.
+
+    Members with the same support and bandwidth share one rule, whose
+    curve points, affine weight and phase factors exp(i lam axis gamma_k)
+    are built once; each member adds only its amplitude and GEMMs.
+    Groups run one at a time, in order of their first member.
+    """
+    if len(axes) != curve.d:
+        raise ValueError("need one axis per coordinate")
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    groups = {}
+    for j, f in enumerate(fs):
+        groups.setdefault((f.lo, f.hi, f.bandwidth()), []).append(j)
+    for members in groups.values():
+        us, amplitude = _grid_factors(curve, fs[members[0]], lam, axes, alpha,
+                                      nodes_per_wavelength)
+        for j in members:
+            yield j, _grid_values(us, amplitude(fs[j]))
+        del us, amplitude  # before the next group builds its factors
 
 
 def extension_eval_grid(curve, lam, axes, f, alpha=None, self_check=True,
@@ -418,27 +465,14 @@ def extension_eval_grid(curve, lam, axes, f, alpha=None, self_check=True,
     the full grid size.  Returns an array of shape (len(axes[0]), ...).
     The self-check recomputes the far corner and the centre.
     """
-    if len(axes) != curve.d:
-        raise ValueError("need one axis per coordinate")
-    axes = [np.asarray(a, dtype=float) for a in axes]
-    xmax = math.sqrt(sum(float(np.max(np.abs(a), initial=0.0)) ** 2
-                         for a in axes))
-    shape = tuple(a.size for a in axes)
-    setup = partial(_setup, curve, f, [f], lam, xmax, alpha,
-                    nodes_per_wavelength)
-    rules, gamma_nodes, amp = setup()
-    if rules[0].n == 0:
-        return np.zeros(shape, dtype=complex)
-    values = None
-    for idx, plane in _grid_planes(gamma_nodes, amp, axes, lam):
-        if values is None:  # after the first GEMM has freed its operands
-            values = np.empty(shape, dtype=complex)
-        values[(slice(None), slice(None)) + idx] = plane
-    if self_check:
-        picks = (tuple(s - 1 for s in shape), tuple(s // 2 for s in shape))
-        points = np.array([[a[i] for a, i in zip(axes, ix)] for ix in picks])
+    (_, values), = extension_eval_grid_family(curve, lam, axes, [f], alpha,
+                                              nodes_per_wavelength)
+    if self_check and f.hi > f.lo:
+        picks = (tuple(s - 1 for s in values.shape), tuple(s // 2 for s in values.shape))
+        points = np.array([[float(a[i]) for a, i in zip(axes, ix)] for ix in picks])
         got = np.array([[values[ix] for ix in picks]])
-        _self_check(setup, lam, points, got, rules)
+        _self_check(partial(_setup, curve, [f], lam, _grid_xmax(axes), alpha,
+                            nodes_per_wavelength), f, lam, points, got)
     return values
 
 
@@ -530,12 +564,11 @@ def multilinear_l2(curve, fs, lam, box_r=20.0, tail_target=0.01,
         # shell radii (infinity norm): the leading two axes, then the
         # trailing index of each plane
         r2d = np.maximum(np.abs(axes[0])[:, None], np.abs(axes[1])[None, :])
-        xmax = math.sqrt(sum(float(np.max(np.abs(a))) ** 2 for a in axes))
         factors = []
         for f in fs:
-            _, gamma_nodes, amp = _setup(curve, f, [f], lam, xmax, None,
-                                         nodes_per_wavelength)
-            factors.append(_grid_planes(gamma_nodes, amp, axes, lam))
+            us, amplitude = _grid_factors(curve, f, lam, axes, None,
+                                          nodes_per_wavelength)
+            factors.append(_grid_planes(us, amplitude(f)))
         for planes in zip(*factors):
             idx, prod = planes[0]
             for _, plane in planes[1:]:

@@ -29,7 +29,6 @@ from .curves import (
 from .engine import (
     bump,
     extension_eval,
-    extension_eval_grid,
     indicator,
     lq_norm,
     trig_poly,
@@ -202,14 +201,32 @@ class GradedGrid:
     def measure(self):
         return self._mu
 
+    def family_lq(self, curve, lam, fs, q, alpha=None,
+                  nodes_per_wavelength=eng.NODES_PER_WAVELENGTH):
+        """L^q norm of T f against the grid's measure for each f in fs.
+
+        Per level, members sharing a rule share its phase factors
+        (extension_eval_grid_family); each member keeps only a running
+        sum of w |T f|^q, or a running max at q = infinity.
+        """
+        if q < 1:
+            raise ValueError("q must be >= 1")
+        acc = [0.0] * len(fs)
+        for axes, keep, cell in self.levels:
+            for j, values in eng.extension_eval_grid_family(
+                    curve, lam, axes, fs, alpha=alpha,
+                    nodes_per_wavelength=nodes_per_wavelength):
+                mod = np.abs(values[keep])
+                acc[j] = (max(acc[j], float(np.max(mod, initial=0.0)))
+                          if q == math.inf
+                          else acc[j] + float(np.sum(cell ** self.d * mod ** q)))
+                del values, mod  # before the next member is evaluated
+        return [s if q == math.inf else s ** (1.0 / q) for s in acc]
+
     def extension_lq(self, curve, lam, f, q, alpha=None,
                      nodes_per_wavelength=eng.NODES_PER_WAVELENGTH):
         """L^q norm of T f against the grid's Lebesgue measure."""
-        vals = [extension_eval_grid(
-                    curve, lam, axes, f, alpha=alpha, self_check=False,
-                    nodes_per_wavelength=nodes_per_wavelength)[keep]
-                for axes, keep, _ in self.levels]
-        return lq_norm(np.concatenate(vals), self._mu, q)
+        return self.family_lq(curve, lam, [f], q, alpha, nodes_per_wavelength)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +267,16 @@ def family_sup(curve, lam, family, p, q, mu=None, grid=None, alpha=None,
     The L^q norm is taken on the graded grid when one is given, else
     against the measure mu.
     """
+    fps = [(name, f, fp) for name, f in family if (fp := f.lp_norm(p)) != 0.0]
+    if grid is not None:
+        norms = grid.family_lq(curve, lam, [f for _, f, _ in fps], q,
+                               alpha=alpha, nodes_per_wavelength=npw)
+    else:
+        norms = [lq_norm(extension_eval(curve, lam, mu.atoms, f, alpha=alpha,
+                                        nodes_per_wavelength=npw), mu, q)
+                 for _, f, _ in fps]
     best, label = 0.0, "none"
-    for name, f in family:
-        fp = f.lp_norm(p)
-        if fp == 0.0:
-            continue
-        if grid is not None:
-            norm = grid.extension_lq(curve, lam, f, q, alpha=alpha,
-                                     nodes_per_wavelength=npw)
-        else:
-            norm = lq_norm(extension_eval(curve, lam, mu.atoms, f, alpha=alpha,
-                                          nodes_per_wavelength=npw), mu, q)
+    for (name, _, fp), norm in zip(fps, norms):
         val = norm / fp
         if val > best:
             best, label = val, name

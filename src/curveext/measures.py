@@ -165,10 +165,10 @@ def graded_level_structure(d, box, resolution, grading_levels):
 
     Returns a list of (axes, keep_mask, cell_side): level l covers the box
     scaled by 2^{-l} with resolution^d cells; all but the last level keep
-    only cells outside the next finer box (a resolution divisible by 4
-    makes the boxes align with cell edges, so the union is an exact
-    partition).  A plain box (grading_levels = 0) is one level that keeps
-    every cell.
+    only cells outside the next finer box.  Graded grids need a resolution
+    divisible by 4, so the finer box's edges are cell edges and the union
+    is an exact partition (else they cut through cell centres).  A plain
+    box (grading_levels = 0) is one level that keeps every cell.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
@@ -176,8 +176,8 @@ def graded_level_structure(d, box, resolution, grading_levels):
     if grading_levels:
         if abs(lo + hi) > 1e-12:
             raise ValueError("graded grids require an origin-centered box")
-        if resolution % 2:
-            raise ValueError("graded grids require even resolution")
+        if resolution % 4:
+            raise ValueError("graded grids require a resolution divisible by 4")
         lo = -hi  # a box centred within 1e-12 is graded as (-hi, hi)
     full = resolution ** d
     if full + grading_levels * (full - (resolution // 2) ** d) > MAX_ATOMS:

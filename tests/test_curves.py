@@ -172,6 +172,20 @@ def test_real_roots_any_multiplicity(mult):
         == pytest.approx((0.3,), abs=1e-9)
 
 
+def test_real_roots_keep_close_roots_apart():
+    # Euclid's gcd at GCD_TOL merged 0.5 and 0.50001 into 0.500005 (and
+    # moved 0.2 to 0.19999999992)
+    true = (0.2, 0.5, 0.50001)
+    got = cv.real_roots(np.polynomial.polynomial.polyfromroots(true))
+    assert len(got) == 3
+    assert max(abs(g - t) for g, t in zip(got, true)) <= 1e-9
+    # a true double root next to a close pair: one root for the double
+    got = cv.real_roots(np.polynomial.polynomial.polyfromroots((0.2, 0.2) + true[1:]))
+    assert got == pytest.approx(true, abs=1e-9)
+    assert cv.real_roots(np.polynomial.polynomial.polyfromroots([0.2, 0.5, 0.5])) \
+        == pytest.approx((0.2, 0.5), abs=1e-12)
+
+
 def test_real_roots_no_real_or_constant():
     assert cv.real_roots([1.0, 0.0, 1.0]) == ()
     assert cv.real_roots([3.0]) == ()

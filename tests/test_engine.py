@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curveext import engine as eng
@@ -225,6 +225,44 @@ def test_phase_identity_transport():
     np.testing.assert_allclose(np.abs(v1), np.abs(v2), atol=1e-8)
 
 
+@st.composite
+def _polynomial_curves(draw):
+    d = draw(st.integers(2, 3))
+    deg = draw(st.integers(d, d + 2))
+    coef = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    return CurveSpec(d=d, coeffs=tuple(
+        tuple(draw(st.lists(coef, min_size=deg + 1, max_size=deg + 1)))
+        for _ in range(d)))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(_polynomial_curves(), st.integers(0, 2**32 - 1))
+def test_conjugate_symmetry_random_curves(g, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2, 2, size=(10, g.d))
+    f = eng.trig_poly(seed % 1000, degree=6)
+    v1 = eng.extension_eval(g, 32.0, x, f)
+    v2 = eng.extension_eval(g, 32.0, -x, f)
+    np.testing.assert_allclose(v2, np.conj(v1), atol=1e-9)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(_polynomial_curves(), st.floats(0.0, 0.5), st.floats(0.1, 0.5),
+       st.integers(0, 2**32 - 1))
+def test_phase_identity_transport_random_curves(g, tau, h, seed):
+    # the fixed-input identity below, on curves whose frame at tau is
+    # well conditioned (a near-singular one has no usable normalization)
+    frame = frame_matrix(g, tau)
+    assume(np.linalg.cond(frame.matrix) < 1e4)
+    norm = normalize_curve(g, tau, h)
+    dh = diagonal_scaling(h, frame.a)
+    x = np.random.default_rng(seed).uniform(-3, 3, size=(20, g.d))
+    y = x @ (dh @ frame.matrix.T).T
+    v1 = eng.extension_eval(g, 64.0, x, eng.indicator(tau, tau + h))
+    v2 = h * eng.extension_eval(norm, 64.0, y, eng.indicator(0.0, 1.0))
+    np.testing.assert_allclose(np.abs(v1), np.abs(v2), atol=1e-8)
+
+
 def test_worker_count_byte_identical():
     g = model_curve(2)
     rng = np.random.default_rng(3)
@@ -321,6 +359,48 @@ def test_grid_matches_scattered_on_long_axis():
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     ref = eng.extension_eval(g, 64.0, pts, f).reshape(vals.shape)
     np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-10)
+
+
+def _mixed_family():
+    """8 trig members sharing one rule, with other groups between and after
+    them: a Knapp cap, a bump, the zero function and a repeated member."""
+    trig = [eng.trig_poly(seed, degree=16) for seed in range(8)]
+    return (trig[:4] + [eng.indicator(0.3, 0.45)] + trig[4:]
+            + [eng.bump(0.2, 0.7), eng.zero_function(), trig[2]])
+
+
+# torsion 6 t^2 - 0.9 and 12 - 48 t: roots at 0.387 and 0.25, inside the
+# trig and bump supports, so the weighted rules are graded there
+@pytest.mark.parametrize("curve, axes", [
+    (CurveSpec(d=2, coeffs=((0, 1), (0, 0, -0.45, 0, 0.5))),
+     [np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.5, 5)]),
+    (CurveSpec(d=3, coeffs=((0, 1), (0, 0, 1), (0, 0, 0, 1, -1))),
+     [np.linspace(-2.0, 2.0, 4), np.linspace(-1.0, 1.5, 3),
+      np.array([-0.5, 0.0, 0.25, 1.0, 3.0])]),
+])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_family_grid_equals_one_member_grids(monkeypatch, curve, axes, weighted):
+    alpha = float(curve.d) if weighted else None
+    fam = _mixed_family()
+    if weighted:
+        assert 0.0 < curve.torsion_roots[-1] < 0.7
+    built = []
+    build_rule = eng.build_rule
+
+    def recording(*args, **kwargs):
+        built.append(build_rule(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(eng, "build_rule", recording)
+    got = dict(eng.extension_eval_grid_family(curve, 16.0, axes, fam, alpha=alpha))
+    # one rule per group: trig, the cap, the bump and the empty support
+    assert sorted(got) == list(range(len(fam))) and len(built) == 4
+    for j, f in enumerate(fam):
+        ref = eng.extension_eval_grid(curve, 16.0, axes, f, alpha=alpha,
+                                      self_check=False)
+        assert got[j].tobytes() == ref.tobytes()
+    zero, again = len(fam) - 2, len(fam) - 1
+    assert not np.any(got[zero]) and got[again].tobytes() == got[2].tobytes()
 
 
 def test_weighted_value_at_origin_is_weight_integral():

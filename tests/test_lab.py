@@ -115,6 +115,26 @@ class TestGradedGrid:
             [np.full(int(keep.sum()), cell ** grid.d)
              for _, keep, cell in grid.levels]))
 
+    @pytest.mark.parametrize("q, weighted", [(4.0, False), (math.inf, False),
+                                             (8.0, True)])
+    def test_family_sup_matches_member_loop(self, q, weighted):
+        grid = lab.GradedGrid(2, 2.0, 8, 2)
+        curve = CurveSpec(d=2, coeffs=((0, 1), (0, 0, -0.45, 0, 0.5)))
+        alpha = 2.0 if weighted else None
+        fam = [(f"trig{s}", eng.trig_poly(s, degree=16)) for s in range(8)]
+        fam[3:3] = [("cap", eng.indicator(0.3, 0.45)), ("zero", eng.zero_function())]
+        fam += [("bump", eng.bump(0.2, 0.7)), ("again", fam[5][1])]
+        val, label = lab.family_sup(curve, 16.0, fam, 2.0, q, grid=grid, alpha=alpha)
+        best, ref = 0.0, "none"
+        for name, f in fam:
+            fp = f.lp_norm(2.0)
+            if fp == 0.0:
+                continue
+            member = grid.extension_lq(curve, 16.0, f, q, alpha=alpha) / fp
+            if member > best:
+                best, ref = member, name
+        assert type(val) is float and (val, label) == (best, ref)
+
     def test_sup_norm_mode(self):
         grid = lab.GradedGrid(2, 2.0, 8, 2)
         f = eng.indicator(0.0, 1.0)

@@ -183,6 +183,22 @@ def test_lebesgue_atom_guard_counts_exactly(monkeypatch, d, res, levels):
                          grading_levels=levels)
 
 
+@pytest.mark.parametrize("res, levels", [(6, 1), (6, 2), (14, 1), (10, 1)])
+def test_graded_lebesgue_needs_resolution_divisible_by_4(res, levels):
+    # these used to build silently: masses 3.222, 3.028 and 3.694 instead
+    # of 4, and at resolution 10 a ring of cells both overlapping the finer
+    # level and leaving a gap while the mass still read 4
+    with pytest.raises(ValueError, match="divisible by 4"):
+        ms.make_lebesgue(2, (-1.0, 1.0), res, levels)
+
+
+@pytest.mark.parametrize("res, levels", [(8, 1), (12, 2)])
+def test_graded_lebesgue_partitions_the_box(res, levels):
+    mu = ms.make_lebesgue(2, (-1.0, 1.0), res, levels)
+    assert abs(mu.total_mass() - 4.0) <= 1e-12
+    assert mu.n == res ** 2 + levels * (res ** 2 - (res // 2) ** 2)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
