@@ -167,6 +167,25 @@ def measure_from_config(cfg):
     raise ConfigError(f"unknown measure kind {kind!r}")
 
 
+def measure_d(cfg, curve):
+    """The curve's dimension, which a [measure] d must equal."""
+    d = _get(cfg, "measure", "d", int, curve.d)
+    if d != curve.d:
+        raise ConfigError(f"[measure] d = {d} but the curve has d = {curve.d}")
+    return d
+
+
+def grid_from_config(cfg, curve, half, resolution, levels):
+    """[measure] as a graded Lebesgue grid for the curve; half, resolution
+    and levels stand in for the keys the section leaves out."""
+    if _get(cfg, "measure", "kind", str, "lebesgue") != "lebesgue":
+        raise ConfigError("a graded grid needs [measure] kind = lebesgue")
+    return lab.GradedGrid(
+        measure_d(cfg, curve), _get(cfg, "measure", "half", float, half),
+        _get(cfg, "measure", "resolution", int, resolution),
+        _get(cfg, "measure", "grading_levels", int, levels))
+
+
 def lambda_grid_from_config(cfg):
     lo = _get(cfg, "experiment", "lambda_min_exp", int)
     hi = _get(cfg, "experiment", "lambda_max_exp", int)
@@ -230,11 +249,9 @@ def cmd_scaling(args):
     kind = _get(cfg, "measure", "kind")
     grid = mu = None
     if kind == "lebesgue" and _get(cfg, "measure", "grading_levels", int, 0):
-        grid = lab.GradedGrid(
-            curve.d, _get(cfg, "measure", "half", float, 1.0),
-            _get(cfg, "measure", "resolution", int, 64),
-            _get(cfg, "measure", "grading_levels", int))
+        grid = grid_from_config(cfg, curve, 1.0, 64, 0)
     else:
+        measure_d(cfg, curve)
         mu = measure_from_config(cfg)
     radius = _get(cfg, "experiment", "radius", float, lab.DEFAULT_RADIUS)
     out = OutputDir(args.out, force=args.force, config_hash=chash)
@@ -254,6 +271,7 @@ def cmd_scaling(args):
 def cmd_sharpness(args):
     cfg, chash = load_config(args.config)
     curve = curve_from_config(cfg)
+    measure_d(cfg, curve)
     mu = measure_from_config(cfg)
     p = _get(cfg, "experiment", "p", float)
     q = _get(cfg, "experiment", "q", float)
@@ -355,10 +373,7 @@ def cmd_finitetype(args):
     q = _get(cfg, "experiment", "q", float)
     alpha = _get(cfg, "experiment", "alpha", float)
     lams = lambda_grid_from_config(cfg)
-    grid = lab.GradedGrid(
-        curve.d, _get(cfg, "measure", "half", float, 8.0),
-        _get(cfg, "measure", "resolution", int, 128),
-        _get(cfg, "measure", "grading_levels", int, 9))
+    grid = grid_from_config(cfg, curve, 8.0, 128, 9)
     out = OutputDir(args.out, force=args.force, config_hash=chash)
     reports, slope, target, verdict = lab.finite_type_pipeline(
         curve, _get(cfg, "experiment", "tau", float, 0.0), grid, alpha, p,

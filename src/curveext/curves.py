@@ -9,7 +9,7 @@ polynomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -46,6 +46,13 @@ class SingularFrameError(ValueError):
 
 class NotFiniteTypeError(ValueError):
     """No nonsingular derivative frame found within the order budget."""
+
+
+def _derivative_coeffs(c, order):
+    """Coefficients (low to high) of the order-th derivative of the polynomial c."""
+    c = np.asarray(c, dtype=float)
+    dc = npoly.polyder(c, order) if order else c
+    return dc if dc.size else np.zeros(1)
 
 
 def _compose_affine(coeffs, shift, scale):
@@ -130,10 +137,6 @@ class CurveSpec:
         tidy = tuple(tuple(float(c) for c in comp) for comp in self.coeffs)
         object.__setattr__(self, "coeffs", tidy)
 
-    @property
-    def degree(self):
-        return max(len(c) - 1 for c in self.coeffs)
-
     def component_arrays(self):
         n = max(len(c) for c in self.coeffs)
         mat = np.zeros((self.d, n))
@@ -142,8 +145,7 @@ class CurveSpec:
         return mat
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([npoly.polyval(t, np.asarray(c)) for c in self.coeffs], axis=-1)
+        return self.derivative(t, 0)
 
     def derivative(self, t, order):
         """order-th derivative vector at t (order 0 is the point itself)."""
@@ -152,23 +154,12 @@ class CurveSpec:
                 f"derivative order {order} exceeds budget {self.order_budget}"
             )
         t = np.asarray(t, dtype=float)
-        cols = []
-        for c in self.coeffs:
-            dc = npoly.polyder(np.asarray(c), order) if order > 0 else np.asarray(c)
-            if dc.size == 0:
-                dc = np.zeros(1)
-            cols.append(npoly.polyval(t, dc))
-        return np.stack(cols, axis=-1)
+        return np.stack([npoly.polyval(t, _derivative_coeffs(c, order))
+                         for c in self.coeffs], axis=-1)
 
-    def velocity_sup(self, lo=0.0, hi=1.0, n=SPEED_SAMPLES):
-        """Max of |gamma'| over n samples of [lo, hi]; computed once on [0, 1]."""
-        if (lo, hi, n) == (0.0, 1.0, SPEED_SAMPLES):
-            return self._unit_velocity_sup
-        return self._sampled_speed_max(lo, hi, n)
-
-    def _sampled_speed_max(self, lo, hi, n):
-        ts = np.linspace(lo, hi, n)
-        return float(np.max(np.linalg.norm(self.derivative(ts, 1), axis=-1)))
+    def velocity_sup(self):
+        """Max of |gamma'| over SPEED_SAMPLES samples of [0, 1]; computed once."""
+        return self._unit_velocity_sup
 
     # Per-curve data, cached in the instance __dict__ (the dataclass is
     # frozen, so the coefficients cannot change under the cache; equality
@@ -176,7 +167,8 @@ class CurveSpec:
 
     @cached_property
     def _unit_velocity_sup(self):
-        return self._sampled_speed_max(0.0, 1.0, SPEED_SAMPLES)
+        ts = np.linspace(0.0, 1.0, SPEED_SAMPLES)
+        return float(np.max(np.linalg.norm(self.derivative(ts, 1), axis=-1)))
 
     @cached_property
     def torsion_coeffs(self):
@@ -231,16 +223,6 @@ class CurveSpec:
         return cls(d=d, coeffs=coeffs, a=a, label=label)
 
 
-def model_curve(d):
-    """The model curve (t, t^2/2!, ..., t^d/d!)."""
-    coeffs = []
-    for k in range(1, d + 1):
-        c = [0.0] * (k + 1)
-        c[k] = 1.0 / math.factorial(k)
-        coeffs.append(tuple(c))
-    return CurveSpec(d=d, coeffs=tuple(coeffs), a=nondegenerate_tuple(d), label="model")
-
-
 def monomial_model(a):
     """The monomial model curve (t^{a_1}/a_1!, ..., t^{a_d}/a_d!)."""
     a = a if isinstance(a, ExponentTuple) else ExponentTuple(tuple(a))
@@ -252,6 +234,11 @@ def monomial_model(a):
     budget = max(DEFAULT_ORDER_BUDGET, a[-1] + 1)
     return CurveSpec(d=a.d, coeffs=tuple(coeffs), a=a, order_budget=budget,
                      label=f"monomial-model-{'-'.join(map(str, a))}")
+
+
+def model_curve(d):
+    """The model curve (t, t^2/2!, ..., t^d/d!)."""
+    return replace(monomial_model(range(1, d + 1)), label="model")
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +277,8 @@ def torsion_poly(curve):
     own copy as `torsion_coeffs`, which `torsion` evaluates.
     """
     d = curve.d
-    cols = []
-    for order in range(1, d + 1):
-        col = []
-        for c in curve.coeffs:
-            dc = npoly.polyder(np.asarray(c, dtype=float), order)
-            col.append(dc if dc.size else np.zeros(1))
-        cols.append(col)
+    cols = [[_derivative_coeffs(c, order) for c in curve.coeffs]
+            for order in range(1, d + 1)]
 
     def det(rows, colset):
         if len(colset) == 1:
@@ -375,11 +357,9 @@ def minor_determinant(curve, rows, t):
 
 @dataclass(frozen=True)
 class FrameMatrix:
-    """Derivative frame M with provenance (curve, base point, tuple)."""
+    """Derivative frame M with the exponent tuple of its columns."""
 
     matrix: np.ndarray
-    curve_label: str
-    tau: float
     a: ExponentTuple
 
     @property
@@ -394,7 +374,7 @@ class FrameMatrix:
 def frame_matrix(curve, tau, a=None):
     a = a or curve.a or nondegenerate_tuple(curve.d)
     mat = derivative_matrix(curve, float(tau), orders=list(a))
-    return FrameMatrix(matrix=mat, curve_label=curve.label, tau=float(tau), a=a)
+    return FrameMatrix(matrix=mat, a=a)
 
 
 def beta_alpha(alpha, d):
@@ -454,8 +434,6 @@ def normalize_curve(curve, tau, h, a=None):
 class ClassDistance:
     """Distance of a curve to its model class (approximate sup norm)."""
 
-    curve_label: str
-    model: str
     value: float
 
 
@@ -464,9 +442,7 @@ def _ck_deviation(coeff_diffs, max_order, grid):
     for dc in coeff_diffs:
         c = np.asarray(dc, dtype=float)
         for k in range(max_order + 1):
-            ck = npoly.polyder(c, k) if k > 0 else c
-            if ck.size == 0:
-                continue
+            ck = _derivative_coeffs(c, k)
             worst = max(worst, float(np.max(np.abs(npoly.polyval(grid, ck)))))
     return worst * SUP_SAFETY
 
@@ -490,7 +466,7 @@ def class_distance(curve, model="plain"):
             dc[: len(r)] -= r
             diffs.append(dc)
         val = _ck_deviation(diffs, curve.d + 1, grid)
-        return ClassDistance(curve.label, "plain", val)
+        return ClassDistance(val)
 
     a = model if isinstance(model, ExponentTuple) else ExponentTuple(tuple(model))
     diffs = []
@@ -500,7 +476,7 @@ def class_distance(curve, model="plain"):
         low = c[: min(ai, c.size)]
         scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
         if low.size and np.max(np.abs(low)) > 1e-9 * scale:
-            return ClassDistance(curve.label, f"tuple{tuple(a)}", math.inf)
+            return ClassDistance(math.inf)
         phi = c[ai:] if c.size > ai else np.zeros(1)
         phi = phi.copy()
         if phi.size == 0:
@@ -508,7 +484,7 @@ def class_distance(curve, model="plain"):
         phi[0] -= 1.0 / math.factorial(ai)
         diffs.append(phi)
     val = _ck_deviation(diffs, a[-1] + 1, grid)
-    return ClassDistance(curve.label, f"tuple{tuple(a)}", val)
+    return ClassDistance(val)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +495,6 @@ def class_distance(curve, model="plain"):
 @dataclass(frozen=True)
 class FiniteTypeData:
     a: ExponentTuple
-    frame: FrameMatrix
     phi_coeffs: tuple  # polynomial coefficients of each phi_k (low->high)
 
     def phi(self, k, t):
@@ -529,8 +504,8 @@ class FiniteTypeData:
 def detect_finite_type(curve, tau):
     """Greedy minimal-tuple scan: smallest orders with independent derivatives.
 
-    Returns the tuple, the frame, and polynomial evaluators for the
-    normalized factors phi_k with phi_k(0) = 1/a_k!.
+    Returns the tuple and polynomial evaluators for the normalized
+    factors phi_k with phi_k(0) = 1/a_k!.
     """
     chosen = []
     basis = []
@@ -568,7 +543,7 @@ def detect_finite_type(curve, tau):
                 f"component {k + 1} not divisible by t^{ak} at tau={tau}"
             )
         phis.append(tuple(row[ak:]) if row.size > ak else (0.0,))
-    return FiniteTypeData(a=a, frame=frame, phi_coeffs=tuple(phis))
+    return FiniteTypeData(a=a, phi_coeffs=tuple(phis))
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +612,11 @@ def gamma_sum_map(curve, probe):
     return point, det_exact(jac)
 
 
+def jacobian_constant(d):
+    """Lower-bound constant c_d with |det(gamma'(t_i))| >= c_d prod (t_j - t_i)."""
+    return 0.5 / math.prod(math.factorial(i - 1) for i in range(1, d + 1))
+
+
 def jacobian_lower_bound(b, ts):
     """Model lower bound: C * prod |torsion_model(t_i)|^{1/n} * prod (t_j - t_i).
 
@@ -647,7 +627,7 @@ def jacobian_lower_bound(b, ts):
     n = len(ts)
     if n != b.d:
         raise ValueError("tuple length must match probe length")
-    c_impl = 0.5 / math.prod(math.factorial(i - 1) for i in range(1, n + 1))
+    c_impl = jacobian_constant(n)
     model = monomial_model(b)
     tor = np.abs(torsion(model, np.asarray(ts, dtype=float)))
     vander = math.prod(
@@ -709,9 +689,7 @@ def _phi_minor_functions(curve, b):
         scale = max(1.0, float(np.max(np.abs(c))))
         row = []
         for j in range(1, n + 1):
-            dc = npoly.polyder(c, j)
-            if dc.size == 0:
-                dc = np.zeros(1)
+            dc = _derivative_coeffs(c, j)
             shift = j - b[i]
             if shift >= 0:
                 ec = np.concatenate([np.zeros(shift), dc])

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curves import affine_weight
+from .curves import affine_weight, jacobian_constant
 
 NODES_PER_WAVELENGTH = 10
 PANEL_ORDER = 16
@@ -213,7 +213,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     omega: float
-    nodes_per_wavelength: float
 
     @property
     def n(self):
@@ -233,7 +232,7 @@ def build_rule(f, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
     """
     lo, hi = f.lo, f.hi
     if hi <= lo:
-        return QuadratureRule(np.zeros(0), np.zeros(0), omega, nodes_per_wavelength)
+        return QuadratureRule(np.zeros(0), np.zeros(0), omega)
     omega_tot = omega + f.bandwidth()
     base = (2.0 * math.pi / max(omega_tot, 1e-9)) * PANEL_ORDER / nodes_per_wavelength
     base = min(base, hi - lo)
@@ -242,7 +241,7 @@ def build_rule(f, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
         steps = np.diff(edges)[:, None] * (np.arange(split) / split)[None, :]
         edges = np.append((edges[:-1, None] + steps).ravel(), edges[-1])
     ts, ws = _panel_nodes(edges)
-    return QuadratureRule(ts, ws, omega_tot, nodes_per_wavelength * split)
+    return QuadratureRule(ts, ws, omega_tot)
 
 
 def weight_zeros(curve, lo=0.0, hi=1.0):
@@ -266,7 +265,7 @@ def _setup(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1):
     (d, n) of all their nodes in order, and amplitude(f) = f(t) w(t)
     [affine weight] over those nodes for any f.
     """
-    omega = lam * xmax * curve.velocity_sup(0.0, 1.0)
+    omega = lam * xmax * curve.velocity_sup()
     rules = [build_rule(p, omega, nodes_per_wavelength, split=split,
                         grade_points=() if alpha is None
                         else weight_zeros(curve, p.lo, p.hi))
@@ -491,11 +490,6 @@ def lq_norm(values, mu, q):
 # ---------------------------------------------------------------------------
 # multilinear L2
 # ---------------------------------------------------------------------------
-
-
-def jacobian_constant(d):
-    """Lower-bound constant c_d with |det(gamma'(t_i))| >= c_d prod (t_j - t_i)."""
-    return 0.5 / math.prod(math.factorial(i - 1) for i in range(1, d + 1))
 
 
 def support_separation(fs):

@@ -187,19 +187,15 @@ class GradedGrid:
     The measure is make_lebesgue with the same arguments, whose atoms are
     the levels' kept cells in order; keeping the per-level axes lets
     extension norms be evaluated with the separable grid kernel, which is
-    what makes large-lambda sweeps affordable.
+    what makes large-lambda sweeps affordable.  The atoms themselves are
+    never built.
     """
 
     def __init__(self, d, half, resolution, levels):
         self.d = d
         self.half = float(half)
-        box = (-self.half, self.half)
-        self.levels = ms.graded_level_structure(d, box, resolution, levels)
-        self._mu = ms.make_lebesgue(d, box=box, resolution=resolution,
-                                    grading_levels=levels)
-
-    def measure(self):
-        return self._mu
+        self.levels = ms.graded_level_structure(d, (-self.half, self.half),
+                                                resolution, levels)
 
     def family_lq(self, curve, lam, fs, q, alpha=None,
                   nodes_per_wavelength=eng.NODES_PER_WAVELENGTH):
@@ -247,8 +243,6 @@ class ScalingReport:
     sup_norms: tuple
     best_labels: tuple
     radius: float
-    p: float
-    q: float
     alpha: float
     slope: float
     stderr: float
@@ -318,7 +312,7 @@ def scaling_experiment(curve, p, q, alpha, lam_grid, mu=None, grid=None,
     return ScalingReport(
         kind="family-sup", lam_grid=lam_grid, sup_norms=tuple(sups),
         best_labels=tuple(labels), radius=radius if grid is None
-        else grid.half, p=p, q=q, alpha=alpha, slope=slope, stderr=stderr,
+        else grid.half, alpha=alpha, slope=slope, stderr=stderr,
         target_slope=target, tol=SLOPE_TOL, verdict=verdict)
 
 
@@ -604,7 +598,6 @@ def block_decay_rate(a, alpha, p, q):
 class BlockReport:
     lam: float
     block_norms: tuple
-    fit_blocks: int
     rate: float
     target_rate: float
     aggregate: float
@@ -661,8 +654,8 @@ def finite_type_blocks(curve, grid, a, alpha, p, q, lam, n_blocks=7,
         js = np.arange(fit_blocks, dtype=float)
         rate = -float(np.polyfit(js, np.log2(window), 1)[0])
     return BlockReport(
-        lam=lam, block_norms=tuple(norms), fit_blocks=fit_blocks,
-        rate=rate, target_rate=block_decay_rate(a, alpha, p, q),
+        lam=lam, block_norms=tuple(norms), rate=rate,
+        target_rate=block_decay_rate(a, alpha, p, q),
         aggregate=float(np.sum(norms)))
 
 

@@ -45,7 +45,6 @@ class DiscreteMeasure:
     c_mu: float
     resolution: float
     generator: str = ""
-    seed: int | None = None
     # per-atom cell scale (coarsest axis); None means isotropic `resolution`
     local_resolution: np.ndarray | None = None
 
@@ -95,58 +94,6 @@ class DiscreteMeasure:
         lo = self.atoms.min(axis=0)
         hi = self.atoms.max(axis=0)
         return float(np.linalg.norm(hi - lo))
-
-    # -- serialization -----------------------------------------------------
-
-    def to_text(self):
-        head = [
-            f"dimension = {self.d}",
-            f"alpha = {self.alpha!r}",
-            f"c_mu = {self.c_mu!r}",
-            f"resolution = {self.resolution!r}",
-            f"generator = {self.generator}",
-            f"seed = {'' if self.seed is None else self.seed}",
-            f"local_resolution = {int(self.local_resolution is not None)}",
-            "atoms:",
-        ]
-        lr = self.local_resolution
-        rows = []
-        for i, (row, w) in enumerate(zip(self.atoms, self.weights)):
-            cells = [repr(float(v)) for v in row] + [repr(float(w))]
-            if lr is not None:
-                cells.append(repr(float(lr[i])))
-            rows.append(" ".join(cells))
-        return "\n".join(head + rows) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        meta = {}
-        rows = []
-        in_atoms = False
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            if in_atoms:
-                rows.append([float(v) for v in line.split()])
-            elif line == "atoms:":
-                in_atoms = True
-            else:
-                key, val = (s.strip() for s in line.split("=", 1))
-                meta[key] = val
-        data = np.asarray(rows, dtype=float)
-        d = int(meta["dimension"])
-        has_lr = meta.get("local_resolution", "0") == "1"
-        return cls(
-            atoms=data[:, :d],
-            weights=data[:, d],
-            alpha=float(meta["alpha"]),
-            c_mu=float(meta["c_mu"]),
-            resolution=float(meta["resolution"]),
-            generator=meta.get("generator", ""),
-            seed=int(meta["seed"]) if meta.get("seed") else None,
-            local_resolution=data[:, d + 1] if has_lr else None,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +179,8 @@ def _graded_symmetric_edges(extent, resolution, grading_levels):
     if resolution % 2:
         resolution += 1
     edges = list(np.linspace(-extent, extent, resolution + 1))
+    # linspace can put the middle edge at +-1e-17 instead of 0
+    edges[resolution // 2] = 0.0
     for _ in range(grading_levels):
         # split the two cells adjacent to 0
         zi = edges.index(0.0)
@@ -353,17 +302,12 @@ def regularity_audit(mu, n_centers=AUDIT_CENTERS, seed=0):
     the estimate is <= C_mu * AUDIT_SLACK.
     """
     rng = np.random.default_rng(seed)
-    if mu.n <= n_centers:
-        centers = mu.atoms
-    else:
-        idx = rng.choice(mu.n, size=n_centers, replace=False)
-        centers = mu.atoms[idx]
+    idx = (slice(None) if mu.n <= n_centers
+           else rng.choice(mu.n, size=n_centers, replace=False))
+    centers = mu.atoms[idx]
     tree = mu.tree()
     if mu.local_resolution is not None:
-        if mu.n <= n_centers:
-            nn = mu.local_resolution
-        else:
-            nn = mu.local_resolution[idx]
+        nn = mu.local_resolution[idx]
     elif mu.n > 1:
         nn = np.maximum(tree.query(centers, k=2)[0][:, 1], 1e-300)
     else:
@@ -473,7 +417,6 @@ def pushforward(mu, spec):
         c_mu=rescaled_constant(mu.c_mu, spec, mu.alpha),
         resolution=mu.resolution * smin,
         generator=f"pushforward[h={spec.h}, a={tuple(spec.a)}]({mu.generator})",
-        seed=mu.seed,
         local_resolution=lr,
     )
 

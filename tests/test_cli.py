@@ -181,6 +181,47 @@ seed = 3
         assert cli.main(["scaling", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+class TestMeasureMismatch:
+    """A [measure] kind other than lebesgue for a grid, or a [measure] d
+    other than the curve's, is a config error before anything runs."""
+
+    BODY = """
+[curve]
+kind = poly
+d = 2
+coeffs1 = 0 0 1
+coeffs2 = 0 0 0 1
+
+[measure]
+{measure}
+
+[experiment]
+p = 4
+q = 8
+alpha = 2.0
+lambda_min_exp = 2
+lambda_max_exp = 7
+blocks = 2
+fit_blocks = 2
+seed = 0
+"""
+
+    @pytest.mark.parametrize("command, measure", [
+        ("finitetype", "kind = cantor\nd = 2\nratio = 0.3\ndepth = 3\n"
+                       "half = 2.0\nresolution = 8\ngrading_levels = 1"),
+        ("finitetype", "d = 3\nhalf = 2.0\nresolution = 8\ngrading_levels = 1"),
+        ("scaling", "kind = lebesgue\nd = 3\nhalf = 2.0\nresolution = 8"),
+        ("scaling", "kind = lebesgue\nd = 3\nhalf = 2.0\nresolution = 8\n"
+                    "grading_levels = 1"),
+        ("sharpness", "kind = appendix_a\nd = 3\nalpha = 2.5\nj = 0\n"
+                      "resolution = 8"),
+    ])
+    def test_exit_2_before_running(self, tmp_path, command, measure):
+        cfg = write_config(tmp_path, self.BODY.format(measure=measure))
+        assert cli.main([command, cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # remaining subcommands
 # ---------------------------------------------------------------------------

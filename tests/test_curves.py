@@ -146,9 +146,7 @@ def test_curve_data_cached_equals_uncached():
     r = math.sqrt(0.15)
     assert g.torsion_roots == pytest.approx((-r, r), abs=1e-14)
     speeds = np.linalg.norm(g.derivative(np.linspace(0, 1, 512), 1), axis=-1)
-    assert g.velocity_sup() == g.velocity_sup(0.0, 1.0) == float(np.max(speeds))
-    assert g.velocity_sup(0.0, 0.5, 65) == float(
-        np.max(np.linalg.norm(g.derivative(np.linspace(0, 0.5, 65), 1), axis=-1)))
+    assert g.velocity_sup() == float(np.max(speeds))
     # caching leaves equality and hashing to the dataclass fields
     assert (hash(g), g) == key
     assert g == cv.CurveSpec(d=2, coeffs=g.coeffs)
@@ -211,6 +209,24 @@ def test_derivative_order_budget_enforced():
     g = cv.model_curve(2)
     with pytest.raises(cv.CapabilityError):
         g.derivative(0.5, g.order_budget + 1)
+
+
+def _derivative_oracle(g, ts, k):
+    """Per component, np.polyder/np.polyval on the highest-first coefficients."""
+    return np.stack([np.polyval(np.polyder(c[::-1], k), ts) for c in g.coeffs],
+                    axis=-1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_polynomial_curves(), st.floats(-1.0, 2.0))
+def test_derivative_matches_polyder_oracle(g, t):
+    ts = np.array([t, 0.0, 0.5, 1.0])
+    for k in range(g.order_budget + 1):
+        want = _derivative_oracle(g, ts, k)
+        np.testing.assert_allclose(g.derivative(ts, k), want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g.derivative(t, k), want[0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(g.point(ts), _derivative_oracle(g, ts, 0),
+                               rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,19 @@ def test_appendix_a_singular_density_mass():
     assert mu.total_mass() == pytest.approx(4.0 * 2.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("extent, res", [(1.0, 98), (0.1, 22)])
+@pytest.mark.parametrize("grading", [0, 1])
+def test_appendix_a_middle_edge_off_zero(extent, res, grading):
+    # np.linspace(-extent, extent, res + 1)[res // 2] is -1.1e-16 and
+    # 1.4e-17 here, not 0
+    d, j, alpha = 2, 0, 1.5
+    p = alpha - d + j
+    mu = ms.make_appendix_a(d, alpha, j, extent=extent, resolution=res,
+                            grading_levels=grading)
+    exact = 2.0 * extent ** (p + 1) / (p + 1) * (2.0 * extent) ** (d - j - 1)
+    assert mu.total_mass() == pytest.approx(exact, rel=1e-12)
+
+
 def test_appendix_a_bracket_validation():
     with pytest.raises(ValueError):
         ms.make_appendix_a(2, alpha=1.5, j=1)  # needs 0 < alpha <= 1
@@ -197,21 +210,6 @@ def test_graded_lebesgue_partitions_the_box(res, levels):
     mu = ms.make_lebesgue(2, (-1.0, 1.0), res, levels)
     assert abs(mu.total_mass() - 4.0) <= 1e-12
     assert mu.n == res ** 2 + levels * (res ** 2 - (res // 2) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_measure_text_round_trip():
-    mu = ms.make_cantor(1, ratio=1 / 3, depth=4)
-    back = ms.DiscreteMeasure.from_text(mu.to_text())
-    np.testing.assert_array_equal(back.atoms, mu.atoms)
-    np.testing.assert_array_equal(back.weights, mu.weights)
-    assert back.alpha == mu.alpha
-    assert back.c_mu == mu.c_mu
-    assert back.resolution == mu.resolution
 
 
 # ---------------------------------------------------------------------------
