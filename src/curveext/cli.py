@@ -307,10 +307,14 @@ def cmd_decompose(args):
     n_targets = _get(cfg, "experiment", "targets", int, 16)
     radius = _get(cfg, "experiment", "radius", float, 8.0)
     scales = _get(cfg, "experiment", "scales", str, "")
-    if scales:
-        family = dc.DyadicFamily(tuple(Fraction(s) for s in scales.split()))
-    else:
-        family = dc.DyadicFamily.default(d)
+    try:
+        family = (dc.DyadicFamily(tuple(Fraction(s) for s in scales.split()))
+                  if scales else dc.DyadicFamily.default(d))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad [experiment] scales {scales!r}: {exc}") from None
+    if family.depth != d - 1:
+        raise ConfigError(f"[experiment] scales lists {family.depth} lengths; "
+                          f"d = {d} needs {d - 1}")
     rng = np.random.default_rng(seed)
     f = eng.trig_poly(seed, _get(cfg, "experiment", "degree", int, 16))
     targets = rng.uniform(-radius, radius, size=(n_targets, d))

@@ -3,7 +3,8 @@
 Splits T f(x) over nested dyadic interval families, choosing per target
 point either a dominating single interval or a pairwise-separated tuple,
 and records the inequality actually asserted together with its constants.
-Interval endpoints are exact rationals so separation checks never round.
+Intervals of one level are its length apart exactly when their indices
+differ by 2 or more; the verifier rechecks that on exact rational endpoints.
 The interval tables come from one pass, and their telescoping check
 compares two different quadrature rules (see interval_values).
 """
@@ -132,7 +133,7 @@ class BranchRecord:
     value: float  # |T f_I| or the tuple product (not yet root-extracted)
 
 
-def base_split(lhs, values, family):
+def base_split(lhs, values):
     """Level-1 dichotomy: dominated by the max interval, or a separated pair.
 
     lhs = |T f(x)|, values = |T f_I| per level-1 interval.  Either the max
@@ -140,13 +141,10 @@ def base_split(lhs, values, family):
     exceeds the near-neighborhood of the maximizer) some interval at
     distance >= A_1 carries a share >= c A_1 of the total, giving the pair.
     """
-    a1 = family.lengths[0]
-    ivs = family.intervals(1)
     k_star = int(np.argmax(values))  # first max: lowest left endpoint wins
     if lhs <= SINGLE_THRESHOLD * float(values[k_star]):
         return BranchRecord(1, "single", (k_star,), float(values[k_star]))
-    far = [k for k in range(len(ivs))
-           if ivs[k].distance(ivs[k_star]) >= a1]
+    far = [k for k in range(len(values)) if abs(k - k_star) >= 2]
     if not far:
         # one-interval families have no far partner; single is still sound
         return BranchRecord(1, "single", (k_star,), float(values[k_star]))
@@ -174,7 +172,6 @@ def inductive_split(j, parents, child_values, family):
     per-parent maximizers plus the separated witness child.
     """
     a_j = family.lengths[j - 1]
-    ivs = family.intervals(j)
     maxima = []
     for p in parents:
         kids = list(_children(family, j, p))
@@ -188,7 +185,7 @@ def inductive_split(j, parents, child_values, family):
         for p, kbest in zip(parents, maxima):
             for c in _children(family, j, p):
                 if (float(child_values[c]) >= threshold
-                        and ivs[c].distance(ivs[kbest]) >= a_j):
+                        and abs(c - kbest) >= 2):
                     tup = tuple(maxima) + (c,)
                     val = float(np.prod([child_values[k] for k in tup]))
                     return BranchRecord(j, "tuple", tup, val)
@@ -196,33 +193,28 @@ def inductive_split(j, parents, child_values, family):
     return BranchRecord(j, "single", (k_single,), float(child_values[k_single]))
 
 
-def best_separated_tuple(values, intervals, size, min_sep):
-    """Max product over `size`-tuples with exact pairwise distance >= min_sep.
+def best_separated_tuple(values, size):
+    """Max product over `size`-tuples of indices pairwise >= 2 apart.
 
-    Searches the top-K values with K grown until the rejected remainder
-    cannot beat the incumbent (exact pruning certificate).
+    Exact dynamic program, left to right: best[s][i] is the best (product,
+    tuple) of s indices below i, either best[s][i - 1] or best[s - 1][i - 2]
+    extended by i - 1.  Products are formed left to right, as np.prod forms
+    them over the sorted tuple; equal products keep the lexicographically
+    smaller tuple.  Returns (None, 0.0) when no product is positive.
     """
-    order = np.argsort(-values, kind="stable")
-    n = len(order)
-    k = min(max(4 * size, 8), n)
-    while True:
-        cand = order[:k]
-        best = 0.0
-        best_tuple = None
-        for combo in combinations(sorted(cand), size):
-            sep = pairwise_separation([intervals[i] for i in combo])
-            if sep is not None and sep >= min_sep:
-                prod = float(np.prod(values[list(combo)]))
-                if prod > best:
-                    best = prod
-                    best_tuple = combo
-        if k >= n:
-            return best_tuple, best
-        # upper bound on any tuple using an excluded index
-        cap = float(np.prod(values[order[: size - 1]])) * float(values[order[k]])
-        if best >= cap:
-            return best_tuple, best
-        k = min(2 * k, n)
+    vals = [float(v) for v in values]
+    prev = [(1.0, ())] * (len(vals) + 1)  # size 0: the empty tuple
+    for _ in range(size):
+        cur = [(0.0, None)]
+        for i, v in enumerate(vals, 1):
+            p, tup = prev[max(i - 2, 0)]
+            prod, best = p * v, cur[-1]
+            if prod > best[0] or (prod == best[0] > 0
+                                  and tup + (i - 1,) < best[1]):
+                best = (prod, tup + (i - 1,))
+            cur.append(best)
+        prev = cur
+    return prev[-1][::-1]
 
 
 @dataclass(frozen=True)
@@ -289,15 +281,13 @@ def decompose_batch(f, family, curve, lam, targets, workers=1):
                                    workers=workers)
     abs_tables = {lv: np.abs(t) for lv, t in tables.items()}
     factors = certificate_factors(family, d)
-    deepest = family.intervals(family.depth)
-    a_last = family.lengths[-1]
     certs = []
     for col in range(full.shape[0]):
         lhs = float(np.abs(full[col]))
         # chain the dichotomies: base split at level 1, then the inductive
         # split until a single interval dominates or the deepest level's
         # separated d-tuple is reached
-        branch = base_split(lhs, abs_tables[1][:, col], family)
+        branch = base_split(lhs, abs_tables[1][:, col])
         while branch.kind != "single" and branch.level < family.depth:
             j = branch.level + 1
             branch = inductive_split(j, branch.indices,
@@ -306,8 +296,7 @@ def decompose_batch(f, family, curve, lam, targets, workers=1):
             float(np.max(abs_tables[lv][:, col]))
             for lv in range(1, family.depth + 1)
         )
-        tup, tup_val = best_separated_tuple(
-            abs_tables[family.depth][:, col], deepest, d, a_last)
+        tup, tup_val = best_separated_tuple(abs_tables[family.depth][:, col], d)
         rhs = _rhs_value(single_terms, tup_val, factors, d)
         vacuous = lhs == 0.0
         certs.append(DecompositionCertificate(
@@ -317,7 +306,7 @@ def decompose_batch(f, family, curve, lam, targets, workers=1):
             branch=branch,
             single_terms=single_terms,
             tuple_term=tup_val,
-            tuple_indices=tup if tup else (),
+            tuple_indices=tup or (),
             constants=factors,
             rhs=rhs,
             verified=(vacuous or lhs <= rhs),
@@ -344,11 +333,14 @@ def verify_certificate(cert, family, d):
     for got, want in zip(cert.constants, canonical):
         if not math.isclose(got, want, rel_tol=1e-12):
             return False, 0.0
-    if cert.branch.kind in ("pair", "tuple") and cert.tuple_indices:
-        # separation soundness in exact rational arithmetic
-        ivs = [family.intervals(family.depth)[i] for i in cert.tuple_indices]
-        sep = pairwise_separation(ivs)
-        if sep is None or sep < family.lengths[-1]:
+    if cert.tuple_indices or cert.tuple_term > 0:
+        # the tuple term enters every branch's rhs: d deepest-level
+        # intervals, separation rechecked in exact rational arithmetic
+        a = family.lengths[-1]
+        ivs = [DyadicInterval(i * a, (i + 1) * a)
+               for i in cert.tuple_indices if 0 <= i < 1 / a]
+        if (len(ivs) != d or len(cert.tuple_indices) != d
+                or pairwise_separation(ivs) < a):
             return False, 0.0
     rhs = _rhs_value(cert.single_terms, cert.tuple_term, canonical, d)
     if cert.lhs == 0.0:

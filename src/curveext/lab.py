@@ -374,12 +374,12 @@ def sharpness_experiment(curve, mu, alpha, p, q, lam_grid, c=KNAPP_SCALE,
         mask = knapp_rectangle_mask(mu.atoms, d, lam, c)
         rect = mu.restrict(mask)
         masses.append(rect.total_mass())
-        vals = extension_eval(curve, lam, mu.atoms, f, alpha=w_alpha,
+        # one evaluation: the origin (the peak) and the rectangle's atoms
+        pts = np.vstack([np.zeros((1, d)), rect.atoms])
+        vals = extension_eval(curve, lam, pts, f, alpha=w_alpha,
                               nodes_per_wavelength=npw)
-        origin = extension_eval(curve, lam, np.zeros((1, d)), f,
-                                alpha=w_alpha, nodes_per_wavelength=npw)
-        peak = float(np.abs(origin[0]))
-        idx = np.flatnonzero(mask)
+        peak, vals = float(np.abs(vals[0])), vals[1:]
+        idx = np.arange(rect.n)
         if idx.size > MAX_RECT_SAMPLES:
             idx = idx[:: idx.size // MAX_RECT_SAMPLES]
         if idx.size and peak > 0:
@@ -387,7 +387,7 @@ def sharpness_experiment(curve, mu, alpha, p, q, lam_grid, c=KNAPP_SCALE,
             min_frac = min(min_frac, frac)
             if frac < 0.5:
                 lb_ok = False
-        rect_norm = lq_norm(vals[mask], rect, q)
+        rect_norm = lq_norm(vals, rect, q)
         ratios.append(rect_norm * lam ** (alpha / q) / f.lp_norm(p))
     mass_slope = fit_line(lam_grid, masses)[0] if max(masses) > 0 else 0.0
     ratio_slope = fit_line(lam_grid, ratios)[0] if max(ratios) > 0 else 0.0

@@ -222,6 +222,33 @@ seed = 0
         assert not (tmp_path / "o").exists()
 
 
+class TestDecomposeScales:
+    """A [experiment] scales key that is no dyadic family of depth d - 1
+    is a config error before the output directory is made."""
+
+    @pytest.mark.parametrize("d, scales", [
+        (3, "1/16"),      # depth 1, but d = 3 needs 2 lengths
+        (2, "1/3 1/9"),   # not powers of 1/2
+        (2, "abc"),       # not a number
+        (2, "1/0"),       # zero denominator
+    ])
+    def test_exit_2_before_output(self, tmp_path, d, scales):
+        cfg = write_config(tmp_path, f"""
+[curve]
+kind = model
+d = {d}
+
+[experiment]
+lambda = 32
+targets = 2
+degree = 4
+seed = 1
+scales = {scales}
+""")
+        assert cli.main(["decompose", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # remaining subcommands
 # ---------------------------------------------------------------------------

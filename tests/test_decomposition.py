@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -146,10 +147,9 @@ def test_interval_values_self_check_raises_on_starved_budget(monkeypatch):
 
 
 def test_base_split_single_when_concentrated():
-    fam = dc.DyadicFamily.default(2)
     values = np.zeros(16)
     values[5] = 1.0
-    rec = dc.base_split(0.9, values, fam)
+    rec = dc.base_split(0.9, values)
     assert rec.kind == "single"
     assert rec.indices == (5,)
 
@@ -157,7 +157,7 @@ def test_base_split_single_when_concentrated():
 def test_base_split_pair_when_spread():
     fam = dc.DyadicFamily.default(2)
     values = np.full(16, 1.0)
-    rec = dc.base_split(200.0, values, fam)
+    rec = dc.base_split(200.0, values)
     assert rec.kind == "pair"
     ivs = fam.intervals(1)
     sep = ivs[rec.indices[0]].distance(ivs[rec.indices[1]])
@@ -165,8 +165,7 @@ def test_base_split_pair_when_spread():
 
 
 def test_base_split_zero_function():
-    fam = dc.DyadicFamily.default(2)
-    rec = dc.base_split(0.0, np.zeros(16), fam)
+    rec = dc.base_split(0.0, np.zeros(16))
     assert rec.kind == "single"
 
 
@@ -194,19 +193,36 @@ def test_inductive_split_spread_children():
     assert sep >= fam.lengths[1]
 
 
-def test_best_separated_tuple_matches_brute_force():
-    fam = dc.DyadicFamily.default(2)
-    rng = np.random.default_rng(4)
-    values = rng.uniform(0, 1, 16)
-    ivs = fam.intervals(1)
-    tup, val = dc.best_separated_tuple(values, ivs, 2, fam.lengths[0])
-    from itertools import combinations
+def _tuple_oracle(values, size):
+    """First strict maximum over all index tuples, with exact interval
+    separation: the unpruned enumeration the search must reproduce."""
+    n = len(values)
+    ivs = [dc.DyadicInterval(Fraction(k, n), Fraction(k + 1, n)) for k in range(n)]
+    far = {(a, b) for a, b in combinations(range(n), 2)
+           if ivs[a].distance(ivs[b]) >= Fraction(1, n)}
+    best, best_tuple = 0.0, None
+    for c in combinations(range(n), size):
+        if all(pair in far for pair in combinations(c, 2)):
+            prod = float(np.prod(values[list(c)]))
+            if prod > best:
+                best, best_tuple = prod, c
+    return best_tuple, best
 
-    best = 0.0
-    for c in combinations(range(16), 2):
-        if ivs[c[0]].distance(ivs[c[1]]) >= fam.lengths[0]:
-            best = max(best, values[c[0]] * values[c[1]])
-    assert val == pytest.approx(best)
+
+def test_best_separated_tuple_matches_brute_force():
+    rng = np.random.default_rng(4)
+    draws = {
+        "random": lambda n: rng.uniform(0, 1, n),
+        "ties": lambda n: rng.integers(0, 4, n).astype(float),
+        "half_zero": lambda n: rng.uniform(0, 1, n) * (rng.uniform(size=n) < 0.5),
+        "constant": lambda n: np.full(n, rng.uniform(0, 2)),
+    }
+    for kind, draw in draws.items():
+        for size in (2, 3):
+            for n in range(1, 41):
+                values = draw(n)
+                got = dc.best_separated_tuple(values, size)
+                assert got == _tuple_oracle(values, size), (kind, size, n)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +294,27 @@ def test_verify_detects_broken_separation():
     fam = dc.DyadicFamily.default(2)
     f = eng.trig_poly(34, degree=24)
     cert = dc.decompose(f, fam, g, 128.0, [1.5, -0.5])
-    if cert.tuple_indices:
-        bad = replace(cert, branch=dc.BranchRecord(1, "pair", (0, 1), 1.0),
-                      tuple_indices=(0, 1))
-        ok, _ = dc.verify_certificate(bad, fam, 2)
-        assert not ok
+    assert cert.tuple_indices
+    bad = replace(cert, branch=dc.BranchRecord(1, "pair", (0, 1), 1.0),
+                  tuple_indices=(0, 1))
+    ok, _ = dc.verify_certificate(bad, fam, 2)
+    assert not ok
+
+
+@pytest.mark.parametrize("tup", [(0, 1), (8,), (), (-1, 8), (8, 16)])
+def test_verify_checks_tuple_on_single_branch(tup):
+    # the tuple term enters the rhs on every branch, so a single-branch
+    # certificate with an adjacent, short, missing or out-of-range tuple
+    # must fail
+    from dataclasses import replace
+
+    fam = dc.DyadicFamily.default(2)
+    cert = dc.decompose(eng.trig_poly(34, degree=24), fam, model_curve(2),
+                        128.0, [1.5, -0.5])
+    assert cert.branch.kind == "single" and cert.tuple_indices == (8, 14)
+    assert cert.tuple_term > 0 and dc.verify_certificate(cert, fam, 2)[0]
+    ok, _ = dc.verify_certificate(replace(cert, tuple_indices=tup), fam, 2)
+    assert not ok
 
 
 def test_total_constant_monotone_in_scale():
