@@ -246,21 +246,25 @@ def model_curve(d):
 # ---------------------------------------------------------------------------
 
 
+def _det_poly(mat):
+    """Cofactor expansion along the first row of a square matrix whose
+    entries are polynomial coefficient arrays (low to high)."""
+    if len(mat) == 1:
+        return mat[0][0]
+    acc = np.zeros(1)
+    for k, lead in enumerate(mat[0]):
+        if np.all(lead == 0.0):
+            continue
+        minor = _det_poly([row[:k] + row[k + 1 :] for row in mat[1:]])
+        acc = npoly.polyadd(acc, ((-1.0) ** k) * npoly.polymul(lead, minor))
+    return acc
+
+
 def det_exact(mat):
     """Cofactor-expansion determinant for small dense matrices."""
     m = np.asarray(mat, dtype=float)
-    n = m.shape[0]
-    if n == 1:
-        return float(m[0, 0])
-    if n == 2:
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    total = 0.0
-    for j in range(n):
-        if m[0, j] == 0.0:
-            continue
-        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        total += ((-1.0) ** j) * m[0, j] * det_exact(minor)
-    return float(total)
+    return float(_det_poly([[m[i, j : j + 1] for j in range(m.shape[1])]
+                            for i in range(m.shape[0])])[0])
 
 
 def derivative_matrix(curve, t, orders=None):
@@ -276,24 +280,9 @@ def torsion_poly(curve):
     Exact up to rounding of the coefficient products; each curve keeps its
     own copy as `torsion_coeffs`, which `torsion` evaluates.
     """
-    d = curve.d
-    cols = [[_derivative_coeffs(c, order) for c in curve.coeffs]
-            for order in range(1, d + 1)]
-
-    def det(rows, colset):
-        if len(colset) == 1:
-            return cols[colset[0]][rows[0]]
-        acc = np.zeros(1)
-        for k, ci in enumerate(colset):
-            lead = cols[ci][rows[0]]
-            if np.all(lead == 0.0):
-                continue
-            minor = det(rows[1:], colset[:k] + colset[k + 1 :])
-            term = npoly.polymul(lead, minor)
-            acc = npoly.polyadd(acc, ((-1.0) ** k) * term)
-        return acc
-
-    return det(tuple(range(d)), tuple(range(d)))
+    return _det_poly([[_derivative_coeffs(c, order)
+                       for order in range(1, curve.d + 1)]
+                      for c in curve.coeffs])
 
 
 def torsion(curve, t):
@@ -392,6 +381,13 @@ def sigma_exponent(a, alpha):
     return (a.total - d * (d + 1) / 2.0) / beta_alpha(alpha, d) + 1.0
 
 
+def pushforward_exponent(a, alpha):
+    """h-exponent d(d+1)/2 - beta(alpha) - sum a of the pushforward constant."""
+    a = a if isinstance(a, ExponentTuple) else ExponentTuple(tuple(a))
+    d = a.d
+    return d * (d + 1) / 2.0 - beta_alpha(alpha, d) - a.total
+
+
 def diagonal_scaling(h, a):
     """Diagonal matrix diag(h^{a_1}, ..., h^{a_d})."""
     return np.diag([float(h) ** ai for ai in a])
@@ -430,13 +426,6 @@ def normalize_curve(curve, tau, h, a=None):
     )
 
 
-@dataclass(frozen=True)
-class ClassDistance:
-    """Distance of a curve to its model class (approximate sup norm)."""
-
-    value: float
-
-
 def _ck_deviation(coeff_diffs, max_order, grid):
     worst = 0.0
     for dc in coeff_diffs:
@@ -465,8 +454,7 @@ def class_distance(curve, model="plain"):
             dc[: len(c)] += c
             dc[: len(r)] -= r
             diffs.append(dc)
-        val = _ck_deviation(diffs, curve.d + 1, grid)
-        return ClassDistance(val)
+        return _ck_deviation(diffs, curve.d + 1, grid)
 
     a = model if isinstance(model, ExponentTuple) else ExponentTuple(tuple(model))
     diffs = []
@@ -476,15 +464,14 @@ def class_distance(curve, model="plain"):
         low = c[: min(ai, c.size)]
         scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
         if low.size and np.max(np.abs(low)) > 1e-9 * scale:
-            return ClassDistance(math.inf)
+            return math.inf
         phi = c[ai:] if c.size > ai else np.zeros(1)
         phi = phi.copy()
         if phi.size == 0:
             phi = np.zeros(1)
         phi[0] -= 1.0 / math.factorial(ai)
         diffs.append(phi)
-    val = _ck_deviation(diffs, a[-1] + 1, grid)
-    return ClassDistance(val)
+    return _ck_deviation(diffs, a[-1] + 1, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +666,8 @@ def _phi_minor_functions(curve, b):
     """Leading-minor evaluators Phi_k(t) of the rescaled derivative matrix.
 
     Phi_{i,j}(t) = t^{j-b_i} d^j/dt^j (component_i)(t), a polynomial since
-    component_i is divisible by t^{b_i}.
+    component_i is divisible by t^{b_i}; each leading minor Phi_k is then
+    an exact polynomial, built once and evaluated by polyval.
     """
     b = b if isinstance(b, ExponentTuple) else ExponentTuple(tuple(b))
     n = b.d
@@ -702,15 +690,11 @@ def _phi_minor_functions(curve, b):
                 ec = dc[-shift:] if dc.size > -shift else np.zeros(1)
             row.append(ec)
         entries.append(row)
+    minors = [_det_poly([row[:k] for row in entries[:k]])
+              for k in range(1, n + 1)]
 
     def phi_k(k, t):
-        if k <= 0:
-            return 1.0
-        mat = np.empty((k, k))
-        for i in range(k):
-            for j in range(k):
-                mat[i, j] = npoly.polyval(t, entries[i][j])
-        return det_exact(mat)
+        return float(npoly.polyval(t, minors[k - 1])) if k > 0 else 1.0
 
     return phi_k
 

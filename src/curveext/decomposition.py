@@ -244,6 +244,8 @@ class DecompositionCertificate:
             "tuple = " + ",".join(
                 str(family.intervals(family.depth)[i])
                 for i in self.tuple_indices),
+            "single_terms = " + " ".join(repr(v) for v in self.single_terms),
+            f"tuple_term = {self.tuple_term!r}",
             "constants = " + " ".join(repr(c) for c in self.constants),
             f"rhs = {self.rhs!r}",
             f"slack = {repr(self.rhs / self.lhs) if self.lhs > 0 else 'vacuous'}",
@@ -324,8 +326,11 @@ def verify_certificate(cert, family, d):
 
     Returns (ok, slack).  Constants must equal the canonical factors for
     this family (a tampered or halved constant fails provenance even when
-    the loose inequality would still hold); slack is rhs/lhs, infinite for
-    the vacuous zero-function case.
+    the loose inequality would still hold), and the recorded rhs, verified
+    and vacuous must equal what the recorded terms and the canonical
+    constants give.  The measured values (lhs and the single and tuple
+    terms) are trusted: only re-evaluating T f could check them.  slack is
+    rhs/lhs, infinite for the vacuous zero-function case.
     """
     canonical = certificate_factors(family, d)
     if len(cert.constants) != len(canonical):
@@ -343,7 +348,11 @@ def verify_certificate(cert, family, d):
                 or pairwise_separation(ivs) < a):
             return False, 0.0
     rhs = _rhs_value(cert.single_terms, cert.tuple_term, canonical, d)
-    if cert.lhs == 0.0:
+    vacuous = cert.lhs == 0.0
+    if (cert.rhs != rhs or cert.vacuous != vacuous
+            or cert.verified != (vacuous or cert.lhs <= rhs)):
+        return False, 0.0
+    if vacuous:
         return True, math.inf
     return cert.lhs <= rhs, rhs / cert.lhs
 

@@ -516,6 +516,23 @@ class MultilinearResult:
         return self.lhs / self.bound if self.bound > 0 else math.inf
 
 
+def plancherel_bound(curve, fs, lam):
+    """Certified bound on ||prod T_lam f_i||_{L^2(dx)} for d factors with
+    pairwise separated supports (sep apart):
+    (2 pi / lam)^{d/2} c_d^{-1/2} sep^{-(d^2 - d)/4} prod ||f_i||_2,
+    with c_d the sum-map Jacobian constant."""
+    d = curve.d
+    if len(fs) != d:
+        raise ValueError("need exactly d factors")
+    sep = support_separation(fs)
+    if all(f.width > 0 for f in fs) and sep <= 0:
+        raise SeparationError("supports must be pairwise separated")
+    return ((2.0 * math.pi) ** (d / 2.0) * lam ** (-d / 2.0)
+            / math.sqrt(jacobian_constant(d))
+            * max(sep, 1e-300) ** (-(d * d - d) / 4.0)
+            * math.prod(f.lp_norm(2) for f in fs))
+
+
 def multilinear_l2(curve, fs, lam, box_r=20.0, tail_target=0.01,
                    max_doublings=3, nodes_per_wavelength=NODES_PER_WAVELENGTH):
     """L2 norm of the product of the d extensions against its Plancherel bound.
@@ -526,13 +543,9 @@ def multilinear_l2(curve, fs, lam, box_r=20.0, tail_target=0.01,
     decay of concentric shell sums and the box doubled until it is below
     tail_target.
     """
+    bound = plancherel_bound(curve, fs, lam)
     d = curve.d
-    if len(fs) != d:
-        raise ValueError("need exactly d factors")
     sep = support_separation(fs)
-    active = [f for f in fs if f.width > 0]
-    if len(active) == len(fs) and sep <= 0:
-        raise SeparationError("supports must be pairwise separated")
     diam_sum = 0.0
     for f in fs:
         if f.width > 0:
@@ -542,10 +555,6 @@ def multilinear_l2(curve, fs, lam, box_r=20.0, tail_target=0.01,
     step = math.pi / omega_x
 
     f_l2 = tuple(f.lp_norm(2) for f in fs)
-    c_d = jacobian_constant(d)
-    bound = ((2.0 * math.pi) ** (d / 2.0) * lam ** (-d / 2.0)
-             / math.sqrt(c_d) * max(sep, 1e-300) ** (-(d * d - d) / 4.0)
-             * math.prod(f_l2))
     if any(v == 0.0 for v in f_l2):
         return MultilinearResult(0.0, bound, sep, box_r, step, 0.0, f_l2)
 

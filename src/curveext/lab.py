@@ -23,6 +23,7 @@ from .curves import (
     frame_matrix,
     nondegenerate_tuple,
     normalize_curve,
+    pushforward_exponent,
     shift_subtract,
     sigma_exponent,
 )
@@ -422,8 +423,7 @@ class MultilinearLqResult:
     ratio: float
 
 
-def multilinear_lq_check(curve, fs, mu, lam, q, box_r=32.0,
-                         npw=eng.NODES_PER_WAVELENGTH):
+def multilinear_lq_check(curve, fs, mu, lam, q, npw=eng.NODES_PER_WAVELENGTH):
     """Product of extensions in L^q against a fractal measure.
 
     Chains Hoelder between q = 2 and q = infinity, the mollified-measure
@@ -438,16 +438,16 @@ def multilinear_lq_check(curve, fs, mu, lam, q, box_r=32.0,
         vals *= extension_eval(curve, lam, mu.atoms, f,
                                nodes_per_wavelength=npw)
     lhs = lq_norm(vals, mu, q)
-    ml = eng.multilinear_l2(curve, fs, lam, box_r=box_r)
+    plancherel = eng.plancherel_bound(curve, fs, lam)
     moll = ms.mollified_sup(mu, lam)
-    l2mu = math.sqrt(MOLLIFIER_CHAIN_CONSTANT * moll) * ml.bound
+    l2mu = math.sqrt(MOLLIFIER_CHAIN_CONSTANT * moll) * plancherel
     linf = 1.0
     for f in fs:
         linf *= f.lp_norm(1.0)
     theta = 2.0 / q
     bound = l2mu**theta * linf ** (1.0 - theta)
     return MultilinearLqResult(
-        lhs=lhs, bound=bound, l2_plancherel=ml.bound, mollified=moll,
+        lhs=lhs, bound=bound, l2_plancherel=plancherel, mollified=moll,
         linf=linf, ratio=lhs / bound if bound > 0 else math.inf)
 
 
@@ -488,7 +488,6 @@ def pushforward_mass_exponent(mu, a, h_list, rho):
     Returns (fitted_exponent, predicted_exponent, masses).
     """
     a = a if isinstance(a, ExponentTuple) else ExponentTuple(tuple(a))
-    d = mu.d
     masses = []
     for h in h_list:
         spec = ms.PushforwardSpec(a=a, h=float(h))
@@ -496,8 +495,7 @@ def pushforward_mass_exponent(mu, a, h_list, rho):
         inside = np.linalg.norm(img, axis=1) <= rho
         masses.append(float(np.sum(mu.weights[inside])))
     fitted = fit_line(h_list, masses)[0]
-    predicted = d * (d + 1) / 2.0 - beta_alpha(mu.alpha, d) - a.total
-    return fitted, predicted, masses
+    return fitted, pushforward_exponent(a, mu.alpha), masses
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +530,6 @@ def rescaling_inequality_check(curve, tau, h, mu, alpha, p, q, lam, f,
     a = curve.a or nondegenerate_tuple(d)
     frame = frame_matrix(curve, tau, a)
     norm_curve = normalize_curve(curve, tau, h, a)
-    beta = beta_alpha(alpha, d)
     f_h = eng.pullback(f, tau, h)
 
     vals = extension_eval(curve, lam, mu.atoms, f, nodes_per_wavelength=npw)
@@ -541,7 +538,7 @@ def rescaling_inequality_check(curve, tau, h, mu, alpha, p, q, lam, f,
     spec = ms.PushforwardSpec(a=a, h=h, matrix=frame.matrix.T)
     nu = ms.pushforward(mu, spec)
     c_full = ms.rescaled_constant(mu.c_mu, spec, alpha)
-    h_expo = d * (d + 1) / 2.0 - beta - a.total
+    h_expo = pushforward_exponent(a, alpha)
     c_free = c_full / abs(h) ** h_expo
     # nu scaled into the unit regularity class; its norms carry the full
     # certified constant, including the h power

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .curves import ExponentTuple, beta_alpha, diagonal_scaling
+from .curves import ExponentTuple, diagonal_scaling, pushforward_exponent
 
 # atom count guard for grid constructors
 MAX_ATOMS = 10_000_000
@@ -85,9 +85,8 @@ class DiscreteMeasure:
     def tree(self):
         return cKDTree(self.atoms)
 
-    def ball_mass(self, center, radius, tree=None):
-        tree = tree or self.tree()
-        idx = tree.query_ball_point(np.asarray(center, dtype=float), radius)
+    def ball_mass(self, center, radius):
+        idx = self.tree().query_ball_point(np.asarray(center, dtype=float), radius)
         return float(np.sum(self.weights[idx]))
 
     def diameter(self):
@@ -387,11 +386,10 @@ class PushforwardSpec:
 
 def rescaled_constant(c_mu, spec, alpha):
     """Certificate constant after pushforward, from the cube-covering count."""
-    a = spec.a
-    d = a.d
     inv_norm = float(np.linalg.norm(np.linalg.inv(spec.matrix), 2))
-    expo = d * (d + 1) / 2.0 - beta_alpha(alpha, d) - a.total
-    return c_mu * inv_norm ** alpha * abs(spec.h) ** expo * covering_constant(d)
+    return (c_mu * inv_norm ** alpha
+            * abs(spec.h) ** pushforward_exponent(spec.a, alpha)
+            * covering_constant(spec.a.d))
 
 
 def pushforward(mu, spec):
@@ -419,23 +417,6 @@ def pushforward(mu, spec):
         generator=f"pushforward[h={spec.h}, a={tuple(spec.a)}]({mu.generator})",
         local_resolution=lr,
     )
-
-
-def rescale_bound_check(mu, spec, trials=200, seed=0):
-    """Worst observed ratio of image ball mass to the certified bound."""
-    push = pushforward(mu, spec)
-    rng = np.random.default_rng(seed)
-    tree = push.tree()
-    floor = AUDIT_FLOOR_FACTOR * push.resolution
-    diam = max(push.diameter(), floor * 2.0)
-    worst = 0.0
-    idx = rng.integers(0, push.n, size=trials)
-    logs = rng.uniform(math.log2(floor), math.log2(diam), size=trials)
-    for i, lg in zip(idx, logs):
-        rho = 2.0 ** lg
-        mass = push.ball_mass(push.atoms[i], rho, tree=tree)
-        worst = max(worst, mass / (push.c_mu * rho ** push.alpha))
-    return worst
 
 
 # ---------------------------------------------------------------------------

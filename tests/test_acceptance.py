@@ -53,7 +53,7 @@ def test_criterion_02_model_identities():
         g = model_curve(d)
         ts = np.linspace(0.0, 1.0, 101)
         ok = ok and all(abs(cv.torsion(g, t) - 1.0) < 1e-12 for t in ts)
-        ok = ok and cv.class_distance(cv.normalize_curve(g, 0.0, 0.5)).value < 1e-10
+        ok = ok and cv.class_distance(cv.normalize_curve(g, 0.0, 0.5)) < 1e-10
     g = CurveSpec(d=3, coeffs=((0, 1, 0.3), (0, 0.2, 0.5, 0.1), (0, 0, 0, 0.4)))
     tau, h = 0.2, 0.3
     a = cv.nondegenerate_tuple(3)
@@ -89,7 +89,7 @@ def test_criterion_03_normalization_convergence():
     detail = []
     for d, g in quartics.items():
         hs = [2.0 ** (-k) for k in range(1, 9)]
-        dists = [cv.class_distance(cv.normalize_curve(g, 0.1, h)).value
+        dists = [cv.class_distance(cv.normalize_curve(g, 0.1, h))
                  for h in hs]
         slope, _, _ = lab.fit_line(hs, dists)
         detail.append(f"d={d} slope={slope:.3f}")

@@ -259,7 +259,7 @@ def test_normalize_model_curve_is_fixed_point():
     g = cv.model_curve(3)
     for h in (1.0, 0.5, 0.125):
         norm = cv.normalize_curve(g, 0.0, h)
-        dist = cv.class_distance(norm).value
+        dist = cv.class_distance(norm)
         assert dist < 1e-10
 
 
@@ -285,7 +285,7 @@ def test_normalization_linear_convergence_to_model():
     g = cv.CurveSpec(d=2, coeffs=((0, 1, 0.2, 0.05), (0, 0.1, 0.6, 0.3)))
     tau = 0.1
     hs = [2.0 ** (-k) for k in range(1, 7)]
-    dists = [cv.class_distance(cv.normalize_curve(g, tau, h)).value for h in hs]
+    dists = [cv.class_distance(cv.normalize_curve(g, tau, h)) for h in hs]
     ratios = [dists[i] / dists[i + 1] for i in range(len(dists) - 1)]
     assert all(r > 1.9 for r in ratios)
 
@@ -307,7 +307,7 @@ def test_normalize_monomial_type_tuple():
     # gamma = (t, t^3/6) at tau=0 with tuple (1,3) normalizes to its own model
     g = cv.monomial_model((1, 3))
     norm = cv.normalize_curve(g, 0.0, 0.5, cv.ExponentTuple((1, 3)))
-    dist = cv.class_distance(norm, model=(1, 3)).value
+    dist = cv.class_distance(norm, model=(1, 3))
     assert dist < 1e-10
 
 
@@ -317,17 +317,17 @@ def test_normalize_monomial_type_tuple():
 
 
 def test_class_distance_detects_perturbation_size():
-    d1 = cv.class_distance(cv.model_curve(2)).value
+    d1 = cv.class_distance(cv.model_curve(2))
     assert d1 < 1e-14
     g = cv.CurveSpec(d=2, coeffs=((0, 1), (0, 0, 0.5, 0.01)))
-    d2 = cv.class_distance(g).value
+    d2 = cv.class_distance(g)
     # C^3 norm of 0.01 t^3 on [0,1] is 0.06 (third derivative)
     assert d2 == pytest.approx(0.06, rel=0.02)
 
 
 def test_class_distance_monomial_infinite_when_low_terms_present():
     g = cv.CurveSpec(d=2, coeffs=((0, 1), (0, 0.5, 0, 1 / 6)))
-    assert math.isinf(cv.class_distance(g, model=(1, 3)).value)
+    assert math.isinf(cv.class_distance(g, model=(1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +454,22 @@ def test_ik_recursion_matches_sum_map_jacobian():
     for _ in range(5):
         t = np.sort(rng.uniform(0.1, 1.0, 2))
         probe = cv.JacobianProbe(tuple(t), b=cv.ExponentTuple((1, 2)))
+        _, jac = cv.gamma_sum_map(g, probe)
+        assert cv.ik_recursion(g, probe) == pytest.approx(jac, abs=1e-8)
+
+
+@pytest.mark.parametrize("coeffs", [
+    ((0, 1, 0.5), (0, 0, 0.5, 1)),
+    ((0, 1, 0.3), (0, 0, 0.5, 0.2), (0, 0, 0, 1 / 6, 0.1)),
+])
+def test_ik_recursion_matches_jacobian_with_varying_minors(coeffs):
+    # perturbed monomial curves: the leading minors Phi_k vary with t
+    g = cv.CurveSpec(d=len(coeffs), coeffs=coeffs)
+    b = cv.ExponentTuple(tuple(range(1, g.d + 1)))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        t = np.sort(rng.uniform(0.1, 1.0, g.d))
+        probe = cv.JacobianProbe(tuple(t), b=b)
         _, jac = cv.gamma_sum_map(g, probe)
         assert cv.ik_recursion(g, probe) == pytest.approx(jac, abs=1e-8)
 

@@ -317,6 +317,26 @@ def test_verify_checks_tuple_on_single_branch(tup):
     assert not ok
 
 
+@pytest.mark.parametrize("change", [
+    dict(tuple_term=1e6),
+    dict(single_terms=(1.0,), tuple_indices=(), tuple_term=0.0),
+    dict(rhs=1e6),
+    dict(verified=False),
+    dict(vacuous=True),
+], ids=["tuple_term", "single_terms", "rhs", "verified", "vacuous"])
+def test_verify_rechecks_derived_fields(change):
+    # rhs, verified and vacuous must be what the recorded terms and the
+    # canonical constants give
+    from dataclasses import replace
+
+    fam = dc.DyadicFamily.default(2)
+    cert = dc.decompose(eng.trig_poly(34, degree=24), fam, model_curve(2),
+                        128.0, [1.5, -0.5])
+    assert dc.verify_certificate(cert, fam, 2)[0]
+    ok, _ = dc.verify_certificate(replace(cert, **change), fam, 2)
+    assert not ok
+
+
 def test_total_constant_monotone_in_scale():
     coarse = dc.DyadicFamily((Fraction(1, 4),))
     fine = dc.DyadicFamily((Fraction(1, 64),))
@@ -329,3 +349,23 @@ def test_certificate_text_export():
     cert = dc.decompose(eng.indicator(0.0, 1.0), fam, g, 32.0, [0.5, 0.5])
     text = cert.to_text(fam)
     assert "lambda" in text and "slack" in text and "branch" in text
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_certificate_text_rechecks_rhs(d):
+    # rhs = sum of constants times terms, from the printed text alone, in
+    # the order _rhs_value sums them
+    fam = dc.DyadicFamily.default(d)
+    xs = np.random.default_rng(2).uniform(-2, 2, size=(4, d))
+    certs = dc.decompose_batch(eng.trig_poly(35, degree=16), fam,
+                               model_curve(d), 64.0, xs)
+    for cert in certs:
+        fields = dict(line.split(" = ", 1)
+                      for line in cert.to_text(fam).splitlines())
+        consts = [float(v) for v in fields["constants"].split()]
+        singles = [float(v) for v in fields["single_terms"].split()]
+        rhs = 0.0
+        for fac, term in zip(consts[:-1], singles):
+            rhs += fac * term
+        rhs += consts[-1] * float(fields["tuple_term"]) ** (1.0 / d)
+        assert len(singles) == d - 1 and rhs == float(fields["rhs"])

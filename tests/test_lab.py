@@ -262,23 +262,20 @@ class TestMultilinearLq:
     def test_q2_bound_holds(self):
         mu = ms.make_lebesgue(2, box=(-4.0, 4.0), resolution=96)
         fs = [eng.indicator(0.05, 0.3), eng.indicator(0.65, 0.95)]
-        res = lab.multilinear_lq_check(model_curve(2), fs, mu, 128.0, 2.0,
-                                       box_r=32.0)
+        res = lab.multilinear_lq_check(model_curve(2), fs, mu, 128.0, 2.0)
         assert res.ratio <= 1.0
         assert res.lhs > 0
 
     def test_q4_bound_holds(self):
         mu = ms.make_lebesgue(2, box=(-4.0, 4.0), resolution=96)
         fs = [eng.indicator(0.05, 0.3), eng.indicator(0.65, 0.95)]
-        res = lab.multilinear_lq_check(model_curve(2), fs, mu, 128.0, 4.0,
-                                       box_r=32.0)
+        res = lab.multilinear_lq_check(model_curve(2), fs, mu, 128.0, 4.0)
         assert res.ratio <= 1.0
 
     def test_zero_factor(self):
         mu = ms.make_lebesgue(2, box=(-2.0, 2.0), resolution=32)
         fs = [eng.zero_function(), eng.indicator(0.6, 0.9)]
-        res = lab.multilinear_lq_check(model_curve(2), fs, mu, 64.0, 2.0,
-                                       box_r=16.0)
+        res = lab.multilinear_lq_check(model_curve(2), fs, mu, 64.0, 2.0)
         assert res.lhs == 0.0
 
     def test_q_below_two_rejected(self):

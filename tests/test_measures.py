@@ -320,24 +320,13 @@ def test_rescaled_constant_exponent_lebesgue():
     assert c2 / c1 == pytest.approx(2.0 ** 3)
 
 
-def test_rescale_bound_check_lebesgue():
-    mu = ms.make_lebesgue(2, box=(-1.0, 1.0), resolution=128)
-    spec = ms.PushforwardSpec(ExponentTuple((1, 2)), h=0.5)
-    worst = ms.rescale_bound_check(mu, spec, trials=200, seed=1)
-    assert worst <= 1.0
-
-
-def test_rescale_bound_check_appendix_a():
-    mu = ms.make_appendix_a(2, alpha=1.0, j=1, resolution=256)
-    spec = ms.PushforwardSpec(ExponentTuple((1, 2)), h=0.5)
-    worst = ms.rescale_bound_check(mu, spec, trials=200, seed=2)
-    assert worst <= 1.0
-
-
-def test_pushforward_audit_passes_with_rescaled_constant():
-    mu = ms.make_lebesgue(2, box=(-1.0, 1.0), resolution=128)
-    spec = ms.PushforwardSpec(ExponentTuple((1, 2)), h=0.25)
-    out = ms.pushforward(mu, spec)
+@pytest.mark.parametrize("make, h", [
+    (lambda: ms.make_lebesgue(2, box=(-1.0, 1.0), resolution=128), 0.25),
+    (lambda: ms.make_appendix_a(2, alpha=1.0, j=1, resolution=256), 0.5),
+], ids=["lebesgue", "appendix_a"])
+def test_pushforward_audit_passes_with_rescaled_constant(make, h):
+    spec = ms.PushforwardSpec(ExponentTuple((1, 2)), h=h)
+    out = ms.pushforward(make(), spec)
     assert ms.regularity_audit(out).passed
 
 
