@@ -317,10 +317,15 @@ def real_roots(coeffs):
     moves a root of multiplicity m off the real axis by about eps^(1/m),
     which an imaginary-part filter on p itself would drop.  Where it merged
     distinct roots (see _squarefree), p's own roots take their place.
+    Top coefficients at most eps * max|p| are dropped first: they are
+    rounding residue, and a tiny or subnormal one would put the root-finder
+    out of range.
     """
-    p = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    if p.size <= 1:
+    p = np.asarray(coeffs, dtype=float)
+    big = np.flatnonzero(np.abs(p) > np.finfo(float).eps * np.max(np.abs(p), initial=0.0))
+    if big.size == 0 or big[-1] == 0:
         return ()
+    p = p[: big[-1] + 1]
     q, exact = _squarefree(p)
     roots = npoly.polyroots(q)
     if not exact:

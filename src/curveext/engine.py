@@ -2,8 +2,9 @@
 
 Computes T f(x) = integral of exp(i lambda x.gamma(t)) f(t) dt over panels
 of Gauss-Legendre nodes sized to the oscillation budget, batched over
-target points as dense complex matrix products.  Summation order is fixed
-(node chunks combined by compensated addition per target), so results are
+target points as dense complex matrix products, or factored per axis when
+the targets are a tensor product.  Summation order is fixed (node chunks
+combined by compensated addition per target), so results are
 byte-identical regardless of worker partitioning.
 """
 
@@ -19,6 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .curves import affine_weight, jacobian_constant
+from .measures import _product
 
 NODES_PER_WAVELENGTH = 10
 PANEL_ORDER = 16
@@ -299,11 +301,11 @@ def _eval_block(block, gamma_nodes, amp, lam):
     return s
 
 
-def _evaluate(targets, gamma_nodes, amp, rules, lam, workers=1):
+def _scatter(targets, gamma_nodes, amp, rules, lam, workers=1):
     """T at every target on each rule's own nodes: shape (len(rules), m).
 
-    Node order and target blocking are fixed, so the worker count never
-    changes the result bytes.
+    One m x n phase matrix per rule; node order and target blocking are
+    fixed, so the worker count never changes the result bytes.
     """
     m = targets.shape[0]
     ends = np.cumsum([r.n for r in rules])
@@ -322,14 +324,44 @@ def _evaluate(targets, gamma_nodes, amp, rules, lam, workers=1):
     return np.concatenate([np.zeros(0, dtype=complex)] + parts).reshape(len(rules), m)
 
 
+def _tensor_axes(targets):
+    """The per-coordinate axes whose C-order product is `targets`, if it
+    is one with at least two axes of more than one point; else None."""
+    axes = [np.unique(c) for c in targets.T]
+    sizes = [a.size for a in axes]
+    if (sum(s > 1 for s in sizes) < 2 or math.prod(sizes) != targets.shape[0]
+            or not np.array_equal(targets, _product(*axes))):
+        return None
+    return axes
+
+
+def _evaluate(targets, gamma_nodes, amp, rules, lam, workers=1):
+    """T at every target on each rule's own nodes: shape (len(rules), m).
+
+    Targets that are a tensor product take the grid contraction per rule
+    (per-axis factors and one GEMM per plane), where `workers` has no
+    effect; any other targets take _scatter.
+    """
+    axes = _tensor_axes(targets)
+    if axes is None:
+        return _scatter(targets, gamma_nodes, amp, rules, lam, workers)
+    ends = np.cumsum([r.n for r in rules])
+    return np.stack([
+        _grid_values([_axis_factor(a, g, lam)
+                      for a, g in zip(axes, gamma_nodes[:, e - r.n : e])],
+                     amp[e - r.n : e]).ravel()
+        for r, e in zip(rules, ends)])
+
+
 def _self_check(setup, f, lam, points, got):
-    """Recompute `got` (pieces x points) with every panel split in two.
+    """Recompute `got` (pieces x points) with every panel split in two,
+    through the scattered kernel.
 
     `setup(split=...)` rebuilds the rules that gave `got`; disagreement
     beyond the absolute tolerance raises QuadratureBudgetError.
     """
     fine, gamma_nodes, amplitude = setup(split=2)
-    ref = _evaluate(points, gamma_nodes, amplitude(f), fine, lam)
+    ref = _scatter(points, gamma_nodes, amplitude(f), fine, lam)
     err = float(np.max(np.abs(got - ref), initial=0.0))
     if err > SELF_CHECK_TOL:
         rules = setup()[0]
@@ -354,6 +386,8 @@ def extension_eval_pieces(curve, lam, targets, f, pieces, alpha=None, workers=1,
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if targets.shape[1] != curve.d:
         raise ValueError("target dimension mismatch")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("targets must be finite")
     xmax = float(np.max(np.linalg.norm(targets, axis=1))) if targets.size else 0.0
     setup = partial(_setup, curve, pieces, lam, xmax, alpha,
                     nodes_per_wavelength)
@@ -370,9 +404,12 @@ def extension_eval(curve, lam, targets, f, alpha=None, workers=1,
     """T f at each target; optionally with the affine weight folded in.
 
     Deterministic for fixed inputs: node order and target blocking are
-    fixed, so worker count never changes the result bytes.  A stride of
-    targets is re-evaluated with every panel split in two; disagreement beyond
-    the absolute tolerance raises QuadratureBudgetError.
+    fixed, so worker count never changes the result bytes.  Targets that
+    are a C-order tensor product (a product measure's atoms) are
+    contracted per axis, as on the grid, and `workers` has no effect.  A
+    stride of targets is re-evaluated through the scattered kernel with
+    every panel split in two; disagreement beyond the absolute tolerance
+    raises QuadratureBudgetError.
     """
     return extension_eval_pieces(curve, lam, targets, f, [f], alpha, workers,
                                  self_check, nodes_per_wavelength)[0]
@@ -444,6 +481,9 @@ def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
     if len(axes) != curve.d:
         raise ValueError("need one axis per coordinate")
     axes = [np.asarray(a, dtype=float) for a in axes]
+    for k, a in enumerate(axes):
+        if a.size == 0 or not np.all(np.isfinite(a)):
+            raise ValueError(f"axis {k} must be non-empty and finite")
     groups = {}
     for j, f in enumerate(fs):
         groups.setdefault((f.lo, f.hi, f.bandwidth()), []).append(j)
@@ -482,7 +522,7 @@ def lq_norm(values, mu, q):
         raise ValueError("values not aligned with measure atoms")
     if q == math.inf:
         return float(np.max(np.abs(values), initial=0.0))
-    if q < 1:
+    if not q >= 1:  # NaN fails this too
         raise ValueError("q must be >= 1")
     return float(np.sum(mu.weights * np.abs(values) ** q)) ** (1.0 / q)
 

@@ -22,6 +22,7 @@ MAX_ATOMS = 10_000_000
 AUDIT_CENTERS = 512
 AUDIT_SLACK = 1.1
 AUDIT_FLOOR_FACTOR = 4.0
+AUDIT_CHUNK = 16
 
 # atoms per block of the mollifier sum
 MOLLIFY_CHUNK = 4096
@@ -245,8 +246,8 @@ def make_cantor(d, ratio, depth):
     """Self-similar product measure with alpha = d*log2/log(1/ratio)."""
     if not (0.0 < ratio < 0.5):
         raise ValueError("ratio must lie in (0, 1/2)")
-    if depth > 20:
-        raise ValueError("depth must be <= 20")
+    if not 0 <= depth <= 20:
+        raise ValueError("depth must lie in 0..20")
     if depth == 0:
         atoms = np.full((1, d), 0.5)
         alpha = d * math.log(2.0) / math.log(1.0 / ratio)
@@ -327,9 +328,12 @@ def regularity_audit(mu, n_centers=AUDIT_CENTERS, seed=0):
         valid = floors <= rho
         if not np.any(valid):
             continue
-        counts = tree.query_ball_point(centers[valid], rho)
-        w = mu.weights
-        masses = np.array([np.sum(w[c]) for c in counts])
+        # AUDIT_CHUNK centres per query: the index lists of all centres at
+        # a large radius would be the audit's whole memory peak
+        live = centers[valid]
+        masses = np.array([np.sum(mu.weights[c])
+                           for i in range(0, live.shape[0], AUDIT_CHUNK)
+                           for c in tree.query_ball_point(live[i : i + AUDIT_CHUNK], rho)])
         ratios = masses / rho ** mu.alpha
         k = int(np.argmax(ratios))
         if rho <= diam / 4.0:
@@ -338,7 +342,7 @@ def regularity_audit(mu, n_centers=AUDIT_CENTERS, seed=0):
             fit_m.append(max(float(np.max(masses)), 1e-300))
         if ratios[k] > worst:
             worst = float(ratios[k])
-            worst_center = centers[valid][k]
+            worst_center = live[k]
             worst_radius = rho
     if len(fit_r) > 1:
         fit = float(np.polyfit(np.log2(fit_r), np.log2(fit_m), 1)[0])
@@ -429,6 +433,33 @@ def kernel_profile(r2, d):
     return (1.0 + r2) ** (-(d + 2.0))
 
 
+def _mollified_sups(mu, lams, candidates):
+    """mollified_sup at every lambda in one pass over candidate blocks x
+    atom chunks: each block's squared distances are formed once."""
+    if min(lams) < 1.0:
+        raise ValueError("lambda must be >= 1")
+    if candidates is None:
+        stride = max(1, mu.n // 512)
+        candidates = np.vstack([mu.atoms[::stride], np.zeros((1, mu.d))])
+    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    best = [0.0] * len(lams)
+    for start in range(0, candidates.shape[0], 64):
+        cs = candidates[start : start + 64]
+        acc = np.zeros((len(lams), cs.shape[0]))
+        for a0 in range(0, mu.n, MOLLIFY_CHUNK):
+            block = mu.atoms[a0 : a0 + MOLLIFY_CHUNK]
+            w = mu.weights[a0 : a0 + MOLLIFY_CHUNK]
+            r2 = np.zeros((cs.shape[0], block.shape[0]))
+            for k in range(mu.d):
+                diff = cs[:, k, None] - block[None, :, k]
+                r2 += diff * diff
+            for i, lam in enumerate(lams):
+                acc[i] += kernel_profile((lam * lam) * r2, mu.d) @ w
+        best = [max(b, float(np.max(a)) * lam ** mu.d)
+                for b, a, lam in zip(best, acc, lams)]
+    return best
+
+
 def mollified_sup(mu, lam, candidates=None):
     """Sup over candidate centers of the lambda-mollified measure.
 
@@ -436,29 +467,13 @@ def mollified_sup(mu, lam, candidates=None):
     polynomial profile; candidates default to a deterministic atom
     subsample (plus the origin).
     """
-    if lam < 1.0:
-        raise ValueError("lambda must be >= 1")
-    if candidates is None:
-        stride = max(1, mu.n // 512)
-        candidates = np.vstack([mu.atoms[::stride], np.zeros((1, mu.d))])
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    best = 0.0
-    for start in range(0, candidates.shape[0], 64):
-        cs = candidates[start : start + 64]
-        acc = np.zeros(cs.shape[0])
-        for a0 in range(0, mu.n, MOLLIFY_CHUNK):
-            block = mu.atoms[a0 : a0 + MOLLIFY_CHUNK]
-            w = mu.weights[a0 : a0 + MOLLIFY_CHUNK]
-            diff = cs[:, None, :] - block[None, :, :]
-            r2 = (lam * lam) * np.sum(diff * diff, axis=-1)
-            acc += (kernel_profile(r2, mu.d) * w[None, :]).sum(axis=1)
-        best = max(best, float(np.max(acc)) * lam ** mu.d)
-    return best
+    return _mollified_sups(mu, [lam], candidates)[0]
 
 
 def mollified_slope(mu, lams, candidates=None):
-    """Least-squares slope of log2 mollified_sup against log2 lambda."""
-    vals = [mollified_sup(mu, lam, candidates=candidates) for lam in lams]
+    """Least-squares slope of log2 mollified_sup against log2 lambda, with
+    every lambda's sup from one pass over the atoms."""
+    vals = _mollified_sups(mu, list(lams), candidates)
     x = np.log2(np.asarray(lams, dtype=float))
     y = np.log2(np.asarray(vals))
     return float(np.polyfit(x, y, 1)[0]), vals

@@ -184,6 +184,14 @@ def test_real_roots_keep_close_roots_apart():
         == pytest.approx((0.2, 0.5), abs=1e-12)
 
 
+def test_real_roots_subnormal_top_coefficient():
+    # torsion 1 - 3t + 2t^2 + 1e-322 t^3: dividing by the subnormal top
+    # coefficient overflowed and polyroots raised LinAlgError
+    g = cv.CurveSpec(d=2, coeffs=((0, 1), (0, 0, 0.5, -0.5, 1 / 6, 5e-324)))
+    assert 0.0 < g.torsion_coeffs[-1] < np.finfo(float).tiny
+    assert g.torsion_roots == pytest.approx((0.5, 1.0), abs=1e-12)
+
+
 def test_real_roots_no_real_or_constant():
     assert cv.real_roots([1.0, 0.0, 1.0]) == ()
     assert cv.real_roots([3.0]) == ()

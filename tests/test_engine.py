@@ -132,6 +132,16 @@ def test_weight_zeros_found():
     assert eng.weight_zeros(CurveSpec(d=2, coeffs=((0, 0, 1), (0, 0, 0, 1)))) == (0.0,)
 
 
+def test_weight_zeros_ignore_tiny_top_coefficient():
+    # torsion 1 - 3t + 2t^2 + 1e-32 t^3: the top term is rounding residue,
+    # which made the root-finder return (0.0,)
+    g = CurveSpec(d=2, coeffs=((0, 1), (0, 0, 0.5, -0.5, 1 / 6, 5e-34)))
+    assert eng.weight_zeros(g) == pytest.approx((0.5, 1.0), abs=1e-12)
+    # with the roots lost, the ungraded weighted rule failed its self-check
+    eng.extension_eval(g, 16.0, np.array([[0.7, -0.4]]), eng.indicator(0.0, 1.0),
+                       alpha=2.0)
+
+
 # gamma = (t, (t - 0.3)^4): torsion 12 (t - 0.3)^2, a double root that
 # polyroots returns as 0.3 +- 4e-9 i
 _DOUBLE_ROOT = CurveSpec(d=2, coeffs=((0, 1), (0.3**4, -4 * 0.3**3, 6 * 0.3**2, -4 * 0.3, 1)))
@@ -273,6 +283,19 @@ def test_worker_count_byte_identical():
     assert v1.tobytes() == v4.tobytes()
 
 
+def test_nonfinite_targets_rejected():
+    g = model_curve(2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="targets"):
+            eng.extension_eval(g, 16.0, np.array([[0.5, bad]]), eng.indicator(0.0, 1.0))
+
+
+def test_empty_grid_axis_rejected():
+    with pytest.raises(ValueError, match="axis 1"):
+        eng.extension_eval_grid(model_curve(2), 16.0, [np.array([0.5]), np.zeros(0)],
+                                eng.indicator(0.0, 1.0))
+
+
 def test_self_check_raises_on_starved_budget():
     g = model_curve(2)
     targets = np.array([[3.0, 2.0]])
@@ -357,8 +380,64 @@ def test_grid_matches_scattered_on_long_axis():
     f = eng.trig_poly(3, degree=8)
     vals = eng.extension_eval_grid(g, 64.0, axes, f)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    ref = eng.extension_eval(g, 64.0, pts, f).reshape(vals.shape)
+    # reversed rows are no C-order product: the scattered kernel serves them
+    ref = eng.extension_eval(g, 64.0, pts[::-1], f)[::-1].reshape(vals.shape)
     np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-10)
+
+
+# tensor-product targets: the grid contraction behind extension_eval
+
+
+_TENSOR_MEASURES = {
+    "cantor2": lambda: ms.make_cantor(2, 1 / 3, 5),
+    # a uniform axis: its factors come from the phase recurrence
+    "lebesgue2": lambda: ms.make_lebesgue(2, resolution=16),
+    "cantor3": lambda: ms.make_cantor(3, 1 / 3, 3),
+    # a point-mass axis of one point, then two live axes
+    "appendix_a3": lambda: ms.make_appendix_a(3, 1.5, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TENSOR_MEASURES))
+def test_tensor_targets_match_scattered(name):
+    mu = _TENSOR_MEASURES[name]()
+    curve = model_curve(mu.d)
+    f = eng.trig_poly(5, degree=8)
+    # shuffled rows are no C-order product, so they take the scattered kernel
+    perm = np.random.default_rng(mu.d).permutation(mu.n)
+    assert eng._tensor_axes(mu.atoms) is not None
+    assert eng._tensor_axes(mu.atoms[perm]) is None
+    got = eng.extension_eval(curve, 64.0, mu.atoms, f)
+    ref = eng.extension_eval(curve, 64.0, mu.atoms[perm], f)
+    np.testing.assert_allclose(got[perm], ref, rtol=0, atol=1e-12)
+
+
+def test_tensor_targets_worker_count_byte_identical():
+    mu = ms.make_cantor(2, 1 / 3, 5)
+    f = eng.trig_poly(11, degree=16)
+    v1 = eng.extension_eval(model_curve(2), 128.0, mu.atoms, f, workers=1)
+    v4 = eng.extension_eval(model_curve(2), 128.0, mu.atoms, f, workers=4)
+    assert v1.tobytes() == v4.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [None, 2.0])
+def test_tensor_pieces_rows_equal_single_evaluations(alpha):
+    curve = monomial_model((2, 3))
+    targets = ms.make_lebesgue(2, resolution=12).atoms
+    f = eng.trig_poly(2, degree=8)
+    pieces = [f, eng.restrict(f, 0.0, 0.5), eng.restrict(f, 0.25, 0.75)]
+    rows = eng.extension_eval_pieces(curve, 32.0, targets, f, pieces, alpha=alpha)
+    for row, piece in zip(rows, pieces):
+        one = eng.extension_eval(curve, 32.0, targets, piece, alpha=alpha)
+        assert row.tobytes() == one.tobytes()
+
+
+def test_tensor_targets_self_check_raises_on_starved_budget():
+    targets = ms._product(np.array([3.0, 3.5]), np.array([2.0, 2.5]))
+    assert eng._tensor_axes(targets) is not None
+    with pytest.raises(eng.QuadratureBudgetError):
+        eng.extension_eval(model_curve(2), 512.0, targets, eng.indicator(0.0, 1.0),
+                           nodes_per_wavelength=0.5)
 
 
 def _mixed_family():
@@ -423,6 +502,9 @@ def test_lq_norm_contracts():
     assert eng.lq_norm(np.zeros(0), empty, math.inf) == 0.0
     with pytest.raises(ValueError):
         eng.lq_norm(vals[:-1], mu, 2)
+    # NaN passed every comparison and returned 1.0
+    with pytest.raises(ValueError, match="q must"):
+        eng.lq_norm(vals, mu, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +555,7 @@ def test_multilinear_any_d_matches_scattered_product():
     m = int(math.ceil(2.0 * res.box_r / res.grid_step))
     axis = -res.box_r + res.grid_step * (np.arange(m) + 0.5)
     pts = np.stack(np.meshgrid(*[axis] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    pts = pts[::-1]  # no C-order product: the scattered kernel serves it
     prod = np.prod([eng.extension_eval(g, 4.0, pts, f) for f in fs], axis=0)
     lhs = math.sqrt(float(np.sum(np.abs(prod) ** 2)) * res.grid_step ** 4)
     assert res.lhs == pytest.approx(lhs, rel=1e-9)

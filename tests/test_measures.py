@@ -111,6 +111,12 @@ def test_cantor_ratio_validation():
         ms.make_cantor(1, ratio=0.5, depth=3)
 
 
+def test_cantor_negative_depth_rejected():
+    # depth -1 silently built the one-atom depth-0 measure
+    with pytest.raises(ValueError, match="depth"):
+        ms.make_cantor(2, 1 / 3, -1)
+
+
 # ---------------------------------------------------------------------------
 # tensor layout against meshgrid oracles
 # ---------------------------------------------------------------------------
