@@ -416,6 +416,8 @@ def cmd_measure_audit(args):
         ("c_estimate", report.c_est),
         ("exponent_fit", report.exponent_fit),
         ("worst_radius", report.worst_radius),
+        ("worst_center", " ".join(_fmt(float(c)) for c in report.worst_center)),
+        ("floor", report.floor),
         ("verdict", "PASS" if report.passed else "FAIL")])
     out.log("measure audit")
     return [] if report.passed else ["regularity certificate"]

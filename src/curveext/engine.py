@@ -30,6 +30,8 @@ TARGET_BLOCK = 256
 SELF_CHECK_STRIDE = 100
 SELF_CHECK_TOL = 1e-6
 GRADE_MIN_WIDTH = 1e-9
+# nodes one rule may hold (256 MiB of nodes and weights)
+MAX_NODES = 1 << 24
 
 _GLX, _GLW = np.polynomial.legendre.leggauss(PANEL_ORDER)
 
@@ -238,6 +240,12 @@ def build_rule(f, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
     omega_tot = omega + f.bandwidth()
     base = (2.0 * math.pi / max(omega_tot, 1e-9)) * PANEL_ORDER / nodes_per_wavelength
     base = min(base, hi - lo)
+    # the uniform panels alone, before any array is built; grading only adds
+    nodes = math.ceil((hi - lo) / base) * split * PANEL_ORDER
+    if nodes > MAX_NODES:
+        raise QuadratureBudgetError(
+            f"rule at omega={omega_tot:.3e} needs {nodes} nodes, "
+            f"over MAX_NODES={MAX_NODES}")
     edges = _graded_edges(lo, hi, base, tuple(grade_points))
     if split > 1:
         steps = np.diff(edges)[:, None] * (np.arange(split) / split)[None, :]

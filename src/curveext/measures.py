@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import KDTree, cKDTree
 
 from .curves import ExponentTuple, diagonal_scaling, pushforward_exponent
 
@@ -22,7 +22,6 @@ MAX_ATOMS = 10_000_000
 AUDIT_CENTERS = 512
 AUDIT_SLACK = 1.1
 AUDIT_FLOOR_FACTOR = 4.0
-AUDIT_CHUNK = 16
 
 # atoms per block of the mollifier sum
 MOLLIFY_CHUNK = 4096
@@ -87,8 +86,8 @@ class DiscreteMeasure:
         return cKDTree(self.atoms)
 
     def ball_mass(self, center, radius):
-        idx = self.tree().query_ball_point(np.asarray(center, dtype=float), radius)
-        return float(np.sum(self.weights[idx]))
+        center = np.asarray(center, dtype=float)[None]
+        return float(_ball_masses(self.tree(), self.weights, center, [radius])[0, 0])
 
     def diameter(self):
         lo = self.atoms.min(axis=0)
@@ -283,6 +282,22 @@ def make_cantor(d, ratio, depth):
 # ---------------------------------------------------------------------------
 
 
+def _ball_masses(tree, weights, centers, radii):
+    """Masses sum(weights of atoms within distance rho of c), shape
+    (centres, radii): one weighted cumulative count of the atom tree against
+    each centre gives that centre's mass at every radius in one traversal."""
+    radii = np.asarray(radii, dtype=float)
+    bad = radii[~((radii >= 0.0) & (radii < math.inf))]
+    if bad.size:
+        raise ValueError(f"ball radius must be finite and >= 0, got {bad[0]}")
+    # each centre's tree is a KDTree (the cKDTree subclass): bench/tracing.py
+    # puts a counting proxy in place of measures.cKDTree, and count_neighbors
+    # takes only a real tree as its argument
+    return np.array([tree.count_neighbors(KDTree(c[None]), radii,
+                                          weights=(weights, None))
+                     for c in centers])
+
+
 @dataclass(frozen=True)
 class AuditReport:
     c_est: float
@@ -301,6 +316,10 @@ def regularity_audit(mu, n_centers=AUDIT_CENTERS, seed=0):
     are audited honestly at every scale they actually resolve.  Passes iff
     the estimate is <= C_mu * AUDIT_SLACK.
     """
+    if mu.n == 0:
+        raise ValueError(f"regularity_audit needs atoms; {mu.generator!r} has none")
+    if n_centers < 1:
+        raise ValueError(f"n_centers must be >= 1, got {n_centers}")
     rng = np.random.default_rng(seed)
     idx = (slice(None) if mu.n <= n_centers
            else rng.choice(mu.n, size=n_centers, replace=False))
@@ -320,20 +339,17 @@ def regularity_audit(mu, n_centers=AUDIT_CENTERS, seed=0):
     while r >= floor:
         radii.append(r)
         r /= 2.0
+    table = _ball_masses(tree, mu.weights, centers, radii)
     worst = -1.0
     worst_center = centers[0]
     worst_radius = radii[0]
     fit_r, fit_m = [], []
-    for rho in radii:
+    for j, rho in enumerate(radii):
         valid = floors <= rho
         if not np.any(valid):
             continue
-        # AUDIT_CHUNK centres per query: the index lists of all centres at
-        # a large radius would be the audit's whole memory peak
         live = centers[valid]
-        masses = np.array([np.sum(mu.weights[c])
-                           for i in range(0, live.shape[0], AUDIT_CHUNK)
-                           for c in tree.query_ball_point(live[i : i + AUDIT_CHUNK], rho)])
+        masses = table[valid, j]
         ratios = masses / rho ** mu.alpha
         k = int(np.argmax(ratios))
         if rho <= diam / 4.0:
@@ -429,15 +445,29 @@ def pushforward(mu, spec):
 
 
 def kernel_profile(r2, d):
-    """Radial profile (1 + |x|^2)^{-(d+2)} as a function of |x|^2."""
-    return (1.0 + r2) ** (-(d + 2.0))
+    """Radial profile (1 + |x|^2)^{-(d+2)} as a function of |x|^2, formed in
+    place: the float array r2 is overwritten with the profile and returned.
+
+    One reciprocal of 1 + r2, then the integer power d + 2 by repeated
+    squaring (most significant bit first), so no `pow` runs.
+    """
+    r2 += 1.0
+    np.reciprocal(r2, out=r2)
+    n = d + 2
+    base = r2.copy() if n & (n - 1) else None
+    for bit in bin(n)[3:]:
+        r2 *= r2
+        if bit == "1":
+            r2 *= base
+    return r2
 
 
 def _mollified_sups(mu, lams, candidates):
     """mollified_sup at every lambda in one pass over candidate blocks x
     atom chunks: each block's squared distances are formed once."""
-    if min(lams) < 1.0:
-        raise ValueError("lambda must be >= 1")
+    bad = [lam for lam in lams if not 1.0 <= lam < math.inf]
+    if bad:
+        raise ValueError(f"lambda must be finite and >= 1, got {bad[0]}")
     if candidates is None:
         stride = max(1, mu.n // 512)
         candidates = np.vstack([mu.atoms[::stride], np.zeros((1, mu.d))])
@@ -450,11 +480,14 @@ def _mollified_sups(mu, lams, candidates):
             block = mu.atoms[a0 : a0 + MOLLIFY_CHUNK]
             w = mu.weights[a0 : a0 + MOLLIFY_CHUNK]
             r2 = np.zeros((cs.shape[0], block.shape[0]))
+            work = np.empty_like(r2)
             for k in range(mu.d):
-                diff = cs[:, k, None] - block[None, :, k]
-                r2 += diff * diff
+                np.subtract(cs[:, k, None], block[None, :, k], out=work)
+                work *= work
+                r2 += work
             for i, lam in enumerate(lams):
-                acc[i] += kernel_profile((lam * lam) * r2, mu.d) @ w
+                np.multiply(r2, lam * lam, out=work)
+                acc[i] += kernel_profile(work, mu.d) @ w
         best = [max(b, float(np.max(a)) * lam ** mu.d)
                 for b, a, lam in zip(best, acc, lams)]
     return best
@@ -473,7 +506,12 @@ def mollified_sup(mu, lam, candidates=None):
 def mollified_slope(mu, lams, candidates=None):
     """Least-squares slope of log2 mollified_sup against log2 lambda, with
     every lambda's sup from one pass over the atoms."""
-    vals = _mollified_sups(mu, list(lams), candidates)
+    lams = list(lams)
+    if len(set(lams)) < 2:
+        raise ValueError(f"mollified_slope needs two distinct lambdas, got {lams}")
+    if not mu.total_mass() > 0.0:
+        raise ValueError(f"mollified_slope needs positive mass; {mu.generator!r} has none")
+    vals = _mollified_sups(mu, lams, candidates)
     x = np.log2(np.asarray(lams, dtype=float))
     y = np.log2(np.asarray(vals))
     return float(np.polyfit(x, y, 1)[0]), vals

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from curveext import cli
+from curveext import measures as ms
 from curveext.curves import CurveSpec, model_curve
 
 CONFIG_DIR = Path(importlib_resources.files("curveext") / "configs")
@@ -353,8 +354,13 @@ seed = 0
 """)
         rc = cli.main(["measure-audit", cfg, "--out", str(tmp_path / "o")])
         assert rc == 0
-        assert "verdict = PASS" in (
-            tmp_path / "o" / "measure_audit_verdict.txt").read_text()
+        text = (tmp_path / "o" / "measure_audit_verdict.txt").read_text()
+        assert "verdict = PASS" in text
+        fields = dict(line.split(" = ") for line in text.splitlines())
+        report = ms.regularity_audit(ms.make_lebesgue(2, (-1.0, 1.0), 48), seed=0)
+        assert float(fields["floor"]) == report.floor > 0.0
+        np.testing.assert_array_equal(
+            [float(c) for c in fields["worst_center"].split()], report.worst_center)
 
     def test_bench_runs(self, tmp_path):
         cfg = write_config(tmp_path, """

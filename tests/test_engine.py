@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +109,35 @@ def test_rule_node_budget_scales_with_omega():
     r1 = eng.build_rule(f, 100.0)
     r2 = eng.build_rule(f, 200.0)
     assert r2.n >= 1.5 * r1.n
+
+
+@pytest.mark.parametrize("split", [1, 2])
+def test_rule_node_budget_counts_exactly(monkeypatch, split):
+    # an ungraded rule's uniform panels are all of its panels
+    f = eng.indicator(0.1, 0.9)
+    n = eng.build_rule(f, 300.0, split=split).n
+    monkeypatch.setattr(eng, "MAX_NODES", n)
+    assert eng.build_rule(f, 300.0, split=split).n == n
+    monkeypatch.setattr(eng, "MAX_NODES", n - 1)
+    with pytest.raises(eng.QuadratureBudgetError, match=f"needs {n} nodes"):
+        eng.build_rule(f, 300.0, split=split)
+
+
+def test_rule_over_node_budget_raises_before_building():
+    # lambda = 1e9 at |x| <= sqrt 2 asked for 3.2e9 nodes (51 GB of nodes
+    # and weights) and was still building after 120 s
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(eng.QuadratureBudgetError,
+                           match=r"omega=2\.000e\+09 needs 3183098912 nodes"):
+            eng.extension_eval(model_curve(2), 1e9, np.array([[1.0, 1.0]]),
+                               eng.trig_poly(0, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
 
 
 def test_rule_weights_integrate_support():

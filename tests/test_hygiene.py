@@ -27,10 +27,9 @@ NET_LINES_BASELINE = 2799
 # wavelength set the quadrature density a convergence study varies.
 KEPT_DEFAULTS = {"weighted", "npw", "nodes_per_wavelength"}
 # Kept although nothing reads them yet: the report values a run is to
-# state (the audit's floor and worst centre, the factors' L2 norms and the
-# terms of the multilinear L^q chain), which result files do not carry yet.
-KEPT_MEMBERS = {"AuditReport.floor", "AuditReport.worst_center",
-                "MultilinearResult.f_l2", "MultilinearLqResult.l2_plancherel",
+# state (the factors' L2 norms and the terms of the multilinear L^q
+# chain), which result files do not carry yet.
+KEPT_MEMBERS = {"MultilinearResult.f_l2", "MultilinearLqResult.l2_plancherel",
                 "MultilinearLqResult.mollified", "MultilinearLqResult.linf"}
 
 

@@ -274,6 +274,59 @@ def test_audit_cantor_passes():
     assert rep.exponent_fit == pytest.approx(mu.alpha, abs=0.15)
 
 
+@pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+def test_ball_mass_rejects_bad_radius(radius):
+    # on one atom, radius -1 gave mass 1.0 and NaN gave 0.0
+    mu = ms.DiscreteMeasure(atoms=np.zeros((1, 2)), weights=np.ones(1),
+                            alpha=1.0, c_mu=1.0, resolution=1.0)
+    with pytest.raises(ValueError, match=f"radius must be finite and >= 0, got {radius}"):
+        mu.ball_mass([0.0, 0.0], radius)
+
+
+def test_audit_rejects_empty_measure():
+    # was numpy's "zero-size array to reduction operation minimum"
+    empty = ms.DiscreteMeasure(atoms=np.zeros((0, 2)), weights=np.zeros(0),
+                               alpha=1.0, c_mu=1.0, resolution=1.0,
+                               generator="empty")
+    with pytest.raises(ValueError, match="'empty' has none"):
+        ms.regularity_audit(empty)
+
+
+def test_audit_rejects_no_centres():
+    with pytest.raises(ValueError, match="n_centers must be >= 1, got 0"):
+        ms.regularity_audit(ms.make_cantor(1, 1 / 3, 4), n_centers=0)
+
+
+def _dense_masses(mu, centers, radii):
+    dist = np.linalg.norm(mu.atoms[None] - centers[:, None], axis=2)
+    return np.stack([(dist <= rho) @ mu.weights for rho in radii], axis=1)
+
+
+# dyadic weights sum exactly in any order; Appendix-A weights are not
+# dyadic, and the tree sums them in its own order (measured 7.1e-15)
+@pytest.mark.parametrize("make, rtol", [
+    (lambda: ms.make_cantor(1, 1 / 3, 8), 0.0),
+    (lambda: ms.make_cantor(2, 1 / 3, 5), 0.0),
+    (lambda: ms.make_cantor(3, 1 / 3, 3), 0.0),
+    (lambda: ms.make_lebesgue(2, (-1.0, 1.0), 16, 2), 0.0),
+    (lambda: ms.make_appendix_a(2, 1.5, 0, resolution=32, grading_levels=4), 1e-14),
+    (lambda: ms.make_appendix_a(3, 2.5, 0, resolution=12, grading_levels=2), 1e-14),
+    (lambda: ms.pushforward(ms.make_lebesgue(2, (-1.0, 1.0), 32),
+                            ms.PushforwardSpec(ExponentTuple((1, 2)), 0.5)), 0.0),
+], ids=["cantor1", "cantor2", "cantor3", "graded_lebesgue", "appendix_a2",
+        "appendix_a3", "pushforward"])
+def test_ball_masses_match_dense_oracle(make, rtol):
+    mu = make()
+    rng = np.random.default_rng(2)
+    centers = np.vstack([mu.atoms[rng.choice(mu.n, 16, replace=False)],
+                         np.zeros((1, mu.d)), rng.uniform(-1.0, 1.0, (4, mu.d))])
+    radii = mu.diameter() * 2.0 ** -np.arange(12)
+    got = ms._ball_masses(mu.tree(), mu.weights, centers, radii)
+    np.testing.assert_allclose(got, _dense_masses(mu, centers, radii),
+                               rtol=rtol, atol=0.0)
+    assert mu.ball_mass(centers[0], radii[3]) == got[0, 3]
+
+
 # ---------------------------------------------------------------------------
 # pushforward
 # ---------------------------------------------------------------------------
@@ -364,3 +417,62 @@ def test_mollified_sup_within_profile_bound():
     for lam in (16.0, 64.0, 256.0):
         val = ms.mollified_sup(mu, lam)
         assert val <= 8.0 * mu.c_mu * lam ** (mu.d - mu.alpha)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_kernel_profile_matches_pow(d):
+    r2 = np.concatenate([[0.0, 1e-300, 1e-16, 1.0], np.logspace(-12, 100, 449)])
+    ref = (1.0 + r2) ** -(d + 2)
+    work = r2.copy()
+    got = ms.kernel_profile(work, d)
+    assert got is work  # formed in place
+    keep = ref > 1e-290
+    assert keep[:4].all() and not keep.all()
+    np.testing.assert_allclose(got[keep], ref[keep], rtol=2e-15, atol=0.0)
+    assert np.all((got[~keep] >= 0.0) & (got[~keep] <= 1e-280))
+
+
+def _pow_mollified_sup(mu, lam):
+    """One lambda's sup with the profile through `pow`, over the default
+    candidates: every (n // 512)-th atom and the origin."""
+    cands = np.vstack([mu.atoms[::max(1, mu.n // 512)], np.zeros((1, mu.d))])
+    r2 = np.sum((cands[:, None] - mu.atoms[None]) ** 2, axis=2)
+    return float(np.max((1.0 + lam * lam * r2) ** -(mu.d + 2.0) @ mu.weights)) * lam ** mu.d
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ms.make_cantor(1, 1 / 3, 8),
+    lambda: ms.make_cantor(2, 1 / 3, 5),
+    lambda: ms.make_cantor(3, 1 / 3, 3),
+    lambda: ms.make_lebesgue(2, (-1.0, 1.0), 16, 2),
+    lambda: ms.make_appendix_a(2, 1.5, 0, resolution=32, grading_levels=4),
+], ids=["cantor1", "cantor2", "cantor3", "graded_lebesgue", "appendix_a2"])
+def test_mollified_values_match_pow_oracle(make):
+    mu = make()
+    lams = [2.0 ** k for k in range(2, 8)]
+    _, vals = ms.mollified_slope(mu, lams)
+    np.testing.assert_allclose(vals, [_pow_mollified_sup(mu, lam) for lam in lams],
+                               rtol=1e-14, atol=0.0)
+    assert [ms.mollified_sup(mu, lam) for lam in lams] == vals
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.5])
+def test_mollified_sup_rejects_bad_lambda(lam):
+    # NaN returned 0.0; inf returned NaN with a RuntimeWarning
+    with pytest.raises(ValueError, match=f"lambda must be finite and >= 1, got {lam}"):
+        ms.mollified_sup(ms.make_cantor(1, 1 / 3, 4), lam)
+
+
+@pytest.mark.parametrize("lams", [[16.0], [16.0, 16.0]])
+def test_mollified_slope_needs_two_lambdas(lams):
+    # one lambda gave a slope from a rank-deficient polyfit
+    with pytest.raises(ValueError, match="two distinct lambdas"):
+        ms.mollified_slope(ms.make_cantor(1, 1 / 3, 4), lams)
+
+
+def test_mollified_slope_rejects_zero_mass():
+    # took log2(0)
+    mu = ms.DiscreteMeasure(atoms=np.zeros((2, 1)), weights=np.zeros(2),
+                            alpha=1.0, c_mu=1.0, resolution=1.0, generator="zero")
+    with pytest.raises(ValueError, match="'zero' has none"):
+        ms.mollified_slope(mu, [16.0, 32.0])
