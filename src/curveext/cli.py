@@ -24,7 +24,7 @@ from . import decomposition as dc
 from . import engine as eng
 from . import lab
 from . import measures as ms
-from .curves import CurveSpec, model_curve, torsion
+from .curves import CurveSpec, beta_alpha, model_curve, torsion
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -186,6 +186,18 @@ def grid_from_config(cfg, curve, half, resolution, levels):
         _get(cfg, "measure", "grading_levels", int, levels))
 
 
+def exponents_from_config(cfg, d):
+    """[experiment] p and q (at least 1, infinity allowed) and alpha in (0, d]."""
+    p, q, alpha = (_get(cfg, "experiment", k, float) for k in ("p", "q", "alpha"))
+    try:
+        eng.check_exponent("[experiment] p", p)
+        eng.check_exponent("[experiment] q", q)
+        beta_alpha(alpha, d)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return p, q, alpha
+
+
 def lambda_grid_from_config(cfg):
     lo = _get(cfg, "experiment", "lambda_min_exp", int)
     hi = _get(cfg, "experiment", "lambda_max_exp", int)
@@ -241,9 +253,7 @@ def cmd_scaling(args):
     cfg, chash = load_config(args.config)
     seed = require_seed(args, cfg)
     curve = curve_from_config(cfg)
-    p = _get(cfg, "experiment", "p", float)
-    q = _get(cfg, "experiment", "q", float)
-    alpha = _get(cfg, "experiment", "alpha", float)
+    p, q, alpha = exponents_from_config(cfg, curve.d)
     lams = lambda_grid_from_config(cfg)
     npw = _get(cfg, "experiment", "nodes_per_wavelength", float, 8.0)
     kind = _get(cfg, "measure", "kind")
@@ -273,9 +283,7 @@ def cmd_sharpness(args):
     curve = curve_from_config(cfg)
     measure_d(cfg, curve)
     mu = measure_from_config(cfg)
-    p = _get(cfg, "experiment", "p", float)
-    q = _get(cfg, "experiment", "q", float)
-    alpha = _get(cfg, "experiment", "alpha", float)
+    p, q, alpha = exponents_from_config(cfg, curve.d)
     lams = lambda_grid_from_config(cfg)
     c = _get(cfg, "experiment", "c", float, lab.KNAPP_SCALE)
     out = OutputDir(args.out, force=args.force, config_hash=chash)
@@ -373,9 +381,7 @@ def cmd_multilinear(args):
 def cmd_finitetype(args):
     cfg, chash = load_config(args.config)
     curve = curve_from_config(cfg)
-    p = _get(cfg, "experiment", "p", float)
-    q = _get(cfg, "experiment", "q", float)
-    alpha = _get(cfg, "experiment", "alpha", float)
+    p, q, alpha = exponents_from_config(cfg, curve.d)
     lams = lambda_grid_from_config(cfg)
     grid = grid_from_config(cfg, curve, 8.0, 128, 9)
     out = OutputDir(args.out, force=args.force, config_hash=chash)

@@ -60,8 +60,6 @@ def _compose_affine(coeffs, shift, scale):
     out = np.zeros(1)
     for c in reversed(coeffs):
         out = npoly.polymul(out, [shift, scale])
-        if out.size == 0:
-            out = np.zeros(1)
         out[0] += c
     return out
 
@@ -225,7 +223,7 @@ class CurveSpec:
 
 def monomial_model(a):
     """The monomial model curve (t^{a_1}/a_1!, ..., t^{a_d}/a_d!)."""
-    a = a if isinstance(a, ExponentTuple) else ExponentTuple(tuple(a))
+    a = ExponentTuple(a)
     coeffs = []
     for ai in a:
         c = [0.0] * (ai + 1)
@@ -381,14 +379,14 @@ def beta_alpha(alpha, d):
 
 def sigma_exponent(a, alpha):
     """Dyadic block decay scale (sum a_i - d(d+1)/2)/beta(alpha) + 1."""
-    a = a if isinstance(a, ExponentTuple) else ExponentTuple(tuple(a))
+    a = ExponentTuple(a)
     d = a.d
     return (a.total - d * (d + 1) / 2.0) / beta_alpha(alpha, d) + 1.0
 
 
 def pushforward_exponent(a, alpha):
     """h-exponent d(d+1)/2 - beta(alpha) - sum a of the pushforward constant."""
-    a = a if isinstance(a, ExponentTuple) else ExponentTuple(tuple(a))
+    a = ExponentTuple(a)
     d = a.d
     return d * (d + 1) / 2.0 - beta_alpha(alpha, d) - a.total
 
@@ -461,7 +459,7 @@ def class_distance(curve, model="plain"):
             diffs.append(dc)
         return _ck_deviation(diffs, curve.d + 1, grid)
 
-    a = model if isinstance(model, ExponentTuple) else ExponentTuple(tuple(model))
+    a = ExponentTuple(model)
     diffs = []
     for i, c in enumerate(curve.coeffs):
         ai = a[i]
@@ -470,10 +468,7 @@ def class_distance(curve, model="plain"):
         scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
         if low.size and np.max(np.abs(low)) > 1e-9 * scale:
             return math.inf
-        phi = c[ai:] if c.size > ai else np.zeros(1)
-        phi = phi.copy()
-        if phi.size == 0:
-            phi = np.zeros(1)
+        phi = c[ai:].copy() if c.size > ai else np.zeros(1)
         phi[0] -= 1.0 / math.factorial(ai)
         diffs.append(phi)
     return _ck_deviation(diffs, a[-1] + 1, grid)
@@ -556,7 +551,7 @@ def weight_scaling_check(curve, tau, h, a, alpha):
     Checks |det M|^{1/beta} |h|^{sigma-1} w_{normalized}(t) = w(h t + tau)
     at 257 points of [1e-3, 1].
     """
-    a = a if isinstance(a, ExponentTuple) else ExponentTuple(tuple(a))
+    a = ExponentTuple(a)
     t_grid = np.linspace(1e-3, 1.0, 257)
     b = beta_alpha(alpha, curve.d)
     sig = sigma_exponent(a, alpha)
@@ -615,7 +610,7 @@ def jacobian_lower_bound(b, ts):
     The implementation constant is 1 / (2 * prod (i-1)!), the same constant
     that enters the separated-support bilinear estimate.
     """
-    b = b if isinstance(b, ExponentTuple) else ExponentTuple(tuple(b))
+    b = ExponentTuple(b)
     n = len(ts)
     if n != b.d:
         raise ValueError("tuple length must match probe length")
@@ -674,7 +669,7 @@ def _phi_minor_functions(curve, b):
     component_i is divisible by t^{b_i}; each leading minor Phi_k is then
     an exact polynomial, built once and evaluated by polyval.
     """
-    b = b if isinstance(b, ExponentTuple) else ExponentTuple(tuple(b))
+    b = ExponentTuple(b)
     n = b.d
     entries = []
     for i in range(n):
@@ -713,7 +708,7 @@ def ik_recursion(curve, probe):
     b = probe.b or curve.a
     if b is None:
         raise ValueError("probe or curve must carry an exponent tuple")
-    b = b if isinstance(b, ExponentTuple) else ExponentTuple(tuple(b))
+    b = ExponentTuple(b)
     ts = probe.ts
     n = len(ts)
     if n < 2:

@@ -343,24 +343,6 @@ def _tensor_axes(targets):
     return axes
 
 
-def _evaluate(targets, gamma_nodes, amp, rules, lam, workers=1):
-    """T at every target on each rule's own nodes: shape (len(rules), m).
-
-    Targets that are a tensor product take the grid contraction per rule
-    (per-axis factors and one GEMM per plane), where `workers` has no
-    effect; any other targets take _scatter.
-    """
-    axes = _tensor_axes(targets)
-    if axes is None:
-        return _scatter(targets, gamma_nodes, amp, rules, lam, workers)
-    ends = np.cumsum([r.n for r in rules])
-    return np.stack([
-        _grid_values([_axis_factor(a, g, lam)
-                      for a, g in zip(axes, gamma_nodes[:, e - r.n : e])],
-                     amp[e - r.n : e]).ravel()
-        for r, e in zip(rules, ends)])
-
-
 def _self_check(setup, f, lam, points, got):
     """Recompute `got` (pieces x points) with every panel split in two,
     through the scattered kernel.
@@ -386,10 +368,12 @@ def extension_eval_pieces(curve, lam, targets, f, pieces, alpha=None, workers=1,
     """T (f 1_I) at each target for each piece I: shape (len(pieces), m).
 
     `pieces` are f or restrict(f, ...) to subintervals.  Each gets the
-    rule, target blocking and self-check extension_eval gives it alone,
-    with f itself as amplitude; curve points and amplitudes are formed
-    once for all nodes.  Since restrict keeps f 1_I for every kind, row k
-    is byte-identical to extension_eval at pieces[k].
+    rule, target blocking and self-check extension_eval gives it alone.
+    Scattered targets take f itself as amplitude, with curve points and
+    amplitudes formed once for all nodes; targets that are a C-order
+    tensor product take extension_eval_grid_family with the pieces as its
+    members.  Since restrict keeps f 1_I for every kind, row k is
+    byte-identical to extension_eval at pieces[k].
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if targets.shape[1] != curve.d:
@@ -399,8 +383,15 @@ def extension_eval_pieces(curve, lam, targets, f, pieces, alpha=None, workers=1,
     xmax = float(np.max(np.linalg.norm(targets, axis=1))) if targets.size else 0.0
     setup = partial(_setup, curve, pieces, lam, xmax, alpha,
                     nodes_per_wavelength)
-    rules, gamma_nodes, amplitude = setup()
-    values = _evaluate(targets, gamma_nodes, amplitude(f), rules, lam, workers)
+    axes = _tensor_axes(targets)
+    if axes is None:
+        rules, gamma_nodes, amplitude = setup()
+        values = _scatter(targets, gamma_nodes, amplitude(f), rules, lam, workers)
+    else:  # the family yields by rule group, so rows are placed by index
+        values = np.empty((len(pieces), targets.shape[0]), dtype=complex)
+        for j, grid in extension_eval_grid_family(curve, lam, axes, pieces, alpha,
+                                                  nodes_per_wavelength):
+            values[j] = grid.ravel()
     if self_check and targets.shape[0] > 0:
         idx = np.arange(0, targets.shape[0], SELF_CHECK_STRIDE)
         _self_check(setup, f, lam, targets[idx], values[:, idx])
@@ -523,15 +514,21 @@ def extension_eval_grid(curve, lam, axes, f, alpha=None, self_check=True,
     return values
 
 
+def check_exponent(name, value, least=1.0):
+    """Raise ValueError naming the input unless least <= value (so NaN
+    fails and infinity passes)."""
+    if not least <= value:
+        raise ValueError(f"{name} must be >= {least:g}, got {value}")
+
+
 def lq_norm(values, mu, q):
     """L^q norm of per-atom values against the measure's weights."""
     values = np.asarray(values)
     if values.shape[0] != mu.n:
         raise ValueError("values not aligned with measure atoms")
+    check_exponent("q", q)
     if q == math.inf:
         return float(np.max(np.abs(values), initial=0.0))
-    if not q >= 1:  # NaN fails this too
-        raise ValueError("q must be >= 1")
     return float(np.sum(mu.weights * np.abs(values) ** q)) ** (1.0 / q)
 
 
@@ -652,22 +649,9 @@ def multilinear_l2(curve, fs, lam, box_r=20.0, tail_target=0.01,
 
 @dataclass(frozen=True)
 class BenchReport:
-    lam: float
-    n_targets: int
     n_nodes: int
     seconds: dict
     checksum: str
-
-    def to_text(self):
-        lines = [
-            f"lambda = {self.lam}",
-            f"targets = {self.n_targets}",
-            f"nodes = {self.n_nodes}",
-            f"checksum = {self.checksum}",
-        ]
-        for w, s in sorted(self.seconds.items()):
-            lines.append(f"seconds_workers_{w} = {s!r}")
-        return "\n".join(lines) + "\n"
 
 
 def throughput_benchmark(curve, lam, n_targets, worker_counts=(1, 2, 4), seed=0):
@@ -691,4 +675,4 @@ def throughput_benchmark(curve, lam, n_targets, worker_counts=(1, 2, 4), seed=0)
             checksum = digest
         elif digest != checksum:
             raise AssertionError("checksum mismatch across worker counts")
-    return BenchReport(lam, n_targets, n_nodes, seconds, checksum)
+    return BenchReport(n_nodes, seconds, checksum)

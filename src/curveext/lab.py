@@ -34,6 +34,7 @@ from .engine import (
     lq_norm,
     trig_poly,
 )
+from .measures import fit_line
 
 SLOPE_TOL = 0.07
 KNAPP_SCALE = 0.1
@@ -62,8 +63,8 @@ class ExponentPair:
     alpha: float
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError("exponents must be >= 1")
+        eng.check_exponent("p", self.p)
+        eng.check_exponent("q", self.q)
 
     @property
     def beta(self):
@@ -105,25 +106,6 @@ def admissible_region(d, alpha, steps=40):
             pair = ExponentPair(p=p, q=1.0 / inv_q, d=d, alpha=alpha)
             rows.append((inv_p, inv_q, pair.status))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# slope fitting
-# ---------------------------------------------------------------------------
-
-
-def fit_line(xs, ys):
-    """Least-squares slope, intercept, and slope standard error in log2."""
-    x = np.log2(np.asarray(xs, dtype=float))
-    y = np.log2(np.asarray(ys, dtype=float))
-    if x.size < 2:
-        raise ValueError("need at least two points for a slope")
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    dof = max(x.size - 2, 1)
-    varx = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(float(np.sum(resid**2)) / dof / varx) if varx else 0.0
-    return float(slope), float(intercept), stderr
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +188,7 @@ class GradedGrid:
         (extension_eval_grid_family); each member keeps only a running
         sum of w |T f|^q, or a running max at q = infinity.
         """
-        if q < 1:
-            raise ValueError("q must be >= 1")
+        eng.check_exponent("q", q)
         acc = [0.0] * len(fs)
         for axes, keep, cell in self.levels:
             for j, values in eng.extension_eval_grid_family(
@@ -220,10 +201,10 @@ class GradedGrid:
                 del values, mod  # before the next member is evaluated
         return [s if q == math.inf else s ** (1.0 / q) for s in acc]
 
-    def extension_lq(self, curve, lam, f, q, alpha=None,
+    def extension_lq(self, curve, lam, f, q,
                      nodes_per_wavelength=eng.NODES_PER_WAVELENGTH):
         """L^q norm of T f against the grid's Lebesgue measure."""
-        return self.family_lq(curve, lam, [f], q, alpha, nodes_per_wavelength)[0]
+        return self.family_lq(curve, lam, [f], q, None, nodes_per_wavelength)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +269,8 @@ def scaling_experiment(curve, p, q, alpha, lam_grid, mu=None, grid=None,
     most -alpha/q plus SLOPE_TOL, vacuous when the family never
     produces a nonzero norm.
     """
+    eng.check_exponent("p", p)
+    eng.check_exponent("q", q)
     lam_grid = tuple(float(l) for l in lam_grid)
     if len(lam_grid) < 6:
         raise ValueError("lambda ladder needs at least 6 points")
@@ -364,6 +347,8 @@ def sharpness_experiment(curve, mu, alpha, p, q, lam_grid, c=KNAPP_SCALE,
     quotient ||T f||_{L^q(mu restricted to R)} lam^{alpha/q} / ||f||_p,
     whose prediction is (beta/q + 1/p - 1)/d.
     """
+    eng.check_exponent("p", p)
+    eng.check_exponent("q", q)
     d = curve.d
     beta = beta_alpha(alpha, d)
     masses, ratios = [], []
@@ -431,8 +416,7 @@ def multilinear_lq_check(curve, fs, mu, lam, q, npw=eng.NODES_PER_WAVELENGTH):
     asserted rather than derived), and the certified Plancherel bound for
     the L^2(dx) factor.  Requires q >= 2.
     """
-    if q < 2:
-        raise ValueError("the chain needs q >= 2")
+    eng.check_exponent("q", q, least=2.0)
     vals = np.ones(mu.n, dtype=complex)
     for f in fs:
         vals *= extension_eval(curve, lam, mu.atoms, f,
@@ -487,7 +471,7 @@ def pushforward_mass_exponent(mu, a, h_list, rho):
     d(d+1)/2 - beta - sum(a), matching the certified constant's scaling.
     Returns (fitted_exponent, predicted_exponent, masses).
     """
-    a = a if isinstance(a, ExponentTuple) else ExponentTuple(tuple(a))
+    a = ExponentTuple(a)
     masses = []
     for h in h_list:
         spec = ms.PushforwardSpec(a=a, h=float(h))
@@ -586,7 +570,7 @@ def rescaling_exponent_scan(curve, tau, mu, alpha, p, q, lam, h_list,
 
 def block_decay_rate(a, alpha, p, q):
     """Predicted per-block log2 decay: sigma(a, alpha)(1 - beta/q - 1/p)."""
-    a = a if isinstance(a, ExponentTuple) else ExponentTuple(tuple(a))
+    a = ExponentTuple(a)
     beta = beta_alpha(alpha, a.d)
     return sigma_exponent(a, alpha) * (1.0 - beta / q - 1.0 / p)
 

@@ -278,8 +278,22 @@ def make_cantor(d, ratio, depth):
 
 
 # ---------------------------------------------------------------------------
-# regularity audit
+# log-log slopes and the regularity audit
 # ---------------------------------------------------------------------------
+
+
+def fit_line(xs, ys):
+    """Least-squares slope, intercept, and slope standard error in log2."""
+    x = np.log2(np.asarray(xs, dtype=float))
+    y = np.log2(np.asarray(ys, dtype=float))
+    if x.size < 2:
+        raise ValueError("need at least two points for a slope")
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    dof = max(x.size - 2, 1)
+    varx = float(np.sum((x - x.mean()) ** 2))
+    stderr = math.sqrt(float(np.sum(resid**2)) / dof / varx) if varx else 0.0
+    return float(slope), float(intercept), stderr
 
 
 def _ball_masses(tree, weights, centers, radii):
@@ -360,10 +374,7 @@ def regularity_audit(mu, n_centers=AUDIT_CENTERS, seed=0):
             worst = float(ratios[k])
             worst_center = live[k]
             worst_radius = rho
-    if len(fit_r) > 1:
-        fit = float(np.polyfit(np.log2(fit_r), np.log2(fit_m), 1)[0])
-    else:
-        fit = float("nan")
+    fit = fit_line(fit_r, fit_m)[0] if len(fit_r) > 1 else float("nan")
     return AuditReport(
         c_est=worst,
         exponent_fit=fit,
@@ -390,12 +401,8 @@ class PushforwardSpec:
     def __post_init__(self):
         if not (0.0 < abs(self.h) <= 1.0):
             raise ValueError("h must satisfy 0 < |h| <= 1")
-        a = self.a if isinstance(self.a, ExponentTuple) else ExponentTuple(tuple(self.a))
-        object.__setattr__(self, "a", a)
-        m = self.matrix
-        if m is None:
-            m = np.eye(a.d)
-        m = np.asarray(m, dtype=float)
+        object.__setattr__(self, "a", ExponentTuple(self.a))
+        m = np.eye(self.a.d) if self.matrix is None else np.asarray(self.matrix, dtype=float)
         if abs(np.linalg.det(m)) < 1e-300:
             raise ValueError("matrix A must be nonsingular")
         object.__setattr__(self, "matrix", m)
@@ -512,6 +519,4 @@ def mollified_slope(mu, lams, candidates=None):
     if not mu.total_mass() > 0.0:
         raise ValueError(f"mollified_slope needs positive mass; {mu.generator!r} has none")
     vals = _mollified_sups(mu, lams, candidates)
-    x = np.log2(np.asarray(lams, dtype=float))
-    y = np.log2(np.asarray(vals))
-    return float(np.polyfit(x, y, 1)[0]), vals
+    return fit_line(lams, vals)[0], vals

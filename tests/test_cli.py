@@ -223,6 +223,26 @@ seed = 0
         assert not (tmp_path / "o").exists()
 
 
+class TestExponentKeys:
+    """An [experiment] p or q below 1 or NaN, or an alpha outside (0, d],
+    is a config error before the output directory is made."""
+
+    MEASURE = "kind = lebesgue\nd = 2\nhalf = 2.0\nresolution = 8\ngrading_levels = 1"
+
+    @pytest.mark.parametrize("command", ["scaling", "sharpness", "finitetype"])
+    @pytest.mark.parametrize("line", ["q = nan", "p = 0.5", "alpha = nan"])
+    def test_exit_2_before_output(self, tmp_path, command, line):
+        # these used to run: scaling exited 0 (vacuous) at q = nan and 3
+        # otherwise, sharpness 3 at p = 0.5, the rest raised out of main
+        key = line.split()[0]
+        body = "\n".join(
+            line if l.startswith(f"{key} =") else l
+            for l in TestMeasureMismatch.BODY.format(measure=self.MEASURE).splitlines())
+        cfg = write_config(tmp_path, body)
+        assert cli.main([command, cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+
 class TestDecomposeScales:
     """A [experiment] scales key that is no dyadic family of depth d - 1
     is a config error before the output directory is made."""

@@ -463,6 +463,20 @@ def test_tensor_pieces_rows_equal_single_evaluations(alpha):
         assert row.tobytes() == one.tobytes()
 
 
+def test_tensor_pieces_rows_in_input_order():
+    # the grid family yields A's group (rows 0 and 2) before B's (row 1),
+    # so rows written in the order they come would put A in row 1
+    mu = ms.make_cantor(2, 1 / 3, 4)
+    curve = model_curve(2)
+    f = eng.trig_poly(7, degree=8)
+    a, b = eng.restrict(f, 0.0, 0.5), eng.restrict(f, 0.5, 1.0)
+    pieces = [a, b, a, f]
+    rows = eng.extension_eval_pieces(curve, 32.0, mu.atoms, f, pieces)
+    for row, piece in zip(rows, pieces):
+        one = eng.extension_eval(curve, 32.0, mu.atoms, piece)
+        assert row.tobytes() == one.tobytes()
+
+
 def test_tensor_targets_self_check_raises_on_starved_budget():
     targets = ms._product(np.array([3.0, 3.5]), np.array([2.0, 2.5]))
     assert eng._tensor_axes(targets) is not None
@@ -521,6 +535,18 @@ def test_weighted_value_at_origin_is_weight_integral():
     expected = 2.0 ** (-1.0 / 3.0) * 3.0 / 5.0
     assert v[0].real == pytest.approx(expected, abs=1e-8)
     assert v[0].imag == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("value, least, ok", [
+    (1.0, 1.0, True), (math.inf, 1.0, True), (math.inf, 2.0, True),
+    (0.5, 1.0, False), (1.5, 2.0, False), (math.nan, 1.0, False),
+    (-math.inf, 1.0, False)])
+def test_check_exponent_fails_nan_and_passes_infinity(value, least, ok):
+    if ok:
+        eng.check_exponent("q", value, least=least)
+    else:
+        with pytest.raises(ValueError, match=f"q must be >= {least:g}, got"):
+            eng.check_exponent("q", value, least=least)
 
 
 def test_lq_norm_contracts():
@@ -611,4 +637,3 @@ def test_benchmark_report_runs_small():
     rep = eng.throughput_benchmark(g, 64.0, 300, worker_counts=(1, 2))
     assert rep.checksum
     assert set(rep.seconds) == {1, 2}
-    assert "checksum" in rep.to_text()

@@ -42,6 +42,13 @@ class TestExponentPair:
             grids[alpha] = {(a, b) for a, b, s in rows if s == "admissible"}
         assert grids[2.0] <= grids[1.5] <= grids[1.0]
 
+    @pytest.mark.parametrize("p, q", [(math.nan, math.nan), (math.nan, 8.0),
+                                      (math.inf, math.nan)])
+    def test_nan_exponent_rejected(self, p, q):
+        # NaN passed `p < 1 or q < 1` and the pair reported "excluded"
+        with pytest.raises(ValueError, match="must be >= 1, got nan"):
+            lab.ExponentPair(p=p, q=q, d=2, alpha=2.0)
+
     def test_region_beta_consistency(self):
         pair = lab.ExponentPair(p=4.0, q=8.0, d=2, alpha=2.0)
         from curveext.curves import beta_alpha
@@ -130,10 +137,19 @@ class TestGradedGrid:
             fp = f.lp_norm(2.0)
             if fp == 0.0:
                 continue
-            member = grid.extension_lq(curve, 16.0, f, q, alpha=alpha) / fp
+            member = grid.family_lq(curve, 16.0, [f], q, alpha=alpha)[0] / fp
             if member > best:
                 best, ref = member, name
         assert type(val) is float and (val, label) == (best, ref)
+
+    def test_nan_q_rejected(self):
+        # NaN passed `q < 1` and the norm came back NaN
+        grid = lab.GradedGrid(2, 2.0, 8, 1)
+        f = eng.indicator(0.0, 1.0)
+        with pytest.raises(ValueError, match="q must be >= 1, got nan"):
+            grid.family_lq(model_curve(2), 8.0, [f], math.nan)
+        with pytest.raises(ValueError, match="q must be >= 1, got nan"):
+            grid.extension_lq(model_curve(2), 8.0, f, math.nan)
 
     def test_sup_norm_mode(self):
         grid = lab.GradedGrid(2, 2.0, 8, 2)
@@ -184,6 +200,16 @@ class TestScaling:
         with pytest.raises(ValueError, match="measure mu or a grid"):
             lab.scaling_experiment(model_curve(2), math.inf, 8.0, 2.0,
                                    [2.0**k for k in range(2, 8)])
+
+    @pytest.mark.parametrize("p, q, name", [(math.nan, 8.0, "p"), (0.5, 8.0, "p"),
+                                            (2.0, math.nan, "q")])
+    def test_bad_exponent_rejected(self, p, q, name):
+        # p = NaN gave slope NaN and p = 0.5 ran; q = NaN on a grid gave
+        # NaN norms
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got"):
+            lab.scaling_experiment(model_curve(2), p, q, 2.0,
+                                   [2.0**k for k in range(2, 8)],
+                                   grid=lab.GradedGrid(2, 2, 8, 1))
 
     def test_ladder_validation(self):
         with pytest.raises(ValueError):
@@ -241,6 +267,13 @@ class TestSharpness:
         pred = lab.quotient_slope_prediction(1.0, 2, math.inf, 4.0)
         assert abs(rep.ratio_slope - pred) <= 0.07
 
+    @pytest.mark.parametrize("p", [math.nan, 0.5])
+    def test_bad_p_rejected(self, p):
+        # p = NaN gave NaN ratios and p = 0.5 ran
+        mu = ms.make_lebesgue(2, resolution=8)
+        with pytest.raises(ValueError, match="p must be >= 1, got"):
+            lab.sharpness_experiment(model_curve(2), mu, 2.0, p, 4.0, self.LAMS)
+
     def test_lebesgue_rectangle_closed_form(self):
         masses = [lab.lebesgue_rectangle_mass(2, l) for l in self.LAMS]
         slope = lab.fit_line(self.LAMS, masses)[0]
@@ -283,6 +316,13 @@ class TestMultilinearLq:
         with pytest.raises(ValueError):
             lab.multilinear_lq_check(model_curve(2), [eng.indicator(0, 1)],
                                      mu, 16.0, 1.5)
+
+    def test_nan_q_rejected(self):
+        # NaN passed `q < 2`; lq_norm refused it only after the extensions
+        mu = ms.make_lebesgue(2, box=(-2.0, 2.0), resolution=16)
+        with pytest.raises(ValueError, match="q must be >= 2, got nan"):
+            lab.multilinear_lq_check(model_curve(2), [eng.indicator(0, 1)],
+                                     mu, 16.0, math.nan)
 
     def test_knapp_slope_d2(self):
         lams = [2.0**k for k in range(4, 9)]
