@@ -384,10 +384,14 @@ def cmd_finitetype(args):
     p, q, alpha = exponents_from_config(cfg, curve.d)
     lams = lambda_grid_from_config(cfg)
     grid = grid_from_config(cfg, curve, 8.0, 128, 9)
+    tau = _get(cfg, "experiment", "tau", float, 0.0)
+    try:
+        lab.finite_type_frame(curve, tau, alpha, p, q)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out = OutputDir(args.out, force=args.force, config_hash=chash)
     reports, slope, target, verdict = lab.finite_type_pipeline(
-        curve, _get(cfg, "experiment", "tau", float, 0.0), grid, alpha, p,
-        q, lams,
+        curve, tau, grid, alpha, p, q, lams,
         n_blocks=_get(cfg, "experiment", "blocks", int, 7),
         fit_blocks=_get(cfg, "experiment", "fit_blocks", int, 5),
         npw=_get(cfg, "experiment", "nodes_per_wavelength", float, 6.0))

@@ -103,13 +103,14 @@ def interval_values(f, family, curve, lam, targets, workers=1):
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     full = engine.extension_eval(curve, lam, targets, f, workers=workers)
-    pieces = [engine.restrict(f, float(iv.lo), float(iv.hi))
-              for iv in family.intervals(family.depth)]
+    # k a is exact in floats: a is a power of 1/2
+    a = float(family.lengths[-1])
+    pieces = [engine.restrict(f, k * a, (k + 1) * a) for k in range(int(1 / a))]
     table = engine.extension_eval_pieces(curve, lam, targets, f, pieces,
                                          workers=workers)
     tables = {}
     for level in range(family.depth, 0, -1):
-        table = table.reshape(len(family.intervals(level)), -1,
+        table = table.reshape(int(1 / family.lengths[level - 1]), -1,
                               targets.shape[0]).sum(axis=1)
         resid = float(np.max(np.abs(table.sum(axis=0) - full)))
         if resid > TELESCOPE_TOL:
@@ -196,25 +197,26 @@ def inductive_split(j, parents, child_values, family):
 def best_separated_tuple(values, size):
     """Max product over `size`-tuples of indices pairwise >= 2 apart.
 
-    Exact dynamic program, left to right: best[s][i] is the best (product,
-    tuple) of s indices below i, either best[s][i - 1] or best[s - 1][i - 2]
-    extended by i - 1.  Products are formed left to right, as np.prod forms
-    them over the sorted tuple; equal products keep the lexicographically
-    smaller tuple.  Returns (None, 0.0) when no product is positive.
+    Exact dynamic program, one array pass per size: best[s][i] (s indices
+    below i) is the running max from 0 of best[s - 1][max(i - 2, 0)] *
+    values[i - 1], products formed left to right as np.prod forms them.
+    Walking back, each size's first i reaching its best gives index i - 1:
+    among equal products the lexicographically smallest tuple, since the
+    best tuple below i only grows with i.  (None, 0.0) if none is positive.
     """
-    vals = [float(v) for v in values]
-    prev = [(1.0, ())] * (len(vals) + 1)  # size 0: the empty tuple
+    vals = np.asarray(values, dtype=float)
+    bests = [np.ones(vals.size + 1)]  # size 0: the empty tuple, product 1
     for _ in range(size):
-        cur = [(0.0, None)]
-        for i, v in enumerate(vals, 1):
-            p, tup = prev[max(i - 2, 0)]
-            prod, best = p * v, cur[-1]
-            if prod > best[0] or (prod == best[0] > 0
-                                  and tup + (i - 1,) < best[1]):
-                best = (prod, tup + (i - 1,))
-            cur.append(best)
-        prev = cur
-    return prev[-1][::-1]
+        c = bests[-1][np.maximum(np.arange(vals.size) - 1, 0)] * vals
+        bests.append(np.maximum.accumulate(np.concatenate(([0.0], c))))
+    if not bests[-1][-1] > 0.0:
+        return None, 0.0
+    tup, i = [], vals.size
+    for best in bests[:0:-1]:
+        i = int(np.searchsorted(best[: i + 1], best[i]))
+        tup.append(i - 1)
+        i = max(i - 2, 0)
+    return tuple(tup[::-1]), float(bests[-1][-1])
 
 
 @dataclass(frozen=True)

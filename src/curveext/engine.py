@@ -1,8 +1,8 @@
 """Oscillatory extension-operator evaluation at desk scale.
 
 Computes T f(x) = integral of exp(i lambda x.gamma(t)) f(t) dt over panels
-of Gauss-Legendre nodes sized to the oscillation budget, batched over
-target points as dense complex matrix products, or factored per axis when
+of Gauss-Legendre nodes sized to the oscillation budget, one exp per
+target block and node chunk of whole pieces, or factored per axis when
 the targets are a tensor product.  Summation order is fixed (node chunks
 combined by compensated addition per target), so results are
 byte-identical regardless of worker partitioning.
@@ -25,6 +25,7 @@ from .measures import _product
 NODES_PER_WAVELENGTH = 10
 PANEL_ORDER = 16
 NODE_CHUNK = 8192
+SCATTER_CHUNK = 256
 PHASE_RESTART = 64
 TARGET_BLOCK = 256
 SELF_CHECK_STRIDE = 100
@@ -119,7 +120,7 @@ class TestFunction:
         # bump and trig: dense panel quadrature on the support
         n = max(int(self.bandwidth() * self.width * 4), 256)
         edges = np.linspace(self.lo, self.hi, n // PANEL_ORDER + 2)
-        ts, ws = _panel_nodes(edges)
+        ts, ws = _panel_nodes(edges[:-1], edges[1:])
         vals = np.abs(self(ts))
         if p == math.inf:
             return float(np.max(vals))
@@ -173,85 +174,99 @@ def pullback(f, tau, h):
 # ---------------------------------------------------------------------------
 
 
-def _panel_nodes(edges):
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    ts = (mids[:, None] + halves[:, None] * _GLX[None, :]).ravel()
-    ws = (halves[:, None] * _GLW[None, :]).ravel()
+def _panel_nodes(lo, hi):
+    """Gauss-Legendre nodes and weights on the panels [lo_k, hi_k]."""
+    mids = 0.5 * (lo + hi)
+    halves = 0.5 * (hi - lo)
+    ts = (mids[:, None] + halves[:, None] * _GLX).ravel()
+    ws = (halves[:, None] * _GLW).ravel()
     return ts, ws
 
 
-def _graded_edges(lo, hi, base_width, grade_points):
-    """Panel edges on [lo, hi], geometric (ratio 2) toward each grade point."""
-    cuts = {lo, hi}
-    for p in grade_points:
-        if lo < p < hi:
-            cuts.add(float(p))
-    segs = sorted(cuts)
-    edges = [lo]
+def _graded_cuts(lo, hi, grade_points):
+    """lo, hi and the sorted cuts between them: each grade point inside,
+    and geometric (ratio 2) cuts toward each graded segment end."""
+    segs = sorted({lo, hi} | {float(p) for p in grade_points if lo < p < hi})
+    cuts = set(segs)
     for a, b in zip(segs[:-1], segs[1:]):
-        sub = [a, b]
-        # geometric refinement toward a graded endpoint
         for endpoint, mirror in ((a, False), (b, True)):
-            if endpoint in grade_points or any(
-                abs(endpoint - p) < 1e-15 for p in grade_points
-            ):
-                pts = []
+            if any(abs(endpoint - p) < 1e-15 for p in grade_points):
                 w = b - a
                 while w / 2.0 > GRADE_MIN_WIDTH:
                     w /= 2.0
-                    pts.append(a + w if not mirror else b - w)
-                sub.extend(pts)
-        sub = sorted(set(sub))
-        # uniform split of each piece to the oscillation budget
-        for a2, b2 in zip(sub[:-1], sub[1:]):
-            n = max(1, int(math.ceil((b2 - a2) / base_width)))
-            edges.extend(np.linspace(a2, b2, n + 1)[1:])
-    return np.asarray(sorted(set(edges)))
+                    cuts.add(a + w if not mirror else b - w)
+    return sorted(cuts)
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Panelized nodes/weights for one support interval and oscillation budget."""
+    """Panelized nodes/weights for support intervals and an oscillation
+    budget; the first counts[0] nodes are piece 0's, the next piece 1's..."""
 
     nodes: np.ndarray
     weights: np.ndarray
     omega: float
+    counts: np.ndarray
 
     @property
     def n(self):
         return self.nodes.size
 
 
-def build_rule(f, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
-               grade_points=(), split=1):
-    """Rule over supp f resolving `omega` radians per unit t.
+def build_rules(pieces, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
+                grade_points=None, split=1):
+    """One rule holding each piece's own rule, in piece order.
 
     Panel width keeps wavelengths-per-panel at PANEL_ORDER /
-    nodes_per_wavelength; grade points get geometrically refined panels
-    (weight singularities).  `split` > 1 then halves (thirds, ...) every
-    panel, graded ones included: the self-check's finer rule, which must
-    differ from the coarse one even when the support is narrower than one
-    panel.
+    nodes_per_wavelength; grade points (one tuple per piece) get
+    geometrically refined panels (weight singularities).  `split` > 1 then
+    halves (thirds, ...) every panel, graded ones included: the
+    self-check's finer rule, which must differ from the coarse one even
+    when the support is narrower than one panel.  Python lists each
+    piece's segments; one numpy pass places all nodes.  omega is the
+    largest piece's.
     """
-    lo, hi = f.lo, f.hi
-    if hi <= lo:
-        return QuadratureRule(np.zeros(0), np.zeros(0), omega)
-    omega_tot = omega + f.bandwidth()
-    base = (2.0 * math.pi / max(omega_tot, 1e-9)) * PANEL_ORDER / nodes_per_wavelength
-    base = min(base, hi - lo)
-    # the uniform panels alone, before any array is built; grading only adds
-    nodes = math.ceil((hi - lo) / base) * split * PANEL_ORDER
-    if nodes > MAX_NODES:
-        raise QuadratureBudgetError(
-            f"rule at omega={omega_tot:.3e} needs {nodes} nodes, "
-            f"over MAX_NODES={MAX_NODES}")
-    edges = _graded_edges(lo, hi, base, tuple(grade_points))
+    segs, counts, omega_max = [], [], omega
+    for k, f in enumerate(pieces):
+        if f.hi <= f.lo:
+            counts.append(0)
+            continue
+        omega_tot = omega + f.bandwidth()
+        base = (2.0 * math.pi / max(omega_tot, 1e-9)) * PANEL_ORDER / nodes_per_wavelength
+        base = min(base, f.hi - f.lo)
+        # the uniform panels alone, before any array is built; grading only adds
+        nodes = math.ceil((f.hi - f.lo) / base) * split * PANEL_ORDER
+        if nodes > MAX_NODES:
+            raise QuadratureBudgetError(
+                f"rule at omega={omega_tot:.3e} needs {nodes} nodes, "
+                f"over MAX_NODES={MAX_NODES}")
+        cuts = (_graded_cuts(f.lo, f.hi, grade_points[k])
+                if grade_points and grade_points[k] else (f.lo, f.hi))
+        # each segment in equal panels at most base wide
+        panels = [max(1, math.ceil((b - a) / base)) for a, b in zip(cuts[:-1], cuts[1:])]
+        segs += zip(cuts[:-1], cuts[1:], panels)
+        counts.append(sum(panels) * split * PANEL_ORDER)
+        omega_max = max(omega_max, omega_tot)
+    a, b, n = np.array(segs, dtype=float).reshape(-1, 3).T
+    n = n.astype(int)
+    ends = n.cumsum()
+    # the points np.linspace(a, b, n + 1) forms: a + i (b - a) / n, then b
+    left = (np.arange(n.sum()) - (ends - n).repeat(n)) * ((b - a) / n).repeat(n) + a.repeat(n)
+    right = np.append(left[1:], b[-1:])
+    right[ends - 1] = b
     if split > 1:
-        steps = np.diff(edges)[:, None] * (np.arange(split) / split)[None, :]
-        edges = np.append((edges[:-1, None] + steps).ravel(), edges[-1])
-    ts, ws = _panel_nodes(edges)
-    return QuadratureRule(ts, ws, omega_tot)
+        left = left[:, None] + (right - left)[:, None] * (np.arange(split) / split)
+        right = np.concatenate((left[:, 1:], right[:, None]), axis=1).ravel()
+        left = left.ravel()
+    ts, ws = _panel_nodes(left, right)
+    return QuadratureRule(ts, ws, omega_max, np.array(counts, dtype=int))
+
+
+def build_rule(f, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
+               grade_points=(), split=1):
+    """Rule over supp f resolving `omega` radians per unit t: the
+    one-piece case of build_rules."""
+    return build_rules([f], omega, nodes_per_wavelength, [tuple(grade_points)], split)
 
 
 def weight_zeros(curve, lo=0.0, hi=1.0):
@@ -268,68 +283,68 @@ def weight_zeros(curve, lo=0.0, hi=1.0):
 
 
 def _setup(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1):
-    """Rules for T up to |x| = xmax, one per piece, and their nodes' data.
-
-    Each piece (a function, or one restricted to a subinterval) gets the
-    rule build_rule gives it alone.  Returns the rules, the curve points
-    (d, n) of all their nodes in order, and amplitude(f) = f(t) w(t)
-    [affine weight] over those nodes for any f.
-    """
+    """The rule for T up to |x| = xmax over all pieces (each a function or
+    one restricted to a subinterval), its nodes' curve points (d, n), and
+    amplitude(f) = f(t) w(t) [affine weight] over its nodes for any f."""
     omega = lam * xmax * curve.velocity_sup()
-    rules = [build_rule(p, omega, nodes_per_wavelength, split=split,
-                        grade_points=() if alpha is None
-                        else weight_zeros(curve, p.lo, p.hi))
-             for p in pieces]
-
-    def joined(field):  # joined per use: no copy outlives the set-up
-        return np.concatenate([getattr(r, field) for r in rules])
-
-    aw = None if alpha is None else affine_weight(curve, alpha, joined("nodes"))
+    grades = None if alpha is None else [weight_zeros(curve, p.lo, p.hi) for p in pieces]
+    rule = build_rules(pieces, omega, nodes_per_wavelength, grades, split)
+    aw = None if alpha is None else affine_weight(curve, alpha, rule.nodes)
 
     def amplitude(f):
-        amp = f(joined("nodes")) * joined("weights")
+        amp = f(rule.nodes) * rule.weights
         return (amp if aw is None else amp * aw).astype(complex)
 
-    return rules, curve.point(joined("nodes")).T.copy(), amplitude
+    return rule, curve.point(rule.nodes).T.copy(), amplitude
 
 
-def _eval_block(block, gamma_nodes, amp, lam):
-    """Fixed-order chunked sum with compensated cross-chunk accumulation."""
-    m = block.shape[0]
-    s = np.zeros(m, dtype=complex)
-    comp = np.zeros(m, dtype=complex)
-    for a0 in range(0, gamma_nodes.shape[1], NODE_CHUNK):
-        g = gamma_nodes[:, a0 : a0 + NODE_CHUNK]
-        phase = lam * (block @ g)
-        part = np.exp(1j * phase) @ amp[a0 : a0 + NODE_CHUNK]
-        y = part - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-    return s
+def _chunks(counts):
+    """[start, stop, offsets, pieces] per node chunk: whole consecutive pieces, at
+    most max(largest, SCATTER_CHUNK) nodes, or NODE_CHUNK of a larger piece."""
+    cap = min(max(max(counts, default=0), SCATTER_CHUNK), NODE_CHUNK)
+    chunks, stop = [], 0
+    for k, n in enumerate(counts):
+        for a in range(stop, stop + n, NODE_CHUNK):
+            b = min(a + NODE_CHUNK, stop + n)
+            if chunks and b - chunks[-1][0] <= cap:
+                chunks[-1][1:] = b, chunks[-1][2] + [a - chunks[-1][0]], chunks[-1][3] + [k]
+            else:
+                chunks.append([a, b, [0], [k]])
+        stop += n
+    return chunks
 
 
-def _scatter(targets, gamma_nodes, amp, rules, lam, workers=1):
-    """T at every target on each rule's own nodes: shape (len(rules), m).
-
-    One m x n phase matrix per rule; node order and target blocking are
-    fixed, so the worker count never changes the result bytes.
-    """
+def _scatter(targets, gamma_nodes, amp, counts, lam, workers=1):
+    """T at every target on each piece's nodes (counts[k] of them, in
+    order): shape (len(counts), m).  Per target block and node chunk, one
+    exp of the phase sum_k x_k gamma_k and np.add.reduceat per piece; a
+    piece's chunks add up by compensated addition, so no piece's value
+    depends on another piece or on the worker count."""
     m = targets.shape[0]
-    ends = np.cumsum([r.n for r in rules])
-    jobs = [(targets[i : i + TARGET_BLOCK], slice(e - r.n, e))
-            for r, e in zip(rules, ends) for i in range(0, m, TARGET_BLOCK)]
+    jobs = [(i, c) for i in range(0, m, TARGET_BLOCK) for c in _chunks(counts.tolist())]
 
     def run(job):
-        block, nodes = job
-        return _eval_block(block, gamma_nodes[:, nodes], amp[nodes], lam)
+        i, (a, b, offsets, _) = job
+        phase = sum(x[:, None] * g for x, g in zip(targets[i : i + TARGET_BLOCK].T,
+                                                   gamma_nodes[:, a:b]))
+        terms = np.exp(1j * lam * phase)
+        terms *= amp[a:b]  # in place: a product array would raise the peak
+        return np.add.reduceat(terms, offsets, axis=1).T
 
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, jobs))
     else:
         parts = [run(job) for job in jobs]
-    return np.concatenate([np.zeros(0, dtype=complex)] + parts).reshape(len(rules), m)
+    values = np.zeros((len(counts), m), dtype=complex)
+    comp = np.zeros_like(values)
+    for (i, (_, _, _, ks)), part in zip(jobs, parts):
+        at = (ks, slice(i, i + TARGET_BLOCK))
+        y = part - comp[at]
+        t = values[at] + y
+        comp[at] = (t - values[at]) - y
+        values[at] = t
+    return values
 
 
 def _tensor_axes(targets):
@@ -347,18 +362,17 @@ def _self_check(setup, f, lam, points, got):
     """Recompute `got` (pieces x points) with every panel split in two,
     through the scattered kernel.
 
-    `setup(split=...)` rebuilds the rules that gave `got`; disagreement
+    `setup(split=...)` rebuilds the rule that gave `got`; disagreement
     beyond the absolute tolerance raises QuadratureBudgetError.
     """
     fine, gamma_nodes, amplitude = setup(split=2)
-    ref = _scatter(points, gamma_nodes, amplitude(f), fine, lam)
+    ref = _scatter(points, gamma_nodes, amplitude(f), fine.counts, lam)
     err = float(np.max(np.abs(got - ref), initial=0.0))
     if err > SELF_CHECK_TOL:
-        rules = setup()[0]
+        rule = setup()[0]
         raise QuadratureBudgetError(
             f"self-check error {err:.3e} at lambda={lam}, "
-            f"nodes={sum(r.n for r in rules)}, "
-            f"omega={max(r.omega for r in rules):.3e}"
+            f"nodes={rule.n}, omega={rule.omega:.3e}"
         )
 
 
@@ -369,8 +383,9 @@ def extension_eval_pieces(curve, lam, targets, f, pieces, alpha=None, workers=1,
 
     `pieces` are f or restrict(f, ...) to subintervals.  Each gets the
     rule, target blocking and self-check extension_eval gives it alone.
-    Scattered targets take f itself as amplitude, with curve points and
-    amplitudes formed once for all nodes; targets that are a C-order
+    Scattered targets take f itself as amplitude, with one rule pass,
+    curve points and amplitudes for all nodes and one phase pass per node
+    chunk (see _scatter); targets that are a C-order
     tensor product take extension_eval_grid_family with the pieces as its
     members.  Since restrict keeps f 1_I for every kind, row k is
     byte-identical to extension_eval at pieces[k].
@@ -385,8 +400,8 @@ def extension_eval_pieces(curve, lam, targets, f, pieces, alpha=None, workers=1,
                     nodes_per_wavelength)
     axes = _tensor_axes(targets)
     if axes is None:
-        rules, gamma_nodes, amplitude = setup()
-        values = _scatter(targets, gamma_nodes, amplitude(f), rules, lam, workers)
+        rule, gamma_nodes, amplitude = setup()
+        values = _scatter(targets, gamma_nodes, amplitude(f), rule.counts, lam, workers)
     else:  # the family yields by rule group, so rows are placed by index
         values = np.empty((len(pieces), targets.shape[0]), dtype=complex)
         for j, grid in extension_eval_grid_family(curve, lam, axes, pieces, alpha,

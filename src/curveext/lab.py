@@ -640,6 +640,16 @@ def finite_type_blocks(curve, grid, a, alpha, p, q, lam, n_blocks=7,
         aggregate=float(np.sum(norms)))
 
 
+def finite_type_frame(curve, tau, alpha, p, q):
+    """The curve translated so tau sits at 0, and its finite type there;
+    ValueError unless that type is finite and (p, q) admissible."""
+    shifted = translate_curve(curve, tau)
+    a = detect_finite_type(shifted, 0.0).a
+    if not ExponentPair(p=p, q=q, d=curve.d, alpha=alpha).admissible:
+        raise ValueError(f"(p, q) = ({p}, {q}) is not admissible")
+    return shifted, a
+
+
 def finite_type_pipeline(curve, tau, grid, alpha, p, q, lam_grid,
                          n_blocks=7, fit_blocks=5,
                          npw=eng.NODES_PER_WAVELENGTH,
@@ -652,11 +662,7 @@ def finite_type_pipeline(curve, tau, grid, alpha, p, q, lam_grid,
     the per-lambda block reports plus the aggregate slope and its
     verdict against -alpha/q.
     """
-    shifted = translate_curve(curve, tau)
-    ft = detect_finite_type(shifted, 0.0)
-    a = ft.a
-    if not ExponentPair(p=p, q=q, d=curve.d, alpha=alpha).admissible:
-        raise ValueError(f"(p, q) = ({p}, {q}) is not admissible")
+    shifted, a = finite_type_frame(curve, tau, alpha, p, q)
     reports = []
     for lam in lam_grid:
         reports.append(finite_type_blocks(

@@ -243,6 +243,39 @@ class TestExponentKeys:
         assert not (tmp_path / "o").exists()
 
 
+class TestFiniteTypeInputs:
+    """finitetype's exponent pair must be admissible and its curve of
+    finite type at tau, else a config error before the output directory
+    is made."""
+
+    @pytest.mark.parametrize("curve, exponents", [
+        # passes the exponent gate, but q < 2 d: used to make --out and
+        # then raise ValueError out of main
+        ("kind = model\nd = 2", "p = 1\nq = 2\nalpha = 2.0"),
+        # a line: no nonsingular frame at tau = 0
+        ("kind = poly\nd = 2\ncoeffs1 = 0 1\ncoeffs2 = 0 2", "p = 4\nq = 8\nalpha = 2.0"),
+    ])
+    def test_exit_2_before_output(self, tmp_path, curve, exponents):
+        cfg = write_config(tmp_path, f"""
+[curve]
+{curve}
+
+[measure]
+half = 2.0
+resolution = 8
+grading_levels = 1
+
+[experiment]
+{exponents}
+lambda_min_exp = 2
+lambda_max_exp = 4
+blocks = 2
+fit_blocks = 2
+""")
+        assert cli.main(["finitetype", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+
 class TestDecomposeScales:
     """A [experiment] scales key that is no dyadic family of depth d - 1
     is a config error before the output directory is made."""

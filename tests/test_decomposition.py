@@ -129,13 +129,14 @@ def test_interval_values_worker_count_byte_identical():
 
 def test_interval_values_self_check_raises_on_starved_budget(monkeypatch):
     # the whole-support rule keeps its budget; only the pieces' rules starve
-    build_rule = eng.build_rule
+    build_rules = eng.build_rules
 
-    def starved(f, omega, nodes_per_wavelength, **kw):
-        return build_rule(f, omega, 0.5 if f.width < 1.0 else nodes_per_wavelength,
-                          **kw)
+    def starved(pieces, omega, nodes_per_wavelength, *args):
+        narrow = max(p.width for p in pieces) < 1.0
+        return build_rules(pieces, omega, 0.5 if narrow else nodes_per_wavelength,
+                           *args)
 
-    monkeypatch.setattr(eng, "build_rule", starved)
+    monkeypatch.setattr(eng, "build_rules", starved)
     with pytest.raises(eng.QuadratureBudgetError):
         dc.interval_values(eng.indicator(0.0, 1.0), dc.DyadicFamily.default(2),
                            model_curve(2), 512.0, np.array([[3.0, 2.0]]))
@@ -209,20 +210,56 @@ def _tuple_oracle(values, size):
     return best_tuple, best
 
 
-def test_best_separated_tuple_matches_brute_force():
-    rng = np.random.default_rng(4)
-    draws = {
+def _tuple_draws(rng):
+    return {
         "random": lambda n: rng.uniform(0, 1, n),
         "ties": lambda n: rng.integers(0, 4, n).astype(float),
         "half_zero": lambda n: rng.uniform(0, 1, n) * (rng.uniform(size=n) < 0.5),
         "constant": lambda n: np.full(n, rng.uniform(0, 2)),
     }
-    for kind, draw in draws.items():
+
+
+def test_best_separated_tuple_matches_brute_force():
+    for kind, draw in _tuple_draws(np.random.default_rng(4)).items():
         for size in (2, 3):
             for n in range(1, 41):
                 values = draw(n)
                 got = dc.best_separated_tuple(values, size)
                 assert got == _tuple_oracle(values, size), (kind, size, n)
+
+
+def _tuple_dp(values, size):
+    """The per-index dynamic program the array search replaced: best[s][i]
+    is best[s][i - 1] or best[s - 1][i - 2] extended by i - 1, equal
+    products keeping the lexicographically smaller tuple."""
+    vals = [float(v) for v in values]
+    prev = [(1.0, ())] * (len(vals) + 1)
+    for _ in range(size):
+        cur = [(0.0, None)]
+        for i, v in enumerate(vals, 1):
+            p, tup = prev[max(i - 2, 0)]
+            prod, best = p * v, cur[-1]
+            if prod > best[0] or (prod == best[0] > 0
+                                  and tup + (i - 1,) < best[1]):
+                best = (prod, tup + (i - 1,))
+            cur.append(best)
+        prev = cur
+    return prev[-1][::-1]
+
+
+def test_best_separated_tuple_matches_index_dp():
+    # bit-equal products and the same tuple, up to the 256 finest
+    # intervals of the default d = 3 family, ties and zeros included
+    sizes_n = list(range(0, 41)) + [63, 64, 100, 127, 128, 200, 255, 256]
+    for kind, draw in _tuple_draws(np.random.default_rng(9)).items():
+        for size in (2, 3):
+            for n in sizes_n:
+                values = draw(n)
+                got = dc.best_separated_tuple(values, size)
+                want = _tuple_dp(values, size)
+                assert got == want, (kind, size, n)
+                assert got[0] is None or all(type(i) is int for i in got[0])
+                assert type(got[1]) is float
 
 
 # ---------------------------------------------------------------------------

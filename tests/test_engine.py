@@ -146,6 +146,33 @@ def test_rule_weights_integrate_support():
     assert float(np.sum(r.weights)) == pytest.approx(0.8, abs=1e-12)
 
 
+@pytest.mark.parametrize("split", [1, 2])
+@pytest.mark.parametrize("graded", [False, True])
+def test_build_rules_equals_per_piece_rules(split, graded):
+    # torsion 6 t^2 - 0.9: one root, sqrt(0.15), inside many pieces and at
+    # an end of two of them
+    curve = CurveSpec(d=2, coeffs=((0, 1), (0, 0, -0.45, 0, 0.5)))
+    root = curve.torsion_roots[-1]
+    rng = np.random.default_rng(3 + split)
+    pieces = [eng.zero_function(), eng.indicator(0.0, root), eng.bump(root, 1.0)]
+    for k in range(80):
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
+        pieces.append((eng.indicator(lo, hi), eng.bump(lo, hi),
+                       eng.restrict(eng.trig_poly(k, 6), lo, hi),
+                       eng.indicator(lo, lo))[k % 4])
+    grade = [eng.weight_zeros(curve, p.lo, p.hi) if graded else () for p in pieces]
+    if graded:
+        assert sum(map(bool, grade)) > 20
+    rule = eng.build_rules(pieces, 300.0, 6.0, grade, split)
+    ones = [eng.build_rule(p, 300.0, 6.0, g, split) for p, g in zip(pieces, grade)]
+    assert rule.counts.tolist() == [one.n for one in ones]
+    assert rule.omega == max(one.omega for one in ones)
+    ends = np.cumsum(rule.counts)
+    for one, end in zip(ones, ends):
+        assert rule.nodes[end - one.n : end].tobytes() == one.nodes.tobytes()
+        assert rule.weights[end - one.n : end].tobytes() == one.weights.tobytes()
+
+
 def test_torsion_poly_matches_pointwise():
     g = CurveSpec(d=3, coeffs=((0, 1, 0.3), (0, 0.2, 0.5, 0.1), (0, 0, 0.1, 0.4)))
     coeffs = torsion_poly(g)
@@ -345,13 +372,13 @@ def test_self_check_raises_on_starved_budget():
 ])
 def test_self_check_rule_splits_every_panel(monkeypatch, grid, curve, f, alpha):
     built = []
-    build_rule = eng.build_rule
+    build_rules = eng.build_rules
 
     def recording(*args, **kwargs):
-        built.append(build_rule(*args, **kwargs))
+        built.append(build_rules(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(eng, "build_rule", recording)
+    monkeypatch.setattr(eng, "build_rules", recording)
     x = 10.0 / curve.velocity_sup()
     if grid:
         eng.extension_eval_grid(curve, 1.0, [np.array([x]), np.array([0.0])], f,
@@ -451,6 +478,49 @@ def test_tensor_targets_worker_count_byte_identical():
     assert v1.tobytes() == v4.tobytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scattered_pieces_rows_equal_single_evaluations(workers):
+    # pieces over NODE_CHUNK, over SCATTER_CHUNK and below it, and empty
+    # ones, over more than one target block
+    curve = model_curve(2)
+    f = eng.trig_poly(5, degree=8)
+    targets = np.random.default_rng(2).uniform(-2.0, 2.0, (eng.TARGET_BLOCK + 30, 2))
+    pieces = [f, eng.restrict(f, 0.5, 0.52), eng.zero_function(),
+              eng.restrict(f, 0.1, 0.4), eng.restrict(f, 0.7, 0.7)]
+    pieces += [eng.restrict(f, k / 64, (k + 1) / 64) for k in range(20)]
+    lam = 2048.0
+    rule = eng.build_rules(pieces, lam * 2.0 * math.sqrt(2.0) * curve.velocity_sup())
+    assert rule.counts[0] > eng.NODE_CHUNK and eng.SCATTER_CHUNK < rule.counts[3]
+    rows = eng.extension_eval_pieces(curve, lam, targets, f, pieces, workers=workers,
+                                     self_check=False)
+    for row, piece in zip(rows, pieces):
+        one = eng.extension_eval(curve, lam, targets, piece, self_check=False)
+        assert row.tobytes() == one.tobytes()
+
+
+def test_pieces_peak_not_above_whole_support():
+    # the certificates shape: the finest d = 3 table beside T f itself;
+    # the phase chunks of the pieces stay below the whole-support rule's
+    curve = model_curve(3)
+    f = eng.trig_poly(300, degree=24)
+    x = np.random.default_rng(0).uniform(-2.0, 2.0, (40, 3))
+    x[0] = 2.0
+    pieces = [eng.restrict(f, k / 256, (k + 1) / 256) for k in range(256)]
+
+    def peak(run):
+        run()  # caches filled outside the measurement
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole = peak(lambda: eng.extension_eval(curve, 128.0, x, f))
+    table = peak(lambda: eng.extension_eval_pieces(curve, 128.0, x, f, pieces))
+    assert table <= whole
+
+
 @pytest.mark.parametrize("alpha", [None, 2.0])
 def test_tensor_pieces_rows_equal_single_evaluations(alpha):
     curve = monomial_model((2, 3))
@@ -509,13 +579,13 @@ def test_family_grid_equals_one_member_grids(monkeypatch, curve, axes, weighted)
     if weighted:
         assert 0.0 < curve.torsion_roots[-1] < 0.7
     built = []
-    build_rule = eng.build_rule
+    build_rules = eng.build_rules
 
     def recording(*args, **kwargs):
-        built.append(build_rule(*args, **kwargs))
+        built.append(build_rules(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(eng, "build_rule", recording)
+    monkeypatch.setattr(eng, "build_rules", recording)
     got = dict(eng.extension_eval_grid_family(curve, 16.0, axes, fam, alpha=alpha))
     # one rule per group: trig, the cap, the bump and the empty support
     assert sorted(got) == list(range(len(fam))) and len(built) == 4
