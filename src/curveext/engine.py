@@ -282,30 +282,38 @@ def weight_zeros(curve, lo=0.0, hi=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _setup(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1):
+def _rule(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1):
     """The rule for T up to |x| = xmax over all pieces (each a function or
-    one restricted to a subinterval), its nodes' curve points (d, n), and
-    amplitude(f) = f(t) w(t) [affine weight] over its nodes for any f."""
+    one restricted to a subinterval); ValueError unless lam is finite."""
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     omega = lam * xmax * curve.velocity_sup()
     grades = None if alpha is None else [weight_zeros(curve, p.lo, p.hi) for p in pieces]
-    rule = build_rules(pieces, omega, nodes_per_wavelength, grades, split)
+    return build_rules(pieces, omega, nodes_per_wavelength, grades, split)
+
+
+def _amplitude(f, nodes, weights, aw, part=slice(None)):
+    """f(t) w(t) [affine weight aw, if any] over nodes[part], complex."""
+    amp = f(nodes[part]) * weights[part]
+    return (amp if aw is None else amp * aw[part]).astype(complex)
+
+
+def _setup(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1):
+    """_rule, its nodes' curve points (d, n), and amplitude(f), the
+    _amplitude of any f over its nodes."""
+    rule = _rule(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split)
     aw = None if alpha is None else affine_weight(curve, alpha, rule.nodes)
-
-    def amplitude(f):
-        amp = f(rule.nodes) * rule.weights
-        return (amp if aw is None else amp * aw).astype(complex)
-
-    return rule, curve.point(rule.nodes).T.copy(), amplitude
+    return rule, curve.point(rule.nodes).T.copy(), partial(
+        _amplitude, nodes=rule.nodes, weights=rule.weights, aw=aw)
 
 
-def _chunks(counts):
-    """[start, stop, offsets, pieces] per node chunk: whole consecutive pieces, at
-    most max(largest, SCATTER_CHUNK) nodes, or NODE_CHUNK of a larger piece."""
-    cap = min(max(max(counts, default=0), SCATTER_CHUNK), NODE_CHUNK)
+def _chunks(counts, cap):
+    """[start, stop, offsets, pieces] per node chunk: whole consecutive pieces,
+    at most cap nodes, or cap nodes of a larger piece (cap > 0)."""
     chunks, stop = [], 0
     for k, n in enumerate(counts):
-        for a in range(stop, stop + n, NODE_CHUNK):
-            b = min(a + NODE_CHUNK, stop + n)
+        for a in range(stop, stop + n, cap):
+            b = min(a + cap, stop + n)
             if chunks and b - chunks[-1][0] <= cap:
                 chunks[-1][1:] = b, chunks[-1][2] + [a - chunks[-1][0]], chunks[-1][3] + [k]
             else:
@@ -321,7 +329,8 @@ def _scatter(targets, gamma_nodes, amp, counts, lam, workers=1):
     piece's chunks add up by compensated addition, so no piece's value
     depends on another piece or on the worker count."""
     m = targets.shape[0]
-    jobs = [(i, c) for i in range(0, m, TARGET_BLOCK) for c in _chunks(counts.tolist())]
+    cap = min(max(max(counts, default=0), SCATTER_CHUNK), NODE_CHUNK)
+    jobs = [(i, c) for i in range(0, m, TARGET_BLOCK) for c in _chunks(counts.tolist(), cap)]
 
     def run(job):
         i, (a, b, offsets, _) = job
@@ -402,7 +411,7 @@ def extension_eval_pieces(curve, lam, targets, f, pieces, alpha=None, workers=1,
     if axes is None:
         rule, gamma_nodes, amplitude = setup()
         values = _scatter(targets, gamma_nodes, amplitude(f), rule.counts, lam, workers)
-    else:  # the family yields by rule group, so rows are placed by index
+    else:  # the family yields in chunk order, so rows are placed by index
         values = np.empty((len(pieces), targets.shape[0]), dtype=complex)
         for j, grid in extension_eval_grid_family(curve, lam, axes, pieces, alpha,
                                                   nodes_per_wavelength):
@@ -476,21 +485,16 @@ def _grid_xmax(axes):
     return math.sqrt(sum(float(np.max(np.abs(a), initial=0.0)) ** 2 for a in axes))
 
 
-def _grid_factors(curve, f, lam, axes, alpha, nodes_per_wavelength):
-    """Per-axis phase factors exp(i lam axis gamma_k) and amplitude() on f's rule."""
-    _, gamma_nodes, amplitude = _setup(curve, [f], lam, _grid_xmax(axes), alpha,
-                                       nodes_per_wavelength)
-    return [_axis_factor(a, g, lam) for a, g in zip(axes, gamma_nodes)], amplitude
-
-
 def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
                                nodes_per_wavelength=NODES_PER_WAVELENGTH):
     """Yield (j, T fs[j] on the tensor grid spanned by `axes`) for every j.
 
-    Members with the same support and bandwidth share one rule, whose
-    curve points, affine weight and phase factors exp(i lam axis gamma_k)
-    are built once; each member adds only its amplitude and GEMMs.
-    Groups run one at a time, in order of their first member.
+    Members with the same support and bandwidth share a rule; one pass
+    builds all rules.  Chunks of whole groups, none larger than the largest
+    group, copy their nodes out of it and build their curve points, affine
+    weight and phase factors exp(i lam axis gamma_k) once; a member adds
+    its amplitude and GEMMs on its group's columns.  Chunks run smallest
+    first, so the largest runs alone; members yield in that order.
     """
     if len(axes) != curve.d:
         raise ValueError("need one axis per coordinate")
@@ -501,12 +505,26 @@ def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
     groups = {}
     for j, f in enumerate(fs):
         groups.setdefault((f.lo, f.hi, f.bandwidth()), []).append(j)
-    for members in groups.values():
-        us, amplitude = _grid_factors(curve, fs[members[0]], lam, axes, alpha,
-                                      nodes_per_wavelength)
-        for j in members:
-            yield j, _grid_values(us, amplitude(fs[j]))
-        del us, amplitude  # before the next group builds its factors
+    groups = list(groups.values())
+    rule = _rule(curve, [fs[g[0]] for g in groups], lam, _grid_xmax(axes), alpha,
+                 nodes_per_wavelength)
+    counts = rule.counts.tolist()
+    for k in np.flatnonzero(rule.counts == 0):
+        for j in groups[k]:
+            yield j, np.zeros(tuple(a.size for a in axes), dtype=complex)
+    parts = [(rule.nodes[a:b].copy(), rule.weights[a:b].copy(), offsets + [b - a], ks)
+             for a, b, offsets, ks in _chunks(counts, max([1] + counts))]
+    del rule  # chunks hold copies, so each is freed once it has run
+    parts.sort(key=lambda part: -part[0].size)
+    while parts:
+        nodes, weights, bounds, ks = parts.pop()
+        aw = None if alpha is None else affine_weight(curve, alpha, nodes)
+        us = [_axis_factor(a, g, lam) for a, g in zip(axes, curve.point(nodes).T)]
+        for k, lo, hi in zip(ks, bounds, bounds[1:]):
+            for j in groups[k]:
+                yield j, _grid_values([u[:, lo:hi] for u in us],
+                                      _amplitude(fs[j], nodes, weights, aw, slice(lo, hi)))
+        del nodes, weights, aw, us  # before the next chunk builds its factors
 
 
 def extension_eval_grid(curve, lam, axes, f, alpha=None, self_check=True,
@@ -629,9 +647,10 @@ def multilinear_l2(curve, fs, lam, box_r=20.0, tail_target=0.01,
         r2d = np.maximum(np.abs(axes[0])[:, None], np.abs(axes[1])[None, :])
         factors = []
         for f in fs:
-            us, amplitude = _grid_factors(curve, f, lam, axes, None,
-                                          nodes_per_wavelength)
-            factors.append(_grid_planes(us, amplitude(f)))
+            _, gamma_nodes, amplitude = _setup(curve, [f], lam, _grid_xmax(axes), None,
+                                               nodes_per_wavelength)
+            factors.append(_grid_planes([_axis_factor(a, g, lam) for a, g
+                                         in zip(axes, gamma_nodes)], amplitude(f)))
         for planes in zip(*factors):
             idx, prod = planes[0]
             for _, plane in planes[1:]:

@@ -125,9 +125,8 @@ def knapp_family(d, lam, positions=FAMILY_POSITIONS, widths=FAMILY_WIDTHS):
         tau = i / positions
         for k in range(widths):
             w = min(w0 * 2.0**k, 1.0 - tau)
-            if w <= 0:
-                continue
-            out.append((f"knapp[{i}/{positions},2^{k}]", indicator(tau, tau + w)))
+            if w > 0:
+                out.append((f"knapp[{i}/{positions},2^{k}]", indicator(tau, tau + w)))
     return out
 
 
@@ -153,10 +152,7 @@ def default_test_family(d, lam, seed=0):
     """The standard finite family used to estimate the operator norm from
     below: Knapp indicators across positions and dyadic widths, smooth
     bumps, and seeded random trigonometric polynomials."""
-    fam = knapp_family(d, lam)
-    fam += bump_family(d, lam)
-    fam += trig_family(seed)
-    return fam
+    return knapp_family(d, lam) + bump_family(d, lam) + trig_family(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +233,18 @@ class ScalingReport:
 
 
 def family_sup(curve, lam, family, p, q, mu=None, grid=None, alpha=None,
-               npw=eng.NODES_PER_WAVELENGTH):
+               npw=eng.NODES_PER_WAVELENGTH, _norms=None):
     """Sup over the family of ||T f||_{L^q} / ||f||_p; returns (value, label).
 
     The L^q norm is taken on the graded grid when one is given, else
-    against the measure mu.
+    against the measure mu.  A sweep passes `_norms`, a dict of the
+    ||f||_p it has taken, so a member that recurs is normed once.
     """
-    fps = [(name, f, fp) for name, f in family if (fp := f.lp_norm(p)) != 0.0]
+    known = {} if _norms is None else _norms
+    for _, f in family:
+        if f not in known:
+            known[f] = f.lp_norm(p)
+    fps = [(name, f, known[f]) for name, f in family if known[f] != 0.0]
     if grid is not None:
         norms = grid.family_lq(curve, lam, [f for _, f, _ in fps], q,
                                alpha=alpha, nodes_per_wavelength=npw)
@@ -281,10 +282,10 @@ def scaling_experiment(curve, p, q, alpha, lam_grid, mu=None, grid=None,
     if grid is None and radius is not None:
         mu = mu.restrict(np.linalg.norm(mu.atoms, axis=1) <= radius)
     w_alpha = alpha if weighted else None
-    sups, labels = [], []
+    sups, labels, norms = [], [], {}
     for lam in lam_grid:
         val, label = family_sup(curve, lam, family_fn(lam), p, q, mu=mu,
-                                grid=grid, alpha=w_alpha, npw=npw)
+                                grid=grid, alpha=w_alpha, npw=npw, _norms=norms)
         sups.append(val)
         labels.append(label)
     target = -alpha / q
@@ -316,10 +317,7 @@ def knapp_rectangle_mask(atoms, d, lam, c=KNAPP_SCALE):
 
 def lebesgue_rectangle_mass(d, lam):
     """Exact Lebesgue volume of the dual rectangle at c = KNAPP_SCALE."""
-    vol = 1.0
-    for i in range(d):
-        vol *= 2.0 * KNAPP_SCALE * lam ** ((i + 1.0) / d - 1.0)
-    return vol
+    return math.prod(2.0 * KNAPP_SCALE * lam ** ((i + 1.0) / d - 1.0) for i in range(d))
 
 
 @dataclass(frozen=True)
@@ -425,9 +423,7 @@ def multilinear_lq_check(curve, fs, mu, lam, q, npw=eng.NODES_PER_WAVELENGTH):
     plancherel = eng.plancherel_bound(curve, fs, lam)
     moll = ms.mollified_sup(mu, lam)
     l2mu = math.sqrt(MOLLIFIER_CHAIN_CONSTANT * moll) * plancherel
-    linf = 1.0
-    for f in fs:
-        linf *= f.lp_norm(1.0)
+    linf = math.prod(f.lp_norm(1.0) for f in fs)
     theta = 2.0 / q
     bound = l2mu**theta * linf ** (1.0 - theta)
     return MultilinearLqResult(
@@ -451,10 +447,7 @@ def multilinear_knapp_slope(curve, lam_grid):
         fs = [indicator(t, t + w) for t in taus]
         res = eng.multilinear_l2(curve, fs, lam,
                                  box_r=max(16.0, 1.5 * math.sqrt(lam)))
-        norm = 1.0
-        for f in fs:
-            norm *= f.lp_norm(2.0)
-        vals.append(res.lhs / norm)
+        vals.append(res.lhs / math.prod(f.lp_norm(2.0) for f in fs))
     return fit_line(lam_grid, vals)[0], vals
 
 
@@ -537,12 +530,7 @@ def rescaling_inequality_check(curve, tau, h, mu, alpha, p, q, lam, f,
     exponent = 1.0 - 1.0 / p + h_expo / q
     rhs = (abs(h) ** exponent * c_free ** (1.0 / q)
            * q_proxy * f.lp_norm(p))
-    if lhs == 0.0:
-        ratio = 0.0
-    elif rhs > 0.0:
-        ratio = lhs / rhs
-    else:
-        ratio = math.inf
+    ratio = 0.0 if lhs == 0.0 else lhs / rhs if rhs > 0.0 else math.inf
     return RescalingCheck(
         lam=lam, h=h, lhs=lhs, rhs=rhs, ratio=ratio,
         h_exponent=exponent, q_proxy=q_proxy)
@@ -622,13 +610,9 @@ def finite_type_blocks(curve, grid, a, alpha, p, q, lam, n_blocks=7,
     decay over the first fit_blocks blocks is compared against
     sigma (1 - beta/q - 1/p).  Aggregate is the triangle-inequality sum.
     """
-    norms = []
-    for j in range(n_blocks):
-        val, _ = family_sup(curve, lam, _block_family(curve.d, lam, j,
-                                                      widths), p, q,
-                            grid=grid, alpha=alpha, npw=npw)
-        norms.append(val)
-    window = [n for n in norms[:fit_blocks]]
+    norms = [family_sup(curve, lam, _block_family(curve.d, lam, j, widths), p, q,
+                        grid=grid, alpha=alpha, npw=npw)[0] for j in range(n_blocks)]
+    window = norms[:fit_blocks]
     if min(window) <= 0:
         rate = 0.0
     else:
@@ -663,11 +647,9 @@ def finite_type_pipeline(curve, tau, grid, alpha, p, q, lam_grid,
     verdict against -alpha/q.
     """
     shifted, a = finite_type_frame(curve, tau, alpha, p, q)
-    reports = []
-    for lam in lam_grid:
-        reports.append(finite_type_blocks(
-            shifted, grid, a, alpha, p, q, lam, n_blocks=n_blocks,
-            fit_blocks=fit_blocks, npw=npw, widths=widths))
+    reports = [finite_type_blocks(shifted, grid, a, alpha, p, q, lam, n_blocks=n_blocks,
+                                  fit_blocks=fit_blocks, npw=npw, widths=widths)
+               for lam in lam_grid]
     aggs = [r.aggregate for r in reports]
     slope = fit_line(lam_grid, aggs)[0] if min(aggs) > 0 else 0.0
     target = -alpha / q

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curveext import engine as eng
+from curveext import lab
 from curveext import measures as ms
 from curveext.curves import (
     CurveSpec,
@@ -587,14 +588,89 @@ def test_family_grid_equals_one_member_grids(monkeypatch, curve, axes, weighted)
 
     monkeypatch.setattr(eng, "build_rules", recording)
     got = dict(eng.extension_eval_grid_family(curve, 16.0, axes, fam, alpha=alpha))
-    # one rule per group: trig, the cap, the bump and the empty support
-    assert sorted(got) == list(range(len(fam))) and len(built) == 4
+    # one rule pass holding a piece per group: trig, the cap, the bump and
+    # the empty support; the chunk walk keeps every group whole, and unweighted
+    # the cap and the bump share the second chunk, the bump at an offset
+    assert sorted(got) == list(range(len(fam))) and len(built) == 1
+    counts = built[0].counts.tolist()
+    assert len(counts) == 4 and counts[3] == 0
+    chunks = eng._chunks(counts, max(counts))
+    assert [k for c in chunks for k in c[3]] == [0, 1, 2]
+    assert weighted or [c[2] for c in chunks] == [[0], [0, counts[1]]]
     for j, f in enumerate(fam):
         ref = eng.extension_eval_grid(curve, 16.0, axes, f, alpha=alpha,
                                       self_check=False)
         assert got[j].tobytes() == ref.tobytes()
     zero, again = len(fam) - 2, len(fam) - 1
     assert not np.any(got[zero]) and got[again].tobytes() == got[2].tobytes()
+
+
+def test_family_grid_of_no_members_is_empty():
+    axes = [np.linspace(-1.0, 1.0, 3)] * 2
+    assert list(eng.extension_eval_grid_family(model_curve(2), 16.0, axes, [])) == []
+    assert lab.GradedGrid(2, 2.0, 8, 1).family_lq(model_curve(2), 16.0, [], 4.0) == []
+
+
+@pytest.mark.parametrize("alpha", [None, 2.0])
+def test_family_grid_zero_node_groups_are_zero(alpha):
+    curve = model_curve(2)
+    axes = [np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 2.0, 4)]
+    f = eng.trig_poly(5, degree=8)
+    empty = [eng.zero_function(), eng.indicator(0.4, 0.4), eng.restrict(f, 0.6, 0.2)]
+    for fam in (empty, [f] + empty):
+        got = dict(eng.extension_eval_grid_family(curve, 16.0, axes, fam, alpha=alpha))
+        assert sorted(got) == list(range(len(fam)))
+        for j in range(len(fam) - len(empty), len(fam)):
+            assert got[j].shape == (3, 4) and not np.any(got[j])
+
+
+def test_family_peak_is_the_largest_groups():
+    # the Knapp caps and bumps run in chunks before the trig group, whose
+    # factors set the peak; the level's nodes must not stay alive beside them
+    curve, lam = model_curve(2), 256.0
+    axes = lab.GradedGrid(2, 4.0, 32, 3).levels[0][0]
+    trig = [f for _, f in lab.trig_family(0, 8)]
+    fam = ([f for _, f in lab.knapp_family(2, lam, 8, 3)]
+           + [f for _, f in lab.bump_family(2, lam, 4)] + trig)
+
+    def peak(fs):
+        for _ in eng.extension_eval_grid_family(curve, lam, axes, fs, None, 6):
+            pass  # caches filled outside the measurement
+        tracemalloc.start()
+        try:
+            for _ in eng.extension_eval_grid_family(curve, lam, axes, fs, None, 6):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(fam) <= 1.02 * peak(trig)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_nonfinite_lambda_rejected(lam):
+    # NaN failed inside the rule build ("cannot convert float NaN to
+    # integer") and infinity with ZeroDivisionError
+    curve, f = model_curve(2), eng.indicator(0.0, 1.0)
+    calls = [
+        lambda: eng.extension_eval(curve, lam, np.array([[0.5, 0.25]]), f),
+        lambda: eng.extension_eval_grid(curve, lam, [np.array([0.5, 1.0])] * 2, f),
+        lambda: lab.GradedGrid(2, 2.0, 8, 1).family_lq(curve, lam, [f], 4.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("lam", [0.0, -16.0])
+def test_zero_and_negative_lambda_stay_valid(lam):
+    curve, f = model_curve(2), eng.indicator(0.1, 0.9)
+    targets = np.array([[0.5, 0.25], [-1.0, 2.0]])
+    vals = eng.extension_eval(curve, lam, targets, f)
+    grid = eng.extension_eval_grid(curve, lam, [targets[:, 0], targets[:, 1]], f)
+    assert np.all(np.isfinite(vals)) and abs(grid[0, 0] - vals[0]) < 1e-12
+    if lam == 0.0:
+        assert np.allclose(vals, 0.8, rtol=0, atol=1e-12)
 
 
 def test_weighted_value_at_origin_is_weight_integral():

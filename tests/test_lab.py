@@ -195,6 +195,38 @@ class TestScaling:
         assert abs(rep.slope) <= rep.tol
         assert rep.verdict == "PASS"
 
+    def test_sweep_norms_each_distinct_member_once(self, monkeypatch):
+        # the trig members recur at every lambda (equal, not the same
+        # objects, as a family_fn builds them), and some clipped Knapp caps
+        # recur at several
+        grid = lab.GradedGrid(2, 2.0, 8, 1)
+        lams = [2.0**k for k in range(2, 8)]
+
+        def family(lam):
+            return (lab.knapp_family(2, lam, 2, 2)
+                    + [(f"trig{s}", eng.trig_poly(s, degree=8)) for s in range(3)])
+
+        calls = []
+        lp_norm = eng.TestFunction.lp_norm
+
+        def counting(f, p):
+            calls.append(f)
+            return lp_norm(f, p)
+
+        monkeypatch.setattr(eng.TestFunction, "lp_norm", counting)
+        args = (model_curve(2), 2.0, 8.0, 2.0, lams)
+        distinct = {f for lam in lams for _, f in family(lam)}
+        assert len(distinct) < 7 * len(lams)
+        rep = lab.scaling_experiment(*args, grid=grid, family_fn=family)
+        assert len(calls) == len(set(calls)) and set(calls) == distinct
+        # the reuse lives in one call: a second sweep norms them all again
+        again = lab.scaling_experiment(*args, grid=grid, family_fn=family)
+        assert len(calls) == 2 * len(distinct)
+        ref = [lab.family_sup(args[0], lam, family(lam), 2.0, 8.0, grid=grid)
+               for lam in lams]
+        assert rep.sup_norms == again.sup_norms == tuple(v for v, _ in ref)
+        assert rep.best_labels == tuple(label for _, label in ref)
+
     def test_missing_measure_named(self):
         # used to fail with AttributeError on None.restrict
         with pytest.raises(ValueError, match="measure mu or a grid"):
