@@ -2,9 +2,12 @@
 
 Subcommands: torsion, region, scaling, sharpness, decompose, multilinear,
 finitetype, measure-audit, bench.  Exit codes: 0 all verdicts pass (or
---report-only), 2 configuration or parse error, 3 numerical certification
-failure.  Result files are deterministic for a fixed config and seed and
-embed the config hash; timestamps go only to the sidecar log.
+--report-only), 2 configuration, parse or input error (any ValueError), 3
+numerical certification failure (a failed verdict, quadrature over its
+budget or self-check, or a telescoping residual).  `main` is the one place
+that maps errors to codes.  Result files are deterministic for a fixed
+config and seed and embed the config hash; timestamps go only to the
+sidecar log.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ EXIT_CONFIG = 2
 EXIT_CERT = 3
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -51,10 +54,12 @@ def _fmt(v):
 
 
 class OutputDir:
-    """Result directory; a non-empty one is refused unless force is set.
+    """Result directory, made at its first write; a non-empty one is
+    refused unless force is set.
 
-    Subcommands create it before running their experiment, so a refused
-    directory costs no computation.
+    Subcommands open it before running their experiment, so a refused
+    directory costs no computation, and a run rejected before its first
+    result leaves no directory behind.
     """
 
     def __init__(self, path, force=False, config_hash=""):
@@ -63,32 +68,27 @@ class OutputDir:
         if not force and self.path.is_dir() and any(self.path.iterdir()):
             raise ConfigError(
                 f"{self.path} is not empty; pass --force to overwrite")
+
+    def _file(self, name):
         self.path.mkdir(parents=True, exist_ok=True)
+        return self.path / name
 
     def write_csv(self, name, header, rows):
-        target = self.path / name
         lines = [f"# config_hash={self.config_hash}", ",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        target.write_text("\n".join(lines) + "\n")
-        return target
+        lines += (",".join(_fmt(v) for v in row) for row in rows)
+        self.write_text(name, "\n".join(lines) + "\n")
 
     def write_verdict(self, name, items):
-        target = self.path / name
         lines = [f"config_hash = {self.config_hash}"]
-        for k, v in items:
-            lines.append(f"{k} = {_fmt(v)}")
-        target.write_text("\n".join(lines) + "\n")
-        return target
+        lines += (f"{k} = {_fmt(v)}" for k, v in items)
+        self.write_text(name, "\n".join(lines) + "\n")
 
     def write_text(self, name, text):
-        target = self.path / name
-        target.write_text(text)
-        return target
+        self._file(name).write_text(text)
 
     def log(self, message):
         # the only place a timestamp is allowed
-        with (self.path / "run.log").open("a") as fh:
+        with self._file("run.log").open("a") as fh:
             fh.write(f"{time.time():.3f} {message}\n")
 
 
@@ -118,8 +118,6 @@ def _get(cfg, section, key, cast=str, default=None):
         raise ConfigError(f"missing [{section}] {key}")
     raw = cfg.get(section, key)
     try:
-        if cast is float and raw == "inf":
-            return math.inf
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw}") from exc
@@ -135,7 +133,7 @@ def curve_from_config(cfg):
         return model_curve(_get(cfg, "curve", "d", int))
     if kind == "poly":
         d = _get(cfg, "curve", "d", int)
-        coeffs = tuple(_floats(_get(cfg, "curve", f"coeffs{i + 1}"))
+        coeffs = tuple(_get(cfg, "curve", f"coeffs{i + 1}", _floats)
                        for i in range(d))
         return CurveSpec(d=d, coeffs=coeffs,
                          label=_get(cfg, "curve", "label", str, "config"))
@@ -189,12 +187,9 @@ def grid_from_config(cfg, curve, half, resolution, levels):
 def exponents_from_config(cfg, d):
     """[experiment] p and q (at least 1, infinity allowed) and alpha in (0, d]."""
     p, q, alpha = (_get(cfg, "experiment", k, float) for k in ("p", "q", "alpha"))
-    try:
-        eng.check_exponent("[experiment] p", p)
-        eng.check_exponent("[experiment] q", q)
-        beta_alpha(alpha, d)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    eng.check_exponent("[experiment] p", p)
+    eng.check_exponent("[experiment] q", q)
+    beta_alpha(alpha, d)
     return p, q, alpha
 
 
@@ -314,6 +309,8 @@ def cmd_decompose(args):
     lam = _get(cfg, "experiment", "lambda", float)
     n_targets = _get(cfg, "experiment", "targets", int, 16)
     radius = _get(cfg, "experiment", "radius", float, 8.0)
+    if not 0.0 <= radius < math.inf:
+        raise ConfigError(f"[experiment] radius must be finite and >= 0, got {radius}")
     scales = _get(cfg, "experiment", "scales", str, "")
     try:
         family = (dc.DyadicFamily(tuple(Fraction(s) for s in scales.split()))
@@ -352,12 +349,10 @@ def cmd_multilinear(args):
     cfg, chash = load_config(args.config)
     curve = curve_from_config(cfg)
     lams = lambda_grid_from_config(cfg)
-    supports = _get(cfg, "experiment", "supports", str)
-    pieces = supports.split()
-    if len(pieces) != 2 * curve.d:
+    ends = _get(cfg, "experiment", "supports", _floats)
+    if len(ends) != 2 * curve.d:
         raise ConfigError("supports must list lo hi per factor")
-    fs = [eng.indicator(float(pieces[2 * i]), float(pieces[2 * i + 1]))
-          for i in range(curve.d)]
+    fs = [eng.indicator(*ends[i : i + 2]) for i in range(0, len(ends), 2)]
     box_r = _get(cfg, "experiment", "box_r", float, 16.0)
     out = OutputDir(args.out, force=args.force, config_hash=chash)
     rows, failures = [], []
@@ -385,10 +380,6 @@ def cmd_finitetype(args):
     lams = lambda_grid_from_config(cfg)
     grid = grid_from_config(cfg, curve, 8.0, 128, 9)
     tau = _get(cfg, "experiment", "tau", float, 0.0)
-    try:
-        lab.finite_type_frame(curve, tau, alpha, p, q)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     out = OutputDir(args.out, force=args.force, config_hash=chash)
     reports, slope, target, verdict = lab.finite_type_pipeline(
         curve, tau, grid, alpha, p, q, lams,
@@ -513,10 +504,11 @@ def main(argv=None):
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         failures = args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or an input a kernel rejected
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CertificationError as exc:
+    except (CertificationError, eng.QuadratureBudgetError,
+            dc.TelescopingError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_OK if args.report_only else EXIT_CERT
     if failures and not args.report_only:

@@ -224,8 +224,11 @@ def build_rules(pieces, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
     self-check's finer rule, which must differ from the coarse one even
     when the support is narrower than one panel.  Python lists each
     piece's segments; one numpy pass places all nodes.  omega is the
-    largest piece's.
+    largest piece's; nodes_per_wavelength must be finite and positive.
     """
+    if not 0.0 < nodes_per_wavelength < math.inf:
+        raise ValueError("nodes_per_wavelength must be finite and > 0, "
+                         f"got {nodes_per_wavelength}")
     segs, counts, omega_max = [], [], omega
     for k, f in enumerate(pieces):
         if f.hi <= f.lo:
@@ -378,10 +381,10 @@ def _self_check(setup, f, lam, points, got):
     ref = _scatter(points, gamma_nodes, amplitude(f), fine.counts, lam)
     err = float(np.max(np.abs(got - ref), initial=0.0))
     if err > SELF_CHECK_TOL:
-        rule = setup()[0]
+        # the rule that gave `got` has half the split rule's nodes, same omega
         raise QuadratureBudgetError(
             f"self-check error {err:.3e} at lambda={lam}, "
-            f"nodes={rule.n}, omega={rule.omega:.3e}"
+            f"nodes={fine.n // 2}, omega={fine.omega:.3e}"
         )
 
 
@@ -619,8 +622,14 @@ def multilinear_l2(curve, fs, lam, box_r=20.0, tail_target=0.01,
     diameters, so a grid at (half) the Nyquist step makes the Riemann sum
     exact up to box truncation; the truncation tail is estimated from the
     decay of concentric shell sums and the box doubled until it is below
-    tail_target.
+    tail_target.  Per box, each factor is self-checked at the grid corner,
+    where |x| is largest.  ValueError unless box_r is finite and positive
+    and max_doublings >= 0.
     """
+    if not 0.0 < box_r < math.inf:
+        raise ValueError(f"box_r must be finite and > 0, got {box_r}")
+    if max_doublings < 0:
+        raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
     bound = plancherel_bound(curve, fs, lam)
     d = curve.d
     sep = support_separation(fs)
@@ -645,14 +654,19 @@ def multilinear_l2(curve, fs, lam, box_r=20.0, tail_target=0.01,
         # shell radii (infinity norm): the leading two axes, then the
         # trailing index of each plane
         r2d = np.maximum(np.abs(axes[0])[:, None], np.abs(axes[1])[None, :])
+        setups = [partial(_setup, curve, [f], lam, _grid_xmax(axes), None,
+                          nodes_per_wavelength) for f in fs]
         factors = []
-        for f in fs:
-            _, gamma_nodes, amplitude = _setup(curve, [f], lam, _grid_xmax(axes), None,
-                                               nodes_per_wavelength)
+        for f, setup in zip(fs, setups):
+            _, gamma_nodes, amplitude = setup()
             factors.append(_grid_planes([_axis_factor(a, g, lam) for a, g
                                          in zip(axes, gamma_nodes)], amplitude(f)))
+        corner = np.array([[a[0] for a in axes]])
         for planes in zip(*factors):
             idx, prod = planes[0]
+            if not any(idx):  # the first plane: its [0, 0] entry is the corner
+                for f, setup, (_, plane) in zip(fs, setups, planes):
+                    _self_check(setup, f, lam, corner, plane[:1, :1])
             for _, plane in planes[1:]:
                 prod = prod * plane
             dens = np.abs(prod) ** 2
@@ -697,7 +711,7 @@ def throughput_benchmark(curve, lam, n_targets, worker_counts=(1, 2, 4), seed=0)
     targets = rng.uniform(-1.0, 1.0, size=(n_targets, curve.d))
     f = indicator(0.0, 1.0)
     xmax = float(np.max(np.linalg.norm(targets, axis=1)))
-    n_nodes = build_rule(f, lam * xmax * curve.velocity_sup()).n
+    n_nodes = _rule(curve, [f], lam, xmax, None, NODES_PER_WAVELENGTH).n
     seconds = {}
     checksum = None
     for w in worker_counts:

@@ -262,7 +262,7 @@ def family_sup(curve, lam, family, p, q, mu=None, grid=None, alpha=None,
 
 def scaling_experiment(curve, p, q, alpha, lam_grid, mu=None, grid=None,
                        radius=DEFAULT_RADIUS, seed=0, family_fn=None,
-                       weighted=False, npw=eng.NODES_PER_WAVELENGTH):
+                       npw=eng.NODES_PER_WAVELENGTH):
     """Family-sup norm sweep over a geometric lambda ladder.
 
     Without a grid, norms are taken against mu restricted to the ball of
@@ -280,12 +280,13 @@ def scaling_experiment(curve, p, q, alpha, lam_grid, mu=None, grid=None,
     if family_fn is None:
         family_fn = lambda lam: default_test_family(curve.d, lam, seed=seed)
     if grid is None and radius is not None:
+        if not radius > 0:  # NaN too: no atom would be kept
+            raise ValueError(f"radius must be > 0, got {radius}")
         mu = mu.restrict(np.linalg.norm(mu.atoms, axis=1) <= radius)
-    w_alpha = alpha if weighted else None
     sups, labels, norms = [], [], {}
     for lam in lam_grid:
         val, label = family_sup(curve, lam, family_fn(lam), p, q, mu=mu,
-                                grid=grid, alpha=w_alpha, npw=npw, _norms=norms)
+                                grid=grid, npw=npw, _norms=norms)
         sups.append(val)
         labels.append(label)
     target = -alpha / q
@@ -335,8 +336,7 @@ class SharpnessReport:
         return abs(self.mass_slope - self.mass_target) <= SLOPE_TOL
 
 
-def sharpness_experiment(curve, mu, alpha, p, q, lam_grid, c=KNAPP_SCALE,
-                         weighted=True, npw=eng.NODES_PER_WAVELENGTH):
+def sharpness_experiment(curve, mu, alpha, p, q, lam_grid, c=KNAPP_SCALE):
     """Knapp cap against the dual rectangle.
 
     Tracks the measure of the rectangle (predicted log2 slope
@@ -352,7 +352,6 @@ def sharpness_experiment(curve, mu, alpha, p, q, lam_grid, c=KNAPP_SCALE,
     masses, ratios = [], []
     lb_ok = True
     min_frac = math.inf
-    w_alpha = alpha if weighted else None
     for lam in lam_grid:
         f = indicator(*knapp_interval(d, lam))
         mask = knapp_rectangle_mask(mu.atoms, d, lam, c)
@@ -360,8 +359,7 @@ def sharpness_experiment(curve, mu, alpha, p, q, lam_grid, c=KNAPP_SCALE,
         masses.append(rect.total_mass())
         # one evaluation: the origin (the peak) and the rectangle's atoms
         pts = np.vstack([np.zeros((1, d)), rect.atoms])
-        vals = extension_eval(curve, lam, pts, f, alpha=w_alpha,
-                              nodes_per_wavelength=npw)
+        vals = extension_eval(curve, lam, pts, f, alpha=alpha)
         peak, vals = float(np.abs(vals[0])), vals[1:]
         idx = np.arange(rect.n)
         if idx.size > MAX_RECT_SAMPLES:
@@ -406,7 +404,7 @@ class MultilinearLqResult:
     ratio: float
 
 
-def multilinear_lq_check(curve, fs, mu, lam, q, npw=eng.NODES_PER_WAVELENGTH):
+def multilinear_lq_check(curve, fs, mu, lam, q):
     """Product of extensions in L^q against a fractal measure.
 
     Chains Hoelder between q = 2 and q = infinity, the mollified-measure
@@ -417,8 +415,7 @@ def multilinear_lq_check(curve, fs, mu, lam, q, npw=eng.NODES_PER_WAVELENGTH):
     eng.check_exponent("q", q, least=2.0)
     vals = np.ones(mu.n, dtype=complex)
     for f in fs:
-        vals *= extension_eval(curve, lam, mu.atoms, f,
-                               nodes_per_wavelength=npw)
+        vals *= extension_eval(curve, lam, mu.atoms, f)
     lhs = lq_norm(vals, mu, q)
     plancherel = eng.plancherel_bound(curve, fs, lam)
     moll = ms.mollified_sup(mu, lam)
@@ -491,8 +488,7 @@ class RescalingCheck:
     q_proxy: float
 
 
-def rescaling_inequality_check(curve, tau, h, mu, alpha, p, q, lam, f,
-                               npw=eng.NODES_PER_WAVELENGTH):
+def rescaling_inequality_check(curve, tau, h, mu, alpha, p, q, lam, f):
     """One step of the localization-to-normalization chain.
 
     lhs is ||T f||_{L^q(mu)} for f supported in [tau, tau + h].  The
@@ -509,7 +505,7 @@ def rescaling_inequality_check(curve, tau, h, mu, alpha, p, q, lam, f,
     norm_curve = normalize_curve(curve, tau, h, a)
     f_h = eng.pullback(f, tau, h)
 
-    vals = extension_eval(curve, lam, mu.atoms, f, nodes_per_wavelength=npw)
+    vals = extension_eval(curve, lam, mu.atoms, f)
     lhs = lq_norm(vals, mu, q)
 
     spec = ms.PushforwardSpec(a=a, h=h, matrix=frame.matrix.T)
@@ -522,8 +518,7 @@ def rescaling_inequality_check(curve, tau, h, mu, alpha, p, q, lam, f,
     nu_tilde = ms.DiscreteMeasure(
         atoms=nu.atoms, weights=nu.weights / c_full, alpha=alpha, c_mu=1.0,
         resolution=nu.resolution)
-    tvals = extension_eval(norm_curve, lam, nu_tilde.atoms, f_h,
-                           nodes_per_wavelength=npw)
+    tvals = extension_eval(norm_curve, lam, nu_tilde.atoms, f_h)
     fp_h = f_h.lp_norm(p)
     q_proxy = lq_norm(tvals, nu_tilde, q) / fp_h if fp_h > 0 else 0.0
 
@@ -536,14 +531,12 @@ def rescaling_inequality_check(curve, tau, h, mu, alpha, p, q, lam, f,
         h_exponent=exponent, q_proxy=q_proxy)
 
 
-def rescaling_exponent_scan(curve, tau, mu, alpha, p, q, lam, h_list,
-                            npw=eng.NODES_PER_WAVELENGTH):
+def rescaling_exponent_scan(curve, tau, mu, alpha, p, q, lam, h_list):
     """Fitted h-slope of lhs/(Q ||f||_p) across h, vs 1 - 1/p - beta/q."""
     vals, target = [], None
     for h in h_list:
         f = indicator(tau, tau + h)
-        chk = rescaling_inequality_check(curve, tau, h, mu, alpha, p, q,
-                                         lam, f, npw=npw)
+        chk = rescaling_inequality_check(curve, tau, h, mu, alpha, p, q, lam, f)
         target = chk.h_exponent
         denom = chk.q_proxy * f.lp_norm(p)
         vals.append(chk.lhs / denom if denom > 0 else math.nan)
@@ -610,6 +603,8 @@ def finite_type_blocks(curve, grid, a, alpha, p, q, lam, n_blocks=7,
     decay over the first fit_blocks blocks is compared against
     sigma (1 - beta/q - 1/p).  Aggregate is the triangle-inequality sum.
     """
+    if not 2 <= fit_blocks <= n_blocks:
+        raise ValueError(f"need 2 <= fit_blocks <= blocks, got {fit_blocks} and {n_blocks}")
     norms = [family_sup(curve, lam, _block_family(curve.d, lam, j, widths), p, q,
                         grid=grid, alpha=alpha, npw=npw)[0] for j in range(n_blocks)]
     window = norms[:fit_blocks]
@@ -624,16 +619,6 @@ def finite_type_blocks(curve, grid, a, alpha, p, q, lam, n_blocks=7,
         aggregate=float(np.sum(norms)))
 
 
-def finite_type_frame(curve, tau, alpha, p, q):
-    """The curve translated so tau sits at 0, and its finite type there;
-    ValueError unless that type is finite and (p, q) admissible."""
-    shifted = translate_curve(curve, tau)
-    a = detect_finite_type(shifted, 0.0).a
-    if not ExponentPair(p=p, q=q, d=curve.d, alpha=alpha).admissible:
-        raise ValueError(f"(p, q) = ({p}, {q}) is not admissible")
-    return shifted, a
-
-
 def finite_type_pipeline(curve, tau, grid, alpha, p, q, lam_grid,
                          n_blocks=7, fit_blocks=5,
                          npw=eng.NODES_PER_WAVELENGTH,
@@ -646,7 +631,10 @@ def finite_type_pipeline(curve, tau, grid, alpha, p, q, lam_grid,
     the per-lambda block reports plus the aggregate slope and its
     verdict against -alpha/q.
     """
-    shifted, a = finite_type_frame(curve, tau, alpha, p, q)
+    shifted = translate_curve(curve, tau)
+    a = detect_finite_type(shifted, 0.0).a
+    if not ExponentPair(p=p, q=q, d=curve.d, alpha=alpha).admissible:
+        raise ValueError(f"(p, q) = ({p}, {q}) is not admissible")
     reports = [finite_type_blocks(shifted, grid, a, alpha, p, q, lam, n_blocks=n_blocks,
                                   fit_blocks=fit_blocks, npw=npw, widths=widths)
                for lam in lam_grid]

@@ -118,7 +118,11 @@ def graded_level_structure(d, box, resolution, grading_levels):
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
+    if grading_levels < 0:
+        raise ValueError(f"grading_levels must be >= 0, got {grading_levels}")
     lo, hi = float(box[0]), float(box[1])
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"box must be finite with lo < hi, got ({lo}, {hi})")
     if grading_levels:
         if abs(lo + hi) > 1e-12:
             raise ValueError("graded grids require an origin-centered box")
@@ -194,8 +198,10 @@ def make_appendix_a(d, alpha, j, extent=1.0, resolution=32, grading_levels=0):
 
     p = alpha - d + j on the bracket d-j-1 < alpha <= d-j.  The density is
     integrated exactly per cell; the first live axis may be graded toward
-    its singularity at 0.
+    its singularity at 0.  extent must be finite and positive.
     """
+    if not 0.0 < extent < math.inf:
+        raise ValueError(f"extent must be finite and > 0, got {extent}")
     if not (0 <= j < d):
         raise ValueError("j must satisfy 0 <= j < d")
     if not (d - j - 1 < alpha <= d - j):

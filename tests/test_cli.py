@@ -1,4 +1,6 @@
+import configparser
 import importlib.resources as importlib_resources
+import io
 from pathlib import Path
 
 import numpy as np
@@ -433,3 +435,153 @@ seed = 5
         assert "checksum" in verdict and "verdict = PASS" in verdict
         log = (tmp_path / "o" / "run.log").read_text()
         assert "speedup" in log
+
+
+# ---------------------------------------------------------------------------
+# the error boundary: every rejected input is exit 2, every failed
+# quadrature exit 3, and neither leaves an output directory
+# ---------------------------------------------------------------------------
+
+
+MODEL_D2 = "[curve]\nkind = model\nd = 2\n"
+DECOMPOSE = MODEL_D2 + "[experiment]\nlambda = {lam}\ntargets = 2\ndegree = {degree}\nseed = 1\n"
+MULTILINEAR = MODEL_D2 + """[experiment]
+supports = {supports}
+lambda_min_exp = 5
+lambda_max_exp = 7
+box_r = {box_r}
+"""
+AUDIT = "[measure]\n{measure}\n\n[experiment]\nseed = 0\n"
+BENCH = MODEL_D2 + "[experiment]\nlambda = 64\ntargets = {targets}\nworkers = 1 2\nseed = 5\n"
+GRADED = TestMeasureMismatch.BODY.format(measure=TestExponentKeys.MEASURE)
+
+
+class TestErrorBoundary:
+    """Inputs that used to escape `main` as a traceback (exit 1), six of
+    them after making --out, and a box that used to pass."""
+
+    @pytest.mark.parametrize("argv, body, code", [
+        pytest.param(["region", "--d", "2", "--alpha", "3"], None, 2, id="region-alpha-3"),
+        pytest.param(["region", "--d", "2", "--alpha", "0"], None, 2, id="region-alpha-0"),
+        pytest.param(["multilinear"], MULTILINEAR.format(supports="abc 0.3 0.6 0.9", box_r=24),
+                     2, id="multilinear-supports-abc"),
+        pytest.param(["multilinear"], MULTILINEAR.format(supports="0.1 0.5 0.4 0.9", box_r=24),
+                     2, id="multilinear-overlapping"),
+        # box_r = 0 returned lhs 0 and exited 0 with verdict PASS
+        pytest.param(["multilinear"], MULTILINEAR.format(supports="0.05 0.3 0.65 0.95",
+                                                         box_r=0), 2, id="multilinear-box-0"),
+        pytest.param(["measure-audit"], AUDIT.format(
+            measure="kind = cantor\nd = 2\nratio = 0.7\ndepth = 3"), 2, id="cantor-ratio-0.7"),
+        pytest.param(["measure-audit"], AUDIT.format(
+            measure="kind = appendix_a\nd = 2\nalpha = 1.5\nj = 1"), 2, id="appendix-a-bracket"),
+        pytest.param(["decompose"], DECOMPOSE.format(lam="nan", degree=4), 2,
+                     id="decompose-lambda-nan"),
+        pytest.param(["decompose"], DECOMPOSE.format(lam=32, degree=-3), 2,
+                     id="decompose-degree-minus-3"),
+        # the rule would need 2.1e9 nodes, over the engine's node budget
+        pytest.param(["decompose"], DECOMPOSE.format(lam="1e8", degree=4), 3,
+                     id="decompose-lambda-1e8"),
+        pytest.param(["sharpness"], TestMeasureMismatch.BODY.format(
+            measure="kind = lebesgue\nd = 2\nresolution = 1"), 2, id="sharpness-resolution-1"),
+        pytest.param(["scaling"], GRADED.replace("resolution = 8", "resolution = 30"), 2,
+                     id="graded-scaling-resolution-30"),
+        pytest.param(["bench"], BENCH.format(targets=0), 2, id="bench-targets-0"),
+    ])
+    def test_exit_code_without_output(self, tmp_path, argv, body, code):
+        if body is not None:
+            argv = argv + [write_config(tmp_path, body)]
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == code
+        assert not (tmp_path / "o").exists()
+
+    def test_over_budget_quadrature_is_a_certification_failure(self, tmp_path):
+        cfg = write_config(tmp_path, DECOMPOSE.format(lam="1e8", degree=4))
+        assert cli.main(["decompose", cfg, "--out", str(tmp_path / "o"),
+                         "--report-only"]) == 0
+        assert not (tmp_path / "o").exists()
+
+    def test_output_dir_is_made_at_its_first_write(self, tmp_path):
+        out = cli.OutputDir(tmp_path / "a" / "b")
+        assert not (tmp_path / "a").exists()
+        out.log("first")
+        assert (tmp_path / "a" / "b" / "run.log").exists()
+        # a non-empty directory is still refused at once
+        with pytest.raises(cli.ConfigError, match="not empty"):
+            cli.OutputDir(tmp_path / "a" / "b")
+
+
+def _set_key(body, key, value):
+    """`body` with [section] name (key "section.name") set to `value`,
+    repeated once per entry of a list key."""
+    section, name = key.split(".")
+    cfg = configparser.ConfigParser()
+    cfg.read_string(body)
+    n = len(cfg.get(section, name, fallback="x").split())
+    cfg.set(section, name, " ".join([value] * n))
+    buf = io.StringIO()
+    cfg.write(buf)
+    return buf.getvalue()
+
+
+POLY_KEYS = ["curve.d", "curve.coeffs1", "curve.coeffs2"]
+GRID_KEYS = ["measure.d", "measure.half", "measure.resolution", "measure.grading_levels"]
+EXP_KEYS = ["experiment.p", "experiment.q", "experiment.alpha",
+            "experiment.lambda_min_exp", "experiment.lambda_max_exp"]
+# per subcommand, its smallest config above and every numeric key it reads,
+# except multilinear's lambda_min_exp: at 0 and -1 it is a valid ladder that
+# takes 2 s a run, and at NaN and +-infinity the same cast error as the others
+SWEEP = {
+    "scaling": (GRADED, POLY_KEYS + GRID_KEYS + EXP_KEYS + [
+        "experiment.seed", "experiment.nodes_per_wavelength", "experiment.radius"]),
+    "sharpness": (GRADED, POLY_KEYS + GRID_KEYS + EXP_KEYS + ["experiment.c"]),
+    "finitetype": (GRADED, POLY_KEYS + GRID_KEYS + EXP_KEYS + [
+        "experiment.tau", "experiment.blocks", "experiment.fit_blocks",
+        "experiment.nodes_per_wavelength"]),
+    "decompose": (DECOMPOSE.format(lam=32, degree=4), [
+        "curve.d", "experiment.lambda", "experiment.targets", "experiment.radius",
+        "experiment.degree", "experiment.seed", "experiment.scales"]),
+    "multilinear": (MULTILINEAR.format(supports="0.05 0.3 0.65 0.95", box_r=24), [
+        "curve.d", "experiment.supports", "experiment.lambda_max_exp",
+        "experiment.box_r"]),
+    "measure-audit": (AUDIT.format(measure="kind = lebesgue\nd = 2\nhalf = 1.0\n"
+                                           "resolution = 48"),
+                      GRID_KEYS + ["experiment.seed"]),
+    "bench": (BENCH.format(targets=400), [
+        "curve.d", "experiment.lambda", "experiment.targets", "experiment.workers",
+        "experiment.seed"]),
+}
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestEdgeValues:
+    """Each subcommand with each numeric key or argument it reads set to
+    NaN, +-infinity, 0 and -1: `main` returns 0, 2 or 3 and never raises,
+    and an exit 2 makes no --out."""
+
+    @staticmethod
+    def _check(argv, out):
+        rc = cli.main(argv + ["--out", str(out)])
+        assert rc in (0, 2, 3)
+        assert rc != 2 or not out.exists()
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, (_, keys) in SWEEP.items() for key in keys])
+    def test_config_key(self, tmp_path, command, key, value):
+        cfg = write_config(tmp_path, _set_key(SWEEP[command][0], key, value))
+        self._check([command, cfg], tmp_path / "o")
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    @pytest.mark.parametrize("argv", [
+        ["region", "--d", "{}", "--alpha", "2"], ["region", "--d", "2", "--alpha", "{}"],
+        ["region", "--d", "2", "--alpha", "2", "--steps", "{}"],
+        ["torsion", "{curve}", "--points", "{}"], ["torsion", "{curve}", "--t-min", "{}"],
+        ["torsion", "{curve}", "--t-max", "{}"],
+        ["decompose", "{decompose}", "--workers", "{}"],
+        ["bench", "{bench}", "--workers", "{}"]],
+        ids=lambda argv: f"{argv[0]} {argv[argv.index('{}') - 1]}")
+    def test_argument(self, tmp_path, argv, value):
+        files = dict(curve=write_config(tmp_path, model_curve(2).to_text(), "curve.txt"),
+                     decompose=write_config(tmp_path, SWEEP["decompose"][0], "d.cfg"),
+                     bench=write_config(tmp_path, SWEEP["bench"][0], "b.cfg"))
+        self._check([a.format(value, **files) for a in argv], tmp_path / "o")

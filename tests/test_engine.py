@@ -124,6 +124,17 @@ def test_rule_node_budget_counts_exactly(monkeypatch, split):
         eng.build_rule(f, 300.0, split=split)
 
 
+@pytest.mark.parametrize("npw", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_rule_needs_finite_positive_node_density(npw):
+    # NaN failed converting to an integer, +-inf and 0 divided by zero, and
+    # -1 surfaced only as a self-check error
+    with pytest.raises(ValueError, match="nodes_per_wavelength must be finite and > 0"):
+        eng.build_rules([eng.indicator(0.0, 1.0)], 100.0, npw)
+    with pytest.raises(ValueError, match="nodes_per_wavelength"):
+        eng.extension_eval(model_curve(2), 16.0, np.ones((3, 2)), eng.indicator(0.0, 1.0),
+                           nodes_per_wavelength=npw)
+
+
 def test_rule_over_node_budget_raises_before_building():
     # lambda = 1e9 at |x| <= sqrt 2 asked for 3.2e9 nodes (51 GB of nodes
     # and weights) and was still building after 120 s
@@ -762,6 +773,30 @@ def test_multilinear_any_d_matches_scattered_product():
     prod = np.prod([eng.extension_eval(g, 4.0, pts, f) for f in fs], axis=0)
     lhs = math.sqrt(float(np.sum(np.abs(prod) ** 2)) * res.grid_step ** 4)
     assert res.lhs == pytest.approx(lhs, rel=1e-9)
+
+
+def test_multilinear_starved_rule_fails_its_corner_check():
+    # at 0.5 and 0.25 nodes per wavelength these returned lhs 0.01073 and
+    # ratio 1.85 > 1, against 0.0070277 at the default 10, with no error
+    g = model_curve(2)
+    fs = [eng.indicator(0.1, 0.3), eng.indicator(0.6, 0.8)]
+    res = eng.multilinear_l2(g, fs, 256.0, box_r=16.0, nodes_per_wavelength=10)
+    assert res.lhs == pytest.approx(0.0070277, rel=1e-5)
+    for npw in (0.5, 0.25):
+        with pytest.raises(eng.QuadratureBudgetError, match="self-check error"):
+            eng.multilinear_l2(g, fs, 256.0, box_r=16.0, nodes_per_wavelength=npw)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(box_r=0.0), "box_r"), (dict(box_r=-1.0), "box_r"),
+    (dict(box_r=math.nan), "box_r"), (dict(box_r=math.inf), "box_r"),
+    (dict(max_doublings=-1), "max_doublings")])
+def test_multilinear_rejects_degenerate_box(kwargs, name):
+    # box_r 0 and -1 returned lhs 0 (a pass), NaN and inf failed converting
+    # to an integer, and max_doublings -1 ended in UnboundLocalError
+    fs = [eng.indicator(0.0, 0.25), eng.indicator(0.75, 1.0)]
+    with pytest.raises(ValueError, match=name):
+        eng.multilinear_l2(model_curve(2), fs, 64.0, **kwargs)
 
 
 def test_multilinear_lambda_decay():

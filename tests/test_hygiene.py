@@ -22,10 +22,8 @@ EXEMPT = {"self", "cls"}
 # net code lines of the package (non-blank, not starting with `#`,
 # docstrings counted): the baseline the design work measures against
 NET_LINES_BASELINE = 2799
-# Kept settable although no caller sets them: `weighted` switches to the
-# affine-arclength measure the estimates are stated for, and the nodes per
-# wavelength set the quadrature density a convergence study varies.
-KEPT_DEFAULTS = {"weighted", "npw", "nodes_per_wavelength"}
+# Kept settable although no caller sets them (none at present).
+KEPT_DEFAULTS = set()
 # Kept although nothing reads them yet: the report values a run is to
 # state (the factors' L2 norms and the terms of the multilinear L^q
 # chain), which result files do not carry yet.
@@ -152,10 +150,10 @@ def test_default_scan_matches_by_keyword_position_and_star():
         "    def s(c=1):\n        pass\n"
         "    def __init__(self, e=0):\n        pass\n")
     assert unset_defaults([defs], [ast.parse("")]) == [
-        "f(y)", "f(z)", "g(u)", "g(v)", "m(a)", "m(b)", "s(c)"]
+        "f(y)", "f(z)", "f(npw)", "g(u)", "g(v)", "m(a)", "m(b)", "s(c)"]
     calls = ast.parse("f(0, 5)\nobj.f(z=3)\ng(**opts)\nK().m(1)\n"
                       "K.s(*args)\n")
-    assert unset_defaults([defs], [calls]) == ["m(b)"]
+    assert unset_defaults([defs], [calls]) == ["f(npw)", "m(b)"]
 
 
 def _is_dataclass(cls):

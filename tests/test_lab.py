@@ -243,6 +243,14 @@ class TestScaling:
                                    [2.0**k for k in range(2, 8)],
                                    grid=lab.GradedGrid(2, 2, 8, 1))
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_empty_ball_rejected(self, radius):
+        # every atom fell outside the ball, so the sweep read "vacuous"
+        mu = ms.make_lebesgue(2, box=(-2.0, 2.0), resolution=8)
+        with pytest.raises(ValueError, match="radius must be > 0"):
+            lab.scaling_experiment(model_curve(2), 2.0, 8.0, 2.0,
+                                   [2.0**k for k in range(2, 8)], mu=mu, radius=radius)
+
     def test_ladder_validation(self):
         with pytest.raises(ValueError):
             lab.scaling_experiment(model_curve(2), 2.0, 8.0, 2.0,
@@ -457,6 +465,13 @@ class TestFiniteType:
         assert all(a > b for a, b in zip(top.block_norms, top.block_norms[1:]))
         assert slope <= target + lab.SLOPE_TOL
         assert verdict == "PASS"
+
+    @pytest.mark.parametrize("n_blocks, fit_blocks", [(2, 0), (2, 1), (2, -1), (2, 3), (0, 0)])
+    def test_fit_window_must_fit_the_blocks(self, n_blocks, fit_blocks):
+        # these failed inside min() or np.polyfit (TypeError at fit_blocks = -1)
+        with pytest.raises(ValueError, match="need 2 <= fit_blocks <= blocks"):
+            lab.finite_type_blocks(DEG_23, lab.GradedGrid(2, 2.0, 8, 1), (2, 3), 2.0,
+                                   4.0, 8.0, 16.0, n_blocks=n_blocks, fit_blocks=fit_blocks)
 
     def test_blocks_summable_ratio(self):
         # partial sums converge: every observed per-block ratio <= 2^{-0.4}

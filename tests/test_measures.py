@@ -67,6 +67,30 @@ def test_appendix_a_bracket_validation():
         ms.make_appendix_a(2, alpha=1.5, j=1)  # needs 0 < alpha <= 1
 
 
+@pytest.mark.parametrize("extent", [0.0, -1.0, math.nan, math.inf])
+def test_appendix_a_rejects_degenerate_extent(extent):
+    # extent 0 built a zero-diameter measure whose zero local resolution set
+    # the audit floor to 0, so regularity_audit's radius loop never ended
+    with pytest.raises(ValueError, match="extent must be finite and > 0"):
+        ms.make_appendix_a(2, 1.0, 1, extent=extent)
+
+
+@pytest.mark.parametrize("box, levels", [
+    ((1.0, -1.0), 0), ((1.0, 1.0), 0), ((-math.inf, 1.0), 0), ((0.0, math.nan), 0),
+    ((1.0, -1.0), 1), ((-math.inf, math.inf), 1)])
+def test_lebesgue_rejects_degenerate_box(box, levels):
+    # box (1, -1) used to build a measure of resolution -0.25
+    with pytest.raises(ValueError, match="box must be finite with lo < hi"):
+        ms.make_lebesgue(2, box=box, resolution=8, grading_levels=levels)
+
+
+def test_lebesgue_rejects_negative_grading():
+    # a graded grid of no levels: make_lebesgue failed concatenating nothing,
+    # and the graded scaling path read "vacuous"
+    with pytest.raises(ValueError, match="grading_levels must be >= 0"):
+        ms.make_lebesgue(2, box=(-1.0, 1.0), resolution=8, grading_levels=-1)
+
+
 def test_appendix_a_plane_slice_is_lebesgue():
     # d=3, alpha=2, j=1: |x2|^0 on a plane
     mu = ms.make_appendix_a(3, alpha=2.0, j=1, extent=1.0, resolution=16)
