@@ -38,10 +38,6 @@ class ConfigError(ValueError):
     pass
 
 
-class CertificationError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
@@ -228,7 +224,7 @@ def cmd_torsion(args):
     out.write_csv("torsion_results.csv", ("t", "torsion"), zip(ts, vals))
     out.log(f"torsion over [{args.t_min}, {args.t_max}]")
     if args.require_nondegenerate and min(abs(v) for v in vals) < 1e-12:
-        raise CertificationError("torsion vanishes on the requested grid")
+        return ["torsion vanishes on the requested grid"]
     return []
 
 
@@ -308,6 +304,8 @@ def cmd_decompose(args):
     d = curve.d
     lam = _get(cfg, "experiment", "lambda", float)
     n_targets = _get(cfg, "experiment", "targets", int, 16)
+    if n_targets < 1:
+        raise ConfigError(f"[experiment] targets must be >= 1, got {n_targets}")
     radius = _get(cfg, "experiment", "radius", float, 8.0)
     if not 0.0 <= radius < math.inf:
         raise ConfigError(f"[experiment] radius must be finite and >= 0, got {radius}")
@@ -430,6 +428,8 @@ def cmd_bench(args):
     curve = curve_from_config(cfg)
     lam = _get(cfg, "experiment", "lambda", float)
     n_targets = _get(cfg, "experiment", "targets", int, 10000)
+    if n_targets < 1:
+        raise ConfigError(f"[experiment] targets must be >= 1, got {n_targets}")
     workers = tuple(int(w) for w in
                     _get(cfg, "experiment", "workers", str, "1 2 4").split())
     if args.workers is not None:
@@ -507,8 +507,7 @@ def main(argv=None):
     except ValueError as exc:  # a ConfigError, or an input a kernel rejected
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CertificationError, eng.QuadratureBudgetError,
-            dc.TelescopingError) as exc:
+    except (eng.QuadratureBudgetError, dc.TelescopingError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_OK if args.report_only else EXIT_CERT
     if failures and not args.report_only:

@@ -66,6 +66,8 @@ def _compose_affine(coeffs, shift, scale):
 
 def shift_subtract(curve, tau, h=1.0):
     """The polynomial curve t -> gamma(h t + tau) - gamma(tau)."""
+    if not (math.isfinite(tau) and math.isfinite(h)):
+        raise ValueError(f"tau and h must be finite, got tau={tau}, h={h}")
     comps = [_compose_affine(np.asarray(c, dtype=float), float(tau), float(h))
              for c in curve.coeffs]
     for cc in comps:
@@ -73,43 +75,33 @@ def shift_subtract(curve, tau, h=1.0):
     return CurveSpec(d=curve.d, coeffs=tuple(comps), label=curve.label)
 
 
-@dataclass(frozen=True)
-class ExponentTuple:
+class ExponentTuple(tuple):
     """Strictly increasing positive-integer exponents (a_1, ..., a_d)."""
 
-    values: tuple
+    __slots__ = ()  # immutable, like the tuple itself
 
-    def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
+    def __new__(cls, values):
+        vals = tuple(int(v) for v in values)
         if len(vals) < 1 or any(v <= 0 for v in vals):
             raise ValueError("exponents must be positive integers")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("exponents must be strictly increasing")
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, vals)
 
     @property
     def d(self):
-        return len(self.values)
+        return len(self)
 
     @property
     def total(self):
-        return sum(self.values)
+        return sum(self)
 
     def is_nondegenerate(self):
-        return self.values == tuple(range(1, self.d + 1))
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __len__(self):
-        return len(self.values)
+        return self == tuple(range(1, self.d + 1))
 
 
 def nondegenerate_tuple(d):
-    return ExponentTuple(tuple(range(1, d + 1)))
+    return ExponentTuple(range(1, d + 1))
 
 
 @dataclass(frozen=True)
@@ -133,6 +125,8 @@ class CurveSpec:
         if len(self.coeffs) != self.d:
             raise ValueError("need one coefficient list per component")
         tidy = tuple(tuple(float(c) for c in comp) for comp in self.coeffs)
+        if not all(map(math.isfinite, sum(tidy, ()))):
+            raise ValueError(f"curve coefficients must be finite, got {tidy}")
         object.__setattr__(self, "coeffs", tidy)
 
     def component_arrays(self):
@@ -210,7 +204,7 @@ class CurveSpec:
             elif key.startswith("component_"):
                 comps[int(key.split("_")[1])] = tuple(float(v) for v in val.split())
             elif key == "tuple":
-                a = ExponentTuple(tuple(int(v) for v in val.split()))
+                a = ExponentTuple(val.split())
             elif key == "label":
                 label = val
             else:
@@ -513,7 +507,7 @@ def detect_finite_type(curve, tau):
             f"no nonsingular frame at tau={tau} within order budget "
             f"{curve.order_budget}"
         )
-    a = ExponentTuple(tuple(chosen))
+    a = ExponentTuple(chosen)
     frame = frame_matrix(curve, tau, a)
     # phi_k from the exact polynomial identity
     # M^{-1}(gamma(t+tau)-gamma(tau)) = (t^{a_k} phi_k(t))_k
@@ -715,7 +709,7 @@ def ik_recursion(curve, probe):
         raise ValueError("recursion needs n >= 2 sample points")
     if not probe.strictly_ordered():
         return 0.0
-    bvals = (0,) + tuple(b)  # b_0 = 0
+    bvals = (0,) + b  # b_0 = 0
     phi_k = _phi_minor_functions(curve, b)
 
     def prefactor(k, t):

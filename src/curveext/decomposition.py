@@ -156,9 +156,9 @@ def base_split(lhs, values):
 
 
 def _children(family, level, parent):
-    """Indices of level-`level` intervals inside the given parent interval."""
-    ratio = int(family.lengths[level - 2] / family.lengths[level - 1]) \
-        if level >= 2 else int(1 / family.lengths[0])
+    """Indices of level-`level` intervals (level >= 2) inside the given
+    level-(level - 1) parent interval."""
+    ratio = int(family.lengths[level - 2] / family.lengths[level - 1])
     return range(parent * ratio, (parent + 1) * ratio)
 
 

@@ -54,8 +54,9 @@ class SeparationError(ValueError):
 class TestFunction:
     """Real-valued function on [0,1] with closed-form or quadrature norms.
 
-    kind is one of "indicator", "bump", "trig", "zero", supported on
-    [lo, hi].  A bump's coeffs (plo, phi) are the support of its profile
+    kind is one of "indicator", "bump", "trig", supported on [lo, hi];
+    the zero function is an indicator of an empty support.  A bump's
+    coeffs (plo, phi) are the support of its profile
     exp(1 - 1/(1 - u^2)), u = 2 (t - plo) / (phi - plo) - 1; `restrict`
     keeps them while it narrows [lo, hi], so a restriction is always f
     times an indicator.
@@ -71,13 +72,18 @@ class TestFunction:
     coeffs: tuple = ()
     label: str = ""
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"test function ends must be finite, got "
+                             f"[{self.lo}, {self.hi}]")
+
     @property
     def width(self):
         return max(self.hi - self.lo, 0.0)
 
     def bandwidth(self):
         """Oscillation scale of the amplitude itself, rad per unit t."""
-        if self.kind == "indicator" or self.kind == "zero":
+        if self.kind == "indicator":
             return 0.0
         if self.kind == "bump":
             plo, phi = self.coeffs
@@ -90,7 +96,7 @@ class TestFunction:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         mask = (t >= self.lo) & (t <= self.hi)
-        if self.kind == "zero" or self.width == 0.0:
+        if self.width == 0.0:
             return np.zeros_like(t)
         if self.kind == "indicator":
             return mask.astype(float)
@@ -111,7 +117,7 @@ class TestFunction:
         raise ValueError(self.kind)
 
     def lp_norm(self, p):
-        if self.kind == "zero" or self.width == 0.0:
+        if self.width == 0.0:
             return 0.0
         if self.kind == "indicator":
             if p == math.inf:
@@ -136,7 +142,7 @@ def bump(lo, hi):
 
 
 def zero_function():
-    return TestFunction("zero", 0.0, 0.0)
+    return indicator(0.0, 0.0)
 
 
 def trig_poly(seed, degree=64):
@@ -148,7 +154,8 @@ def trig_poly(seed, degree=64):
 
 def restrict(f, lo, hi):
     """f times the indicator of [lo, hi]."""
-    nlo, nhi = max(f.lo, float(lo)), min(f.hi, float(hi))
+    # lo and hi first, so that a NaN end is kept and TestFunction rejects it
+    nlo, nhi = max(float(lo), f.lo), min(float(hi), f.hi)
     if nhi <= nlo:
         return zero_function()
     return TestFunction(f.kind, nlo, nhi, coeffs=f.coeffs, label=f.label)
@@ -161,8 +168,6 @@ def pullback(f, tau, h):
     reparametrization of their support and a bump's profile);
     trigonometric test functions do not stay in the family and are rejected.
     """
-    if f.kind == "zero":
-        return zero_function()
     if f.kind not in ("indicator", "bump"):
         raise ValueError(f"pullback not closed for kind {f.kind!r}")
     return TestFunction(f.kind, (f.lo - tau) / h, (f.hi - tau) / h,

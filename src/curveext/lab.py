@@ -10,7 +10,7 @@ curve, measure, and engine modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,6 @@ FAMILY_TRIG = 32
 TRIG_DEGREE = 64
 DEFAULT_RADIUS = 64.0
 MOLLIFIER_CHAIN_CONSTANT = 8.0
-MAX_RECT_SAMPLES = 256
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +265,9 @@ def scaling_experiment(curve, p, q, alpha, lam_grid, mu=None, grid=None,
     """Family-sup norm sweep over a geometric lambda ladder.
 
     Without a grid, norms are taken against mu restricted to the ball of
-    the given radius.  Verdict is PASS when the fitted log2 slope is at
-    most -alpha/q plus SLOPE_TOL, vacuous when the family never
-    produces a nonzero norm.
+    the given radius; a grid's box must lie inside that ball.  Verdict is
+    PASS when the fitted log2 slope is at most -alpha/q plus SLOPE_TOL,
+    vacuous when the family never produces a nonzero norm.
     """
     eng.check_exponent("p", p)
     eng.check_exponent("q", q)
@@ -279,10 +278,13 @@ def scaling_experiment(curve, p, q, alpha, lam_grid, mu=None, grid=None,
         raise ValueError("scaling_experiment needs a measure mu or a grid")
     if family_fn is None:
         family_fn = lambda lam: default_test_family(curve.d, lam, seed=seed)
-    if grid is None and radius is not None:
-        if not radius > 0:  # NaN too: no atom would be kept
-            raise ValueError(f"radius must be > 0, got {radius}")
+    if not radius > 0:  # NaN too: no atom would be kept
+        raise ValueError(f"radius must be > 0, got {radius}")
+    if grid is None:
         mu = mu.restrict(np.linalg.norm(mu.atoms, axis=1) <= radius)
+    elif radius < math.sqrt(grid.d) * grid.half:  # a grid is not cut to a ball
+        raise ValueError(f"radius must reach the grid's corners at "
+                         f"{math.sqrt(grid.d) * grid.half}, got {radius}")
     sups, labels, norms = [], [], {}
     for lam in lam_grid:
         val, label = family_sup(curve, lam, family_fn(lam), p, q, mu=mu,
@@ -347,11 +349,11 @@ def sharpness_experiment(curve, mu, alpha, p, q, lam_grid, c=KNAPP_SCALE):
     """
     eng.check_exponent("p", p)
     eng.check_exponent("q", q)
+    if not 0.0 < c < math.inf:  # else the rectangles are empty
+        raise ValueError(f"c must be finite and > 0, got {c}")
     d = curve.d
     beta = beta_alpha(alpha, d)
-    masses, ratios = [], []
-    lb_ok = True
-    min_frac = math.inf
+    masses, ratios, fracs = [], [], []
     for lam in lam_grid:
         f = indicator(*knapp_interval(d, lam))
         mask = knapp_rectangle_mask(mu.atoms, d, lam, c)
@@ -361,24 +363,16 @@ def sharpness_experiment(curve, mu, alpha, p, q, lam_grid, c=KNAPP_SCALE):
         pts = np.vstack([np.zeros((1, d)), rect.atoms])
         vals = extension_eval(curve, lam, pts, f, alpha=alpha)
         peak, vals = float(np.abs(vals[0])), vals[1:]
-        idx = np.arange(rect.n)
-        if idx.size > MAX_RECT_SAMPLES:
-            idx = idx[:: idx.size // MAX_RECT_SAMPLES]
-        if idx.size and peak > 0:
-            frac = float(np.min(np.abs(vals[idx]))) / peak
-            min_frac = min(min_frac, frac)
-            if frac < 0.5:
-                lb_ok = False
+        if rect.n and peak > 0:
+            fracs.append(float(np.min(np.abs(vals))) / peak)
         rect_norm = lq_norm(vals, rect, q)
         ratios.append(rect_norm * lam ** (alpha / q) / f.lp_norm(p))
-    mass_slope = fit_line(lam_grid, masses)[0] if max(masses) > 0 else 0.0
-    ratio_slope = fit_line(lam_grid, ratios)[0] if max(ratios) > 0 else 0.0
     return SharpnessReport(
         lam_grid=tuple(lam_grid), rect_masses=tuple(masses),
-        mass_slope=mass_slope, mass_target=-alpha + beta / d,
-        ratios=tuple(ratios), ratio_slope=ratio_slope,
-        lower_bound_ok=lb_ok,
-        min_peak_fraction=min_frac if min_frac < math.inf else 0.0)
+        mass_slope=fit_line(lam_grid, masses)[0], mass_target=-alpha + beta / d,
+        ratios=tuple(ratios), ratio_slope=fit_line(lam_grid, ratios)[0],
+        lower_bound_ok=all(frac >= 0.5 for frac in fracs),
+        min_peak_fraction=min(fracs, default=0.0))
 
 
 def quotient_slope_prediction(alpha, d, p, q):
@@ -515,9 +509,7 @@ def rescaling_inequality_check(curve, tau, h, mu, alpha, p, q, lam, f):
     c_free = c_full / abs(h) ** h_expo
     # nu scaled into the unit regularity class; its norms carry the full
     # certified constant, including the h power
-    nu_tilde = ms.DiscreteMeasure(
-        atoms=nu.atoms, weights=nu.weights / c_full, alpha=alpha, c_mu=1.0,
-        resolution=nu.resolution)
+    nu_tilde = replace(nu, weights=nu.weights / c_full, alpha=alpha, c_mu=1.0)
     tvals = extension_eval(norm_curve, lam, nu_tilde.atoms, f_h)
     fp_h = f_h.lp_norm(p)
     q_proxy = lq_norm(tvals, nu_tilde, q) / fp_h if fp_h > 0 else 0.0
@@ -607,12 +599,7 @@ def finite_type_blocks(curve, grid, a, alpha, p, q, lam, n_blocks=7,
         raise ValueError(f"need 2 <= fit_blocks <= blocks, got {fit_blocks} and {n_blocks}")
     norms = [family_sup(curve, lam, _block_family(curve.d, lam, j, widths), p, q,
                         grid=grid, alpha=alpha, npw=npw)[0] for j in range(n_blocks)]
-    window = norms[:fit_blocks]
-    if min(window) <= 0:
-        rate = 0.0
-    else:
-        js = np.arange(fit_blocks, dtype=float)
-        rate = -float(np.polyfit(js, np.log2(window), 1)[0])
+    rate = -fit_line(2.0 ** np.arange(fit_blocks), norms[:fit_blocks])[0]
     return BlockReport(
         lam=lam, block_norms=tuple(norms), rate=rate,
         target_rate=block_decay_rate(a, alpha, p, q),
@@ -638,8 +625,7 @@ def finite_type_pipeline(curve, tau, grid, alpha, p, q, lam_grid,
     reports = [finite_type_blocks(shifted, grid, a, alpha, p, q, lam, n_blocks=n_blocks,
                                   fit_blocks=fit_blocks, npw=npw, widths=widths)
                for lam in lam_grid]
-    aggs = [r.aggregate for r in reports]
-    slope = fit_line(lam_grid, aggs)[0] if min(aggs) > 0 else 0.0
+    slope = fit_line(lam_grid, [r.aggregate for r in reports])[0]
     target = -alpha / q
     verdict = "PASS" if slope <= target + SLOPE_TOL else "FAIL"
     return reports, slope, target, verdict

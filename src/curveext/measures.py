@@ -178,19 +178,15 @@ def _signed_power_integral(a, b, p):
 
 
 def _graded_symmetric_edges(extent, resolution, grading_levels):
-    """Partition of [-extent, extent] refined geometrically toward 0."""
-    if resolution % 2:
-        resolution += 1
-    edges = list(np.linspace(-extent, extent, resolution + 1))
+    """Partition of [-extent, extent] refined geometrically toward 0: the
+    uniform edges and, once per grading level, the two edges next to 0
+    halved again."""
+    resolution += resolution % 2
+    edges = np.linspace(-extent, extent, resolution + 1)
     # linspace can put the middle edge at +-1e-17 instead of 0
     edges[resolution // 2] = 0.0
-    for _ in range(grading_levels):
-        # split the two cells adjacent to 0
-        zi = edges.index(0.0)
-        left, right = edges[zi - 1], edges[zi + 1]
-        edges.insert(zi, left / 2.0)
-        edges.insert(edges.index(0.0) + 1, right / 2.0)
-    return np.asarray(edges)
+    near = edges[[resolution // 2 - 1, resolution // 2 + 1], None]
+    return np.unique(np.append(edges, near / 2.0 ** np.arange(1, grading_levels + 1)))
 
 
 def make_appendix_a(d, alpha, j, extent=1.0, resolution=32, grading_levels=0):
@@ -289,9 +285,14 @@ def make_cantor(d, ratio, depth):
 
 
 def fit_line(xs, ys):
-    """Least-squares slope, intercept, and slope standard error in log2."""
-    x = np.log2(np.asarray(xs, dtype=float))
-    y = np.log2(np.asarray(ys, dtype=float))
+    """Least-squares slope, intercept, and slope standard error in log2;
+    ValueError names the first x where x or y is not finite and > 0."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    bad = ~((x > 0) & (x < math.inf) & (y > 0) & (y < math.inf))
+    if np.any(bad):
+        raise ValueError(f"log-log fit needs finite values > 0; at x = "
+                         f"{float(x[bad][0])} it got y = {float(y[bad][0])}")
+    x, y = np.log2(x), np.log2(y)
     if x.size < 2:
         raise ValueError("need at least two points for a slope")
     slope, intercept = np.polyfit(x, y, 1)
@@ -447,7 +448,7 @@ def pushforward(mu, spec):
         alpha=mu.alpha,
         c_mu=rescaled_constant(mu.c_mu, spec, mu.alpha),
         resolution=mu.resolution * smin,
-        generator=f"pushforward[h={spec.h}, a={tuple(spec.a)}]({mu.generator})",
+        generator=f"pushforward[h={spec.h}, a={spec.a}]({mu.generator})",
         local_resolution=lr,
     )
 

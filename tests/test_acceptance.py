@@ -159,7 +159,6 @@ def _random_separated(rng, d, lam_exps, width_hi):
     return float(lam), fs
 
 
-@pytest.mark.slow
 def test_criterion_06_multilinear_l2():
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -267,7 +266,6 @@ def test_criterion_09_sharpness():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.slow
 def test_criterion_10_finite_type():
     g = CurveSpec(d=2, coeffs=((0, 0, 1), (0, 0, 0, 1)))
     grid = lab.GradedGrid(2, 8.0, 128, 9)
@@ -326,7 +324,6 @@ def test_criterion_11_jacobian_recursion():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.slow
 def test_criterion_12_determinism_throughput():
     g = model_curve(2)
     rng = np.random.default_rng(6)

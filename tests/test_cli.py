@@ -54,13 +54,17 @@ class TestTorsion:
         rc = cli.main(["torsion", str(cf), "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    def test_require_nondegenerate_exit_3(self, tmp_path):
+    def test_require_nondegenerate_exit_3(self, tmp_path, capsys):
         deg = CurveSpec(d=2, coeffs=((0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 1.0)))
         cf = tmp_path / "curve.txt"
         cf.write_text(deg.to_text())
-        rc = cli.main(["torsion", str(cf), "--out", str(tmp_path / "o"),
-                       "--require-nondegenerate"])
-        assert rc == 3
+        argv = ["torsion", str(cf), "--require-nondegenerate", "--force"]
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "certification failure: torsion vanishes on the requested grid\n")
+        # the result file is written either way
+        assert (tmp_path / "o" / "torsion_results.csv").exists()
+        assert cli.main(argv + ["--out", str(tmp_path / "o"), "--report-only"]) == 0
 
 
 class TestRegion:
@@ -135,7 +139,6 @@ lambda_max_exp = 7
 seed = 3
 """
 
-    @pytest.mark.slow
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, self.SMALL_SCALING)
         for name in ("a", "b"):
@@ -145,7 +148,6 @@ seed = 3
         b = (tmp_path / "b" / "scaling_results.csv").read_bytes()
         assert a == b
 
-    @pytest.mark.slow
     def test_overwrite_needs_force(self, tmp_path):
         cfg = write_config(tmp_path, self.SMALL_SCALING)
         assert cli.main(["scaling", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -585,3 +587,40 @@ class TestEdgeValues:
                      decompose=write_config(tmp_path, SWEEP["decompose"][0], "d.cfg"),
                      bench=write_config(tmp_path, SWEEP["bench"][0], "b.cfg"))
         self._check([a.format(value, **files) for a in argv], tmp_path / "o")
+
+
+class TestInputGates:
+    """Rejected inputs exit 2 with a message naming what was wrong, before
+    --out is made."""
+
+    @pytest.mark.parametrize("command, body, message", [
+        # read "cannot convert float NaN to integer"
+        *[pytest.param(command, _set_key(GRADED, "curve.coeffs1", "nan"),
+                       "curve coefficients must be finite", id=f"{command}-coeffs1-nan")
+          for command in ("scaling", "sharpness", "finitetype")],
+        # read "no nonsingular frame at tau=0.0"
+        pytest.param("finitetype", GRADED.replace("fit_blocks = 2", "fit_blocks = 2\ntau = nan"),
+                     "tau and h must be finite, got tau=nan", id="finitetype-tau-nan"),
+        pytest.param("multilinear", MULTILINEAR.format(supports="nan nan nan nan", box_r=24),
+                     "test function ends must be finite", id="multilinear-supports-nan"),
+        # the grid path ignored the radius and exited 0
+        pytest.param("scaling", GRADED.replace("seed = 0", "seed = 0\nradius = nan"),
+                     "radius must be > 0, got nan", id="graded-scaling-radius-nan"),
+        pytest.param("scaling", GRADED.replace("seed = 0", "seed = 0\nradius = 1"),
+                     "radius must reach the grid's corners", id="graded-scaling-radius-1"),
+        # read "cannot reshape array of size 0 ..."
+        pytest.param("decompose", DECOMPOSE.format(lam=32, degree=4).replace(
+            "targets = 2", "targets = 0"), "[experiment] targets must be >= 1, got 0",
+                     id="decompose-targets-0"),
+        pytest.param("bench", BENCH.format(targets=-1),
+                     "[experiment] targets must be >= 1, got -1", id="bench-targets-minus-1"),
+        # the Knapp rectangles were empty at every lambda
+        *[pytest.param("sharpness", GRADED.replace("fit_blocks = 2", f"fit_blocks = 2\nc = {c}"),
+                       f"c must be finite and > 0, got {c}", id=f"sharpness-c-{c}")
+          for c in ("0.0", "-1.0", "nan")],
+    ])
+    def test_named_exit_2(self, tmp_path, capsys, command, body, message):
+        cfg = write_config(tmp_path, body)
+        assert cli.main([command, cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

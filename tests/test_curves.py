@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -56,6 +57,35 @@ def test_exponent_tuple_validation():
         cv.ExponentTuple((0, 1))
     assert cv.nondegenerate_tuple(3).is_nondegenerate()
     assert not cv.ExponentTuple((1, 3)).is_nondegenerate()
+
+
+def test_exponent_tuple_is_a_tuple():
+    a = cv.ExponentTuple([1.0, 2])
+    assert a == (1, 2) and type(a[0]) is int
+    assert isinstance(a, tuple) and hash(a) == hash((1, 2))
+    assert (a.d, a.total) == (2, 3)
+    back = pickle.loads(pickle.dumps(a))
+    assert type(back) is cv.ExponentTuple and back == a
+    with pytest.raises(AttributeError):
+        a.values = (1, 2)  # immutable, as the frozen dataclass was
+    with pytest.raises(ValueError, match="positive integers"):
+        cv.ExponentTuple(())
+    with pytest.raises(ValueError, match="strictly increasing"):
+        cv.ExponentTuple((3, 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_coefficients_named(bad):
+    # NaN coefficients used to be accepted and fail later, as "cannot
+    # convert float NaN to integer" or a singular frame
+    with pytest.raises(ValueError, match="curve coefficients must be finite"):
+        cv.CurveSpec(d=2, coeffs=((0.0, 1.0), (0.0, 0.0, bad)))
+
+
+@pytest.mark.parametrize("tau, h", [(math.nan, 1.0), (0.5, math.inf)])
+def test_shift_subtract_names_a_non_finite_shift(tau, h):
+    with pytest.raises(ValueError, match="tau and h must be finite"):
+        cv.shift_subtract(cv.model_curve(2), tau, h)
 
 
 def test_sigma_exponent_nondegenerate_is_one():
@@ -248,7 +278,7 @@ def test_curve_text_round_trip():
     back = cv.CurveSpec.from_text(g.to_text())
     assert back.d == g.d
     assert back.coeffs == g.coeffs
-    assert back.a.values == g.a.values
+    assert back.a == g.a
     assert back.label == "demo"
 
 
@@ -345,14 +375,14 @@ def test_class_distance_monomial_infinite_when_low_terms_present():
 
 def test_detect_finite_type_nondegenerate():
     data = cv.detect_finite_type(cv.model_curve(3), 0.3)
-    assert data.a.values == (1, 2, 3)
+    assert data.a == (1, 2, 3)
 
 
 def test_detect_finite_type_cusp_curve():
     # gamma = (t^2, t^3) at the origin has tuple (2, 3)
     g = cv.CurveSpec(d=2, coeffs=((0, 0, 1), (0, 0, 0, 1)), label="cusp")
     data = cv.detect_finite_type(g, 0.0)
-    assert data.a.values == (2, 3)
+    assert data.a == (2, 3)
     # phi_k(0) = 1/a_k! after frame normalization
     assert data.phi(0, 0.0) == pytest.approx(1.0 / 2.0)
     assert data.phi(1, 0.0) == pytest.approx(1.0 / 6.0)
@@ -361,7 +391,7 @@ def test_detect_finite_type_cusp_curve():
 def test_detect_finite_type_away_from_cusp_is_nondegenerate():
     g = cv.CurveSpec(d=2, coeffs=((0, 0, 1), (0, 0, 0, 1)))
     data = cv.detect_finite_type(g, 0.5)
-    assert data.a.values == (1, 2)
+    assert data.a == (1, 2)
 
 
 def test_detect_finite_type_flat_curve_raises():
@@ -374,7 +404,7 @@ def test_detect_finite_type_flat_curve_raises():
 def test_phi_normalization_general_curve():
     g = cv.CurveSpec(d=2, coeffs=((0, 0, 3, 1), (0, 0, 0, 2, 0.5)), label="scaled")
     data = cv.detect_finite_type(g, 0.0)
-    assert data.a.values == (2, 3)
+    assert data.a == (2, 3)
     for k in range(2):
         assert data.phi(k, 0.0) == pytest.approx(1.0 / math.factorial(data.a[k]))
 

@@ -56,8 +56,33 @@ def test_trig_poly_deterministic_and_restricted():
 
 def test_restrict_empty_intersection_is_zero():
     f = eng.restrict(eng.indicator(0.0, 0.25), 0.5, 1.0)
-    assert f.kind == "zero"
+    assert f.width == 0.0
     assert f.lp_norm(2) == 0.0
+
+
+def test_zero_function_is_an_empty_indicator():
+    z = eng.zero_function()
+    assert (z.kind, z.width, z.bandwidth(), z.lp_norm(1.0)) == ("indicator", 0.0, 0.0, 0.0)
+    assert eng.pullback(z, 0.25, 0.5).lp_norm(2.0) == 0.0
+    np.testing.assert_array_equal(z(np.linspace(0, 1, 5)), 0.0)
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_non_finite_ends_named(v):
+    for build in (lambda: eng.indicator(v, 0.5), lambda: eng.indicator(0.25, v),
+                  lambda: eng.bump(v, v)):
+        with pytest.raises(ValueError, match="test function ends must be finite"):
+            build()
+
+
+def test_restrict_to_a_nan_end_named():
+    # max/min dropped a NaN end, so f came back unrestricted
+    for f in (eng.trig_poly(1, 4), eng.indicator(0.0, 1.0)):
+        for ends in ((math.nan, 0.5), (0.25, math.nan)):
+            with pytest.raises(ValueError, match="test function ends must be finite"):
+                eng.restrict(f, *ends)
+    # an infinite end still restricts to a half-line
+    assert eng.restrict(eng.indicator(0.0, 1.0), -math.inf, 0.5) == eng.indicator(0.0, 0.5)
 
 
 @settings(deadline=None, max_examples=60)

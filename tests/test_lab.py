@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,17 @@ class TestFitLine:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             lab.fit_line([4.0], [1.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_degenerate_value_named_without_warning(self, bad):
+        # log2 of 0 or of a negative value warned and the slope came back
+        # -inf or NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"at x = 8.0 it got y = {bad}"):
+                lab.fit_line([4.0, 8.0, 16.0], [1.0, bad, 0.25])
+            with pytest.raises(ValueError, match=f"at x = {bad} it got y = 2.0"):
+                lab.fit_line([4.0, bad, 16.0], [1.0, 2.0, 0.25])
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +263,21 @@ class TestScaling:
             lab.scaling_experiment(model_curve(2), 2.0, 8.0, 2.0,
                                    [2.0**k for k in range(2, 8)], mu=mu, radius=radius)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_bad_radius_rejected_on_a_grid(self, radius):
+        # the grid path ignored the radius, so NaN ran and passed
+        with pytest.raises(ValueError, match="radius must be > 0"):
+            lab.scaling_experiment(model_curve(2), 2.0, 8.0, 2.0,
+                                   [2.0**k for k in range(2, 8)],
+                                   grid=lab.GradedGrid(2, 2.0, 8, 1), radius=radius)
+
+    def test_radius_inside_the_grid_rejected(self):
+        # a grid cannot be cut to a ball: its corners lie at sqrt(2) * 2
+        with pytest.raises(ValueError, match="reach the grid's corners"):
+            lab.scaling_experiment(model_curve(2), 2.0, 8.0, 2.0,
+                                   [2.0**k for k in range(2, 8)],
+                                   grid=lab.GradedGrid(2, 2.0, 8, 1), radius=2.8)
+
     def test_ladder_validation(self):
         with pytest.raises(ValueError):
             lab.scaling_experiment(model_curve(2), 2.0, 8.0, 2.0,
@@ -313,6 +340,37 @@ class TestSharpness:
         mu = ms.make_lebesgue(2, resolution=8)
         with pytest.raises(ValueError, match="p must be >= 1, got"):
             lab.sharpness_experiment(model_curve(2), mu, 2.0, p, 4.0, self.LAMS)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_c_rejected(self, c):
+        # c <= 0 and NaN gave empty rectangles at every lambda
+        mu = ms.make_lebesgue(2, resolution=8)
+        with pytest.raises(ValueError, match="c must be finite and > 0"):
+            lab.sharpness_experiment(model_curve(2), mu, 2.0, math.inf, 4.0,
+                                     self.LAMS, c=c)
+
+    def test_empty_rectangle_fails_loudly(self):
+        # from lambda = 64 on the rectangle holds no atom of this grid; the
+        # slopes came back NaN with no error
+        mu = ms.make_lebesgue(2, (-1, 1), 64)
+        with pytest.raises(ValueError, match="at x = 64.0 it got y = 0.0"):
+            lab.sharpness_experiment(model_curve(2), mu, 2.0, math.inf, 8.0,
+                                     [2.0**k for k in range(2, 9)])
+
+    def test_peak_fraction_is_the_minimum_over_every_atom(self):
+        mu, lams = ms.make_lebesgue(2, resolution=512), self.LAMS[:6]
+        rep = lab.sharpness_experiment(model_curve(2), mu, 2.0, math.inf, 4.0, lams)
+        fracs = []
+        for lam in lams:
+            f = eng.indicator(*lab.knapp_interval(2, lam))
+            rect = mu.restrict(lab.knapp_rectangle_mask(mu.atoms, 2, lam))
+            # the first holds more atoms than the old 256-sample stride took
+            assert rect.n > 256 or lam > lams[0]
+            vals = eng.extension_eval(model_curve(2), lam,
+                                      np.vstack([np.zeros((1, 2)), rect.atoms]), f,
+                                      alpha=2.0)
+            fracs.append(float(np.min(np.abs(vals[1:]))) / abs(vals[0]))
+        assert rep.min_peak_fraction == min(fracs)
 
     def test_lebesgue_rectangle_closed_form(self):
         masses = [lab.lebesgue_rectangle_mass(2, l) for l in self.LAMS]
@@ -472,6 +530,18 @@ class TestFiniteType:
         with pytest.raises(ValueError, match="need 2 <= fit_blocks <= blocks"):
             lab.finite_type_blocks(DEG_23, lab.GradedGrid(2, 2.0, 8, 1), (2, 3), 2.0,
                                    4.0, 8.0, 16.0, n_blocks=n_blocks, fit_blocks=fit_blocks)
+
+    def test_rate_is_the_log_log_fit_over_the_window(self):
+        rep = lab.finite_type_blocks(DEG_23, lab.GradedGrid(2, 2.0, 8, 1), (2, 3),
+                                     2.0, 4.0, 8.0, 64.0, n_blocks=4, fit_blocks=3)
+        window = np.log2(rep.block_norms[:3])
+        assert rep.rate == -float(np.polyfit(np.arange(3.0), window, 1)[0])
+
+    def test_nan_tau_named(self):
+        # read "no nonsingular frame at tau=0.0"
+        with pytest.raises(ValueError, match="tau and h must be finite, got tau=nan"):
+            lab.finite_type_pipeline(DEG_23, math.nan, lab.GradedGrid(2, 2.0, 8, 1),
+                                     2.0, 4.0, 8.0, [2.0**k for k in range(2, 8)])
 
     def test_blocks_summable_ratio(self):
         # partial sums converge: every observed per-block ratio <= 2^{-0.4}

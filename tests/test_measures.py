@@ -189,6 +189,29 @@ def test_cantor_matches_meshgrid_oracle(d, depth):
                                                       2.0 ** (-depth * d)))
 
 
+def _graded_edges_by_insertion(extent, resolution, grading_levels):
+    """Reference: the uniform edges, then per level the two cells next to
+    0 split at their midpoint-toward-0, by list insertion."""
+    resolution += resolution % 2
+    edges = list(np.linspace(-extent, extent, resolution + 1))
+    edges[resolution // 2] = 0.0
+    for _ in range(grading_levels):
+        zi = edges.index(0.0)
+        left, right = edges[zi - 1], edges[zi + 1]
+        edges.insert(zi, left / 2.0)
+        edges.insert(edges.index(0.0) + 1, right / 2.0)
+    return np.asarray(edges)
+
+
+@pytest.mark.parametrize("extent", [1.0, 0.3, 7.5, 1e-3])
+def test_graded_edges_match_insertion_reference(extent):
+    for resolution in range(1, 40):
+        for levels in range(0, 12):
+            got = ms._graded_symmetric_edges(extent, resolution, levels)
+            ref = _graded_edges_by_insertion(extent, resolution, levels)
+            assert got.tobytes() == ref.tobytes(), (resolution, levels)
+
+
 @pytest.mark.parametrize("d, j, alpha, grading", [
     (2, 0, 1.5, 2), (2, 1, 1.0, 0), (3, 0, 2.5, 0), (3, 1, 2.0, 2),
     (3, 1, 1.5, 0)])
