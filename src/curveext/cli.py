@@ -5,9 +5,14 @@ finitetype, measure-audit, bench.  Exit codes: 0 all verdicts pass (or
 --report-only), 2 configuration, parse or input error (any ValueError), 3
 numerical certification failure (a failed verdict, quadrature over its
 budget or self-check, or a telescoping residual).  `main` is the one place
-that maps errors to codes.  Result files are deterministic for a fixed
-config and seed and embed the config hash; timestamps go only to the
-sidecar log.
+that maps errors to codes.
+
+The config is the run.  Every value that can change a result file, the
+seed included, comes from the hashed config: the config file, torsion's
+curve file, or region's arguments.  (Torsion's t grid is not hashed; its
+rows list it.)  Result files embed that hash and are deterministic for it;
+`decompose --workers` changes no byte.  `OutputDir.report` is the one place
+that writes result and verdict files; timestamps go only to the sidecar log.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import hashlib
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -69,15 +73,28 @@ class OutputDir:
         self.path.mkdir(parents=True, exist_ok=True)
         return self.path / name
 
-    def write_csv(self, name, header, rows):
-        lines = [f"# config_hash={self.config_hash}", ",".join(header)]
-        lines += (",".join(_fmt(v) for v in row) for row in rows)
-        self.write_text(name, "\n".join(lines) + "\n")
+    def report(self, name, checks, header=None, rows=(), items=None,
+               verdict=None):
+        """Write `<name>_results.csv` (given a header) and
+        `<name>_verdict.txt` (given items), each headed by the config hash,
+        and log the verdict; returns the failures, the names of the
+        (name, ok) checks that are not ok.
 
-    def write_verdict(self, name, items):
-        lines = [f"config_hash = {self.config_hash}"]
-        lines += (f"{k} = {_fmt(v)}" for k, v in items)
-        self.write_text(name, "\n".join(lines) + "\n")
+        The verdict is the one passed in, else PASS without failures and
+        FAIL with some; it is the verdict file's last line.
+        """
+        failures = [check for check, ok in checks if not ok]
+        verdict = verdict or ("FAIL" if failures else "PASS")
+        if header:
+            lines = [f"# config_hash={self.config_hash}", ",".join(header)]
+            lines += (",".join(_fmt(v) for v in row) for row in rows)
+            self.write_text(f"{name}_results.csv", "\n".join(lines) + "\n")
+        if items is not None:
+            lines = [f"config_hash = {self.config_hash}"]
+            lines += (f"{k} = {_fmt(v)}" for k, v in [*items, ("verdict", verdict)])
+            self.write_text(f"{name}_verdict.txt", "\n".join(lines) + "\n")
+        self.log(f"{name} verdict={verdict}")
+        return failures
 
     def write_text(self, name, text):
         self._file(name).write_text(text)
@@ -197,14 +214,6 @@ def lambda_grid_from_config(cfg):
     return [2.0**k for k in range(lo, hi + 1)]
 
 
-def require_seed(args, cfg):
-    if args.seed is not None:
-        return args.seed
-    if cfg.has_option("experiment", "seed"):
-        return _get(cfg, "experiment", "seed", int)
-    raise ConfigError("randomized experiment needs --seed (or a seed key)")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -217,32 +226,29 @@ def cmd_torsion(args):
         raise ConfigError(f"cannot read curve file: {exc}") from None
     if args.points < 2:
         raise ConfigError("need at least 2 grid points")
+    for flag, t in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if not math.isfinite(t):
+            raise ConfigError(f"{flag} must be finite, got {t}")
     out = OutputDir(args.out, force=args.force,
                     config_hash=_hash_bytes(Path(args.curve_file).read_bytes()))
     ts = np.linspace(args.t_min, args.t_max, args.points)
     vals = [float(torsion(curve, t)) for t in ts]
-    out.write_csv("torsion_results.csv", ("t", "torsion"), zip(ts, vals))
-    out.log(f"torsion over [{args.t_min}, {args.t_max}]")
-    if args.require_nondegenerate and min(abs(v) for v in vals) < 1e-12:
-        return ["torsion vanishes on the requested grid"]
-    return []
+    ok = not (args.require_nondegenerate and min(abs(v) for v in vals) < 1e-12)
+    return out.report("torsion", [("torsion vanishes on the requested grid", ok)],
+                      ("t", "torsion"), zip(ts, vals))
 
 
 def cmd_region(args):
-    if args.steps <= 0:
-        raise ConfigError("grid steps must be positive")
     payload = f"region d={args.d} alpha={args.alpha} steps={args.steps}"
     out = OutputDir(args.out, force=args.force,
                     config_hash=_hash_bytes(payload.encode()))
     rows = lab.admissible_region(args.d, args.alpha, steps=args.steps)
-    out.write_csv("region_results.csv", ("inv_p", "inv_q", "status"), rows)
-    out.log(payload)
-    return []
+    return out.report("region", [], ("inv_p", "inv_q", "status"), rows)
 
 
 def cmd_scaling(args):
     cfg, chash = load_config(args.config)
-    seed = require_seed(args, cfg)
+    seed = _get(cfg, "experiment", "seed", int)
     curve = curve_from_config(cfg)
     p, q, alpha = exponents_from_config(cfg, curve.d)
     lams = lambda_grid_from_config(cfg)
@@ -258,15 +264,14 @@ def cmd_scaling(args):
     out = OutputDir(args.out, force=args.force, config_hash=chash)
     rep = lab.scaling_experiment(curve, p, q, alpha, lams, mu=mu, grid=grid,
                                  radius=radius, seed=seed, npw=npw)
-    out.write_csv("scaling_results.csv",
-                  ("lambda", "family_sup_norm", "best_label"),
-                  zip(rep.lam_grid, rep.sup_norms, rep.best_labels))
-    verdict = [("kind", rep.kind), ("slope", rep.slope),
-               ("stderr", rep.stderr), ("target_slope", rep.target_slope),
-               ("tolerance", rep.tol), ("verdict", rep.verdict)]
-    out.write_verdict("scaling_verdict.txt", verdict)
-    out.log(f"scaling p={p} q={q} alpha={alpha}")
-    return [] if rep.verdict in ("PASS", "vacuous") else ["scaling slope"]
+    # a vacuous verdict (no nonzero norm) fails no check
+    return out.report(
+        "scaling", [("scaling slope", rep.verdict != "FAIL")],
+        ("lambda", "family_sup_norm", "best_label"),
+        zip(rep.lam_grid, rep.sup_norms, rep.best_labels),
+        [("kind", rep.kind), ("slope", rep.slope), ("stderr", rep.stderr),
+         ("target_slope", rep.target_slope), ("tolerance", rep.tol)],
+        verdict=rep.verdict)
 
 
 def cmd_sharpness(args):
@@ -279,27 +284,20 @@ def cmd_sharpness(args):
     c = _get(cfg, "experiment", "c", float, lab.KNAPP_SCALE)
     out = OutputDir(args.out, force=args.force, config_hash=chash)
     rep = lab.sharpness_experiment(curve, mu, alpha, p, q, lams, c=c)
-    out.write_csv("sharpness_results.csv",
-                  ("lambda", "rect_mass", "normalized_ratio"),
-                  zip(rep.lam_grid, rep.rect_masses, rep.ratios))
-    failures = []
-    if not rep.mass_ok():
-        failures.append("rectangle mass slope")
-    if not rep.lower_bound_ok:
-        failures.append("on-rectangle lower bound")
-    out.write_verdict("sharpness_verdict.txt", [
-        ("mass_slope", rep.mass_slope), ("mass_target", rep.mass_target),
-        ("ratio_slope", rep.ratio_slope),
-        ("min_peak_fraction", rep.min_peak_fraction),
-        ("lower_bound_ok", rep.lower_bound_ok),
-        ("verdict", "PASS" if not failures else "FAIL")])
-    out.log(f"sharpness alpha={alpha} p={p} q={q}")
-    return failures
+    checks = [("rectangle mass slope", rep.mass_ok()),
+              ("on-rectangle lower bound", rep.lower_bound_ok)]
+    return out.report(
+        "sharpness", checks, ("lambda", "rect_mass", "normalized_ratio"),
+        zip(rep.lam_grid, rep.rect_masses, rep.ratios),
+        [("mass_slope", rep.mass_slope), ("mass_target", rep.mass_target),
+         ("ratio_slope", rep.ratio_slope),
+         ("min_peak_fraction", rep.min_peak_fraction),
+         ("lower_bound_ok", rep.lower_bound_ok)])
 
 
 def cmd_decompose(args):
     cfg, chash = load_config(args.config)
-    seed = require_seed(args, cfg)
+    seed = _get(cfg, "experiment", "seed", int)
     curve = curve_from_config(cfg)
     d = curve.d
     lam = _get(cfg, "experiment", "lambda", float)
@@ -311,9 +309,9 @@ def cmd_decompose(args):
         raise ConfigError(f"[experiment] radius must be finite and >= 0, got {radius}")
     scales = _get(cfg, "experiment", "scales", str, "")
     try:
-        family = (dc.DyadicFamily(tuple(Fraction(s) for s in scales.split()))
-                  if scales else dc.DyadicFamily.default(d))
-    except (ValueError, ZeroDivisionError) as exc:
+        family = (dc.DyadicFamily(scales.split()) if scales
+                  else dc.DyadicFamily.default(d))
+    except ValueError as exc:
         raise ConfigError(f"bad [experiment] scales {scales!r}: {exc}") from None
     if family.depth != d - 1:
         raise ConfigError(f"[experiment] scales lists {family.depth} lengths; "
@@ -323,24 +321,17 @@ def cmd_decompose(args):
     targets = rng.uniform(-radius, radius, size=(n_targets, d))
     out = OutputDir(args.out, force=args.force, config_hash=chash)
     certs = dc.decompose_batch(f, family, curve, lam, targets,
-                               workers=args.workers or 1)
-    failures = []
-    rows = []
+                               workers=args.workers)
+    checks, rows = [], []
     for i, cert in enumerate(certs):
         ok, slack = dc.verify_certificate(cert, family, d)
-        if not ok:
-            failures.append(f"certificate {i}")
+        checks.append((f"certificate {i}", ok))
         rows.append((i, cert.lhs, cert.rhs, slack, ok))
-    out.write_csv("decompose_results.csv",
-                  ("target", "lhs", "rhs", "slack", "verified"), rows)
     out.write_text("decompose_certificates.txt",
                    "\n\n".join(c.to_text(family) for c in certs) + "\n")
-    out.write_verdict("decompose_verdict.txt", [
-        ("targets", len(certs)),
-        ("verified", sum(1 for r in rows if r[4])),
-        ("verdict", "PASS" if not failures else "FAIL")])
-    out.log(f"decompose lam={lam} targets={n_targets}")
-    return failures
+    return out.report(
+        "decompose", checks, ("target", "lhs", "rhs", "slack", "verified"),
+        rows, [("targets", len(certs)), ("verified", sum(1 for _, ok in checks if ok))])
 
 
 def cmd_multilinear(args):
@@ -353,22 +344,17 @@ def cmd_multilinear(args):
     fs = [eng.indicator(*ends[i : i + 2]) for i in range(0, len(ends), 2)]
     box_r = _get(cfg, "experiment", "box_r", float, 16.0)
     out = OutputDir(args.out, force=args.force, config_hash=chash)
-    rows, failures = [], []
+    rows, checks = [], []
     for lam in lams:
         res = eng.multilinear_l2(curve, fs, lam, box_r=box_r)
         ok = res.lhs <= res.bound
-        if not ok:
-            failures.append(f"lambda={lam}")
+        checks.append((f"lambda={lam}", ok))
         rows.append((lam, res.lhs, res.bound, res.ratio,
                      res.tail_fraction, ok))
-    out.write_csv("multilinear_results.csv",
-                  ("lambda", "lhs", "bound", "ratio", "tail_fraction",
-                   "holds"), rows)
-    out.write_verdict("multilinear_verdict.txt", [
-        ("points", len(rows)),
-        ("verdict", "PASS" if not failures else "FAIL")])
-    out.log(f"multilinear d={curve.d}")
-    return failures
+    return out.report(
+        "multilinear", checks,
+        ("lambda", "lhs", "bound", "ratio", "tail_fraction", "holds"), rows,
+        [("points", len(rows))])
 
 
 def cmd_finitetype(args):
@@ -389,42 +375,34 @@ def cmd_finitetype(args):
         for j, norm in enumerate(rep.block_norms):
             rows.append((rep.lam, j, norm))
     top = reports[-1]
-    failures = []
-    if not top.rate_ok():
-        failures.append("block decay rate")
-    if verdict != "PASS":
-        failures.append("aggregate slope")
-    out.write_csv("finitetype_results.csv", ("lambda", "block", "norm"),
-                  rows)
-    out.write_verdict("finitetype_verdict.txt", [
-        ("block_rate", top.rate), ("block_rate_target", top.target_rate),
-        ("aggregate_slope", slope), ("aggregate_target", target),
-        ("verdict", "PASS" if not failures else "FAIL")])
-    out.log(f"finitetype p={p} q={q}")
-    return failures
+    checks = [("block decay rate", top.rate_ok()),
+              ("aggregate slope", verdict == "PASS")]
+    return out.report(
+        "finitetype", checks, ("lambda", "block", "norm"), rows,
+        [("block_rate", top.rate), ("block_rate_target", top.target_rate),
+         ("aggregate_slope", slope), ("aggregate_target", target)])
 
 
 def cmd_measure_audit(args):
     cfg, chash = load_config(args.config)
-    seed = require_seed(args, cfg)
+    seed = _get(cfg, "experiment", "seed", int)
     mu = measure_from_config(cfg)
     out = OutputDir(args.out, force=args.force, config_hash=chash)
     report = ms.regularity_audit(mu, seed=seed)
-    out.write_verdict("measure_audit_verdict.txt", [
-        ("alpha", mu.alpha), ("c_mu", mu.c_mu),
-        ("c_estimate", report.c_est),
-        ("exponent_fit", report.exponent_fit),
-        ("worst_radius", report.worst_radius),
-        ("worst_center", " ".join(_fmt(float(c)) for c in report.worst_center)),
-        ("floor", report.floor),
-        ("verdict", "PASS" if report.passed else "FAIL")])
-    out.log("measure audit")
-    return [] if report.passed else ["regularity certificate"]
+    return out.report(
+        "measure_audit", [("regularity certificate", report.passed)],
+        items=[("alpha", mu.alpha), ("c_mu", mu.c_mu),
+               ("c_estimate", report.c_est),
+               ("exponent_fit", report.exponent_fit),
+               ("worst_radius", report.worst_radius),
+               ("worst_center",
+                " ".join(_fmt(float(c)) for c in report.worst_center)),
+               ("floor", report.floor)])
 
 
 def cmd_bench(args):
     cfg, chash = load_config(args.config)
-    seed = require_seed(args, cfg)
+    seed = _get(cfg, "experiment", "seed", int)
     curve = curve_from_config(cfg)
     lam = _get(cfg, "experiment", "lambda", float)
     n_targets = _get(cfg, "experiment", "targets", int, 10000)
@@ -432,8 +410,6 @@ def cmd_bench(args):
         raise ConfigError(f"[experiment] targets must be >= 1, got {n_targets}")
     workers = tuple(int(w) for w in
                     _get(cfg, "experiment", "workers", str, "1 2 4").split())
-    if args.workers is not None:
-        workers = tuple(sorted(set(workers) | {args.workers}))
     out = OutputDir(args.out, force=args.force, config_hash=chash)
     report = eng.throughput_benchmark(curve, lam, n_targets, workers,
                                       seed=seed)
@@ -444,15 +420,10 @@ def cmd_bench(args):
     for w, s in sorted(report.seconds.items()):
         out.log(f"bench workers={w} seconds={s:.3f}")
     out.log(f"bench speedup={base / best if best > 0 else 1.0:.3f}")
-    out.write_csv("bench_results.csv", ("workers",),
-                  [(w,) for w in sorted(report.seconds)])
-    out.write_verdict("bench_verdict.txt", [
-        ("lambda", lam), ("targets", n_targets),
-        ("nodes", report.n_nodes),
-        ("checksum", report.checksum),
-        ("verdict", "PASS")])
-    out.log(f"bench lam={lam} targets={n_targets}")
-    return []
+    return out.report(
+        "bench", [], ("workers",), [(w,) for w in sorted(report.seconds)],
+        [("lambda", lam), ("targets", n_targets), ("nodes", report.n_nodes),
+         ("checksum", report.checksum)])
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +434,6 @@ def cmd_bench(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="curveext")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--workers", type=int, default=None)
     common.add_argument("--out", default="out")
     common.add_argument("--force", action="store_true")
     common.add_argument("--report-only", action="store_true",
@@ -493,6 +462,9 @@ def build_parser():
         sp = sub.add_parser(name, parents=[common])
         sp.add_argument("config")
         sp.set_defaults(func=func)
+    # decompose's result files do not depend on its worker count, so this
+    # flag cannot change a result under an unchanged hash
+    sub.choices["decompose"].add_argument("--workers", type=int, default=1)
     return parser
 
 

@@ -571,13 +571,9 @@ class JacobianProbe:
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.ts)
-        if ts[0] < 0 or ts[-1] > 1:
-            raise ValueError("sample points must lie in (0, 1]")
+        if not (ts and 0 <= ts[0] and ts[-1] <= 1):  # NaN ends fail too
+            raise ValueError(f"sample points must lie in (0, 1], got {ts}")
         object.__setattr__(self, "ts", ts)
-
-    @property
-    def n(self):
-        return len(self.ts)
 
     def strictly_ordered(self):
         return all(t2 > t1 for t1, t2 in zip(self.ts, self.ts[1:]))

@@ -57,7 +57,10 @@ class DyadicFamily:
     lengths: tuple
 
     def __post_init__(self):
-        lens = tuple(Fraction(v) for v in self.lengths)
+        try:
+            lens = tuple(Fraction(v) for v in self.lengths)
+        except (OverflowError, ZeroDivisionError):  # an infinite length, or 1/0
+            raise ValueError(f"lengths must be finite numbers, got {self.lengths}") from None
         if not lens:
             raise ValueError("need at least one level")
         prev = Fraction(1)

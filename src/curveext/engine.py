@@ -117,6 +117,7 @@ class TestFunction:
         raise ValueError(self.kind)
 
     def lp_norm(self, p):
+        check_exponent("p", p)
         if self.width == 0.0:
             return 0.0
         if self.kind == "indicator":
@@ -170,6 +171,8 @@ def pullback(f, tau, h):
     """
     if f.kind not in ("indicator", "bump"):
         raise ValueError(f"pullback not closed for kind {f.kind!r}")
+    if not 0.0 < abs(h) < math.inf:
+        raise ValueError(f"h must be finite and nonzero, got {h}")
     return TestFunction(f.kind, (f.lo - tau) / h, (f.hi - tau) / h,
                         coeffs=tuple((c - tau) / h for c in f.coeffs), label=f.label)
 

@@ -96,6 +96,8 @@ class ExponentPair:
 
 def admissible_region(d, alpha, steps=40):
     """Classify a (1/p, 1/q) grid; rows are (inv_p, inv_q, status)."""
+    if steps < 1:
+        raise ValueError(f"grid steps must be >= 1, got {steps}")
     rows = []
     for i in range(steps + 1):
         inv_p = i / steps
@@ -112,14 +114,21 @@ def admissible_region(d, alpha, steps=40):
 # ---------------------------------------------------------------------------
 
 
+def _knapp_width(d, lam):
+    """The Knapp cap width lam^{-1/d}, for lam finite and > 0."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and > 0, got {lam}")
+    return lam ** (-1.0 / d)
+
+
 def knapp_interval(d, lam):
     """The cap [1 - lam^{-1/d}, 1] at frequency lam."""
-    return 1.0 - lam ** (-1.0 / d), 1.0
+    return 1.0 - _knapp_width(d, lam), 1.0
 
 
 def knapp_family(d, lam, positions=FAMILY_POSITIONS, widths=FAMILY_WIDTHS):
     out = []
-    w0 = lam ** (-1.0 / d)
+    w0 = _knapp_width(d, lam)
     for i in range(positions):
         tau = i / positions
         for k in range(widths):
@@ -131,7 +140,7 @@ def knapp_family(d, lam, positions=FAMILY_POSITIONS, widths=FAMILY_WIDTHS):
 
 def bump_family(d, lam, count=FAMILY_BUMPS):
     out = []
-    w0 = lam ** (-1.0 / d)
+    w0 = _knapp_width(d, lam)
     for i in range(count):
         tau = i / count
         w = min(w0 * 4.0, 1.0 - tau)
@@ -434,7 +443,7 @@ def multilinear_knapp_slope(curve, lam_grid):
     taus = tuple((i + 0.6) / (d + 1) for i in range(d))
     vals = []
     for lam in lam_grid:
-        w = lam ** (-1.0 / d)
+        w = _knapp_width(d, lam)
         fs = [indicator(t, t + w) for t in taus]
         res = eng.multilinear_l2(curve, fs, lam,
                                  box_r=max(16.0, 1.5 * math.sqrt(lam)))
@@ -570,11 +579,9 @@ def _block_family(d, lam, j, widths=(1.0, 2.0, 4.0)):
     """
     lo, hi = 2.0 ** (-j - 1), 2.0**-j
     fam = []
-    w0 = lam ** (-1.0 / d)
+    w0 = _knapp_width(d, lam)
     for m in widths:
         w = min(m * w0, hi - lo)
-        if w <= 0:
-            continue
         fam.append((f"cap[{j},right,{m}]", indicator(hi - w, hi)))
         mid = 0.5 * (lo + hi)
         fam.append((f"cap[{j},mid,{m}]", indicator(mid - w / 2, mid + w / 2)))
@@ -597,6 +604,8 @@ def finite_type_blocks(curve, grid, a, alpha, p, q, lam, n_blocks=7,
     """
     if not 2 <= fit_blocks <= n_blocks:
         raise ValueError(f"need 2 <= fit_blocks <= blocks, got {fit_blocks} and {n_blocks}")
+    if not all(0.0 < w < math.inf for w in widths):
+        raise ValueError(f"widths must be finite and > 0, got {widths}")
     norms = [family_sup(curve, lam, _block_family(curve.d, lam, j, widths), p, q,
                         grid=grid, alpha=alpha, npw=npw)[0] for j in range(n_blocks)]
     rate = -fit_line(2.0 ** np.arange(fit_blocks), norms[:fit_blocks])[0]

@@ -203,6 +203,11 @@ def make_appendix_a(d, alpha, j, extent=1.0, resolution=32, grading_levels=0):
     if not (d - j - 1 < alpha <= d - j):
         raise ValueError(f"alpha={alpha} outside bracket ({d - j - 1}, {d - j}]")
     p = alpha - d + j
+    if not p > -1.0:  # alpha a hair above d - j - 1
+        raise ValueError(f"alpha={alpha} is too close to {d - j - 1}: "
+                         f"p = alpha - d + j rounds to {p}")
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
     live = d - j
     sing_edges = _graded_symmetric_edges(extent, resolution, grading_levels)
     sing_centers = 0.5 * (sing_edges[:-1] + sing_edges[1:])
@@ -225,11 +230,8 @@ def make_appendix_a(d, alpha, j, extent=1.0, resolution=32, grading_levels=0):
     if math.prod(c.size for c in centers) > MAX_ATOMS:
         raise ValueError("atom count overflow")
 
-    # worst ball mass: square of side 2 rho around the singular axis
-    if p <= 0:
-        c_mu = 2.0 ** live / (p + 1.0)
-    else:
-        c_mu = 2.0 ** live * extent ** p
+    # worst ball mass: square of side 2 rho around the singular axis (p <= 0)
+    c_mu = 2.0 ** live / (p + 1.0)
     res = float(np.min(sing_cells))
     return DiscreteMeasure(
         atoms=_product(*centers),
@@ -410,6 +412,8 @@ class PushforwardSpec:
             raise ValueError("h must satisfy 0 < |h| <= 1")
         object.__setattr__(self, "a", ExponentTuple(self.a))
         m = np.eye(self.a.d) if self.matrix is None else np.asarray(self.matrix, dtype=float)
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"matrix A must be finite, got {m.tolist()}")
         if abs(np.linalg.det(m)) < 1e-300:
             raise ValueError("matrix A must be nonsingular")
         object.__setattr__(self, "matrix", m)

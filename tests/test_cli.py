@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import importlib.resources as importlib_resources
 import io
 from pathlib import Path
@@ -65,6 +66,17 @@ class TestTorsion:
         # the result file is written either way
         assert (tmp_path / "o" / "torsion_results.csv").exists()
         assert cli.main(argv + ["--out", str(tmp_path / "o"), "--report-only"]) == 0
+
+
+    @pytest.mark.parametrize("flag, value", [("--t-max", "inf"), ("--t-min", "nan")])
+    def test_non_finite_range_named(self, tmp_path, capsys, flag, value):
+        # exited 0 with rows of nan,nan, which --require-nondegenerate passed
+        cf = tmp_path / "curve.txt"
+        cf.write_text(model_curve(2).to_text())
+        argv = ["torsion", str(cf), flag, value, "--require-nondegenerate"]
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert f"{flag} must be finite, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRegion:
@@ -554,7 +566,6 @@ SWEEP = {
 EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestEdgeValues:
     """Each subcommand with each numeric key or argument it reads set to
     NaN, +-infinity, 0 and -1: `main` returns 0, 2 or 3 and never raises,
@@ -624,3 +635,65 @@ class TestInputGates:
         assert cli.main([command, cfg, "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# the config is the run: no flag a subcommand ignores or that could change
+# a result under an unchanged hash, and one writer of result files
+# ---------------------------------------------------------------------------
+
+
+COMMANDS = ["torsion", "region", *SWEEP]
+# SWEEP's graded grid holds no atom of the smaller Knapp rectangles
+SHARPNESS = TestMeasureMismatch.BODY.format(
+    measure="kind = appendix_a\nd = 2\nalpha = 1.0\nj = 1\nresolution = 256")
+
+
+def _smallest_run(tmp_path, command):
+    """argv of a small run of `command` and the bytes its hash is of
+    (None for region, whose hashed payload is its arguments)."""
+    if command == "torsion":
+        path = write_config(tmp_path, model_curve(2).to_text(), "curve.txt")
+        return [command, path, "--points", "5"], Path(path).read_bytes()
+    if command == "region":
+        return [command, "--d", "2", "--alpha", "2", "--steps", "4"], None
+    path = write_config(tmp_path, SHARPNESS if command == "sharpness"
+                        else SWEEP[command][0])
+    return [command, path], Path(path).read_bytes()
+
+
+class TestConfigIsTheRun:
+    @pytest.mark.parametrize("command, flag", [
+        *[(command, "--seed") for command in COMMANDS],
+        *[(command, "--workers") for command in COMMANDS if command != "decompose"]])
+    def test_flag_rejected_without_output(self, tmp_path, command, flag):
+        # each used to be accepted: --seed changed results under the same
+        # hash, and --workers was ignored everywhere but decompose and bench
+        argv, _ = _smallest_run(tmp_path, command)
+        assert cli.main(argv + [flag, "2", "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_result_files(self, tmp_path, command):
+        argv, source = _smallest_run(tmp_path, command)
+        out = tmp_path / "o"
+        rc = cli.main(argv + ["--out", str(out)])
+        assert rc in (0, 3)
+        stem = command.replace("-", "_")
+        files = {"torsion": ["results.csv"], "region": ["results.csv"],
+                 "measure-audit": ["verdict.txt"]}.get(
+                     command, ["results.csv", "verdict.txt"])
+        names = [f"{stem}_{name}" for name in files]
+        extra = ["decompose_certificates.txt"] if command == "decompose" else []
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + extra + ["run.log"])
+        firsts = {(out / name).read_text().splitlines()[0] for name in names}
+        hashes = {line.replace("# config_hash=", "").replace("config_hash = ", "")
+                  for line in firsts}
+        assert len(hashes) == 1 and len(next(iter(hashes))) == 16
+        if source is not None:
+            assert hashes == {hashlib.sha256(source).hexdigest()[:16]}
+        verdict = "FAIL" if rc == 3 else "PASS"
+        if "verdict.txt" in files:
+            last = (out / f"{stem}_verdict.txt").read_text().splitlines()[-1]
+            assert last == f"verdict = {verdict}"
+        assert (out / "run.log").read_text().endswith(f" {stem} verdict={verdict}\n")

@@ -531,6 +531,15 @@ class TestFiniteType:
             lab.finite_type_blocks(DEG_23, lab.GradedGrid(2, 2.0, 8, 1), (2, 3), 2.0,
                                    4.0, 8.0, 16.0, n_blocks=n_blocks, fit_blocks=fit_blocks)
 
+    @pytest.mark.parametrize("widths", [(1.0, 0.0), (0.0,), (-1.0,), (math.nan,),
+                                        (math.inf,)], ids=str)
+    def test_bad_width_named(self, widths):
+        # (1.0, 0.0) dropped the zero width and returned the width-1 norms
+        # alone; (0.0,) ended in the fit's "at x = 1.0 it got y = 0.0"
+        with pytest.raises(ValueError, match=r"widths must be finite and > 0, got \("):
+            lab.finite_type_blocks(DEG_23, lab.GradedGrid(2, 2.0, 8, 1), (2, 3), 2.0,
+                                   4.0, 8.0, 16.0, n_blocks=2, fit_blocks=2, widths=widths)
+
     def test_rate_is_the_log_log_fit_over_the_window(self):
         rep = lab.finite_type_blocks(DEG_23, lab.GradedGrid(2, 2.0, 8, 1), (2, 3),
                                      2.0, 4.0, 8.0, 64.0, n_blocks=4, fit_blocks=3)
