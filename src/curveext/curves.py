@@ -15,9 +15,6 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-# order budget for derivative evaluation / finite-type scans
-DEFAULT_ORDER_BUDGET = 12
-
 # residual threshold (relative to column norm scale) for the rank scan
 RANK_TOL = 1e-9
 
@@ -31,9 +28,12 @@ SPEED_SAMPLES = 512
 # relative size below which a Euclid remainder counts as zero (square-free part)
 GCD_TOL = 1e-10
 
+# a polynomial counts as divisible by t^k when its coefficients below t^k
+# are at most this, relative to its largest coefficient (and to 1)
+DIVISIBILITY_TOL = 1e-7
 
-class CapabilityError(ValueError):
-    """Requested derivative order exceeds the declared budget."""
+# absolute error each integral of ik_recursion must reach
+IK_TOL = 1e-8
 
 
 class SingularFrameError(ValueError):
@@ -45,7 +45,7 @@ class SingularFrameError(ValueError):
 
 
 class NotFiniteTypeError(ValueError):
-    """No nonsingular derivative frame found within the order budget."""
+    """No nonsingular derivative frame, or no t^{a_k} factor, at tau."""
 
 
 def _derivative_coeffs(c, order):
@@ -116,7 +116,6 @@ class CurveSpec:
     d: int
     coeffs: tuple
     a: ExponentTuple | None = None
-    order_budget: int = DEFAULT_ORDER_BUDGET
     label: str = ""
 
     def __post_init__(self):
@@ -124,7 +123,8 @@ class CurveSpec:
             raise ValueError("dimension must be >= 2")
         if len(self.coeffs) != self.d:
             raise ValueError("need one coefficient list per component")
-        tidy = tuple(tuple(float(c) for c in comp) for comp in self.coeffs)
+        # an empty component is the zero polynomial
+        tidy = tuple(tuple(float(c) for c in comp) or (0.0,) for comp in self.coeffs)
         if not all(map(math.isfinite, sum(tidy, ()))):
             raise ValueError(f"curve coefficients must be finite, got {tidy}")
         object.__setattr__(self, "coeffs", tidy)
@@ -141,10 +141,6 @@ class CurveSpec:
 
     def derivative(self, t, order):
         """order-th derivative vector at t (order 0 is the point itself)."""
-        if order > self.order_budget:
-            raise CapabilityError(
-                f"derivative order {order} exceeds budget {self.order_budget}"
-            )
         t = np.asarray(t, dtype=float)
         return np.stack([npoly.polyval(t, _derivative_coeffs(c, order))
                          for c in self.coeffs], axis=-1)
@@ -223,8 +219,7 @@ def monomial_model(a):
         c = [0.0] * (ai + 1)
         c[ai] = 1.0 / math.factorial(ai)
         coeffs.append(tuple(c))
-    budget = max(DEFAULT_ORDER_BUDGET, a[-1] + 1)
-    return CurveSpec(d=a.d, coeffs=tuple(coeffs), a=a, order_budget=budget,
+    return CurveSpec(d=a.d, coeffs=tuple(coeffs), a=a,
                      label=f"monomial-model-{'-'.join(map(str, a))}")
 
 
@@ -331,7 +326,10 @@ def real_roots(coeffs):
 
 
 def minor_determinant(curve, rows, t):
-    """Determinant of selected rows against leading derivative columns."""
+    """Determinant of selected rows against leading derivative columns;
+    ValueError unless t is finite."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     rows = sorted(rows)
     k = len(rows)
     if any(r < 1 or r > curve.d for r in rows):
@@ -358,9 +356,12 @@ class FrameMatrix:
 
 
 def frame_matrix(curve, tau, a=None):
+    """The derivatives of orders a at tau as columns; ValueError unless tau
+    is finite."""
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     a = a or curve.a or nondegenerate_tuple(curve.d)
-    mat = derivative_matrix(curve, float(tau), orders=list(a))
-    return FrameMatrix(matrix=mat, a=a)
+    return FrameMatrix(matrix=derivative_matrix(curve, float(tau), orders=list(a)), a=a)
 
 
 def beta_alpha(alpha, d):
@@ -405,22 +406,36 @@ def normalize_curve(curve, tau, h, a=None):
         raise ValueError("h must be nonzero")
     lo, hi = sorted((tau, tau + h))
     if lo < -1e-12 or hi > 1.0 + 1e-12:
-        raise ValueError("[tau, tau+h]* must be contained in [0, 1]")
+        raise ValueError(f"[tau, tau+h]* = [{lo}, {hi}] must be contained in [0, 1]")
     a = a or curve.a or nondegenerate_tuple(curve.d)
     frame = frame_matrix(curve, tau, a)
     if frame.is_singular():
         raise SingularFrameError(
             f"frame at tau={tau} for tuple {tuple(a)} is singular", det=frame.det
         )
-    md = frame.matrix @ diagonal_scaling(h, a)
-    new = np.linalg.solve(md, shift_subtract(curve, tau, h).component_arrays())
     return CurveSpec(
         d=curve.d,
-        coeffs=tuple(tuple(row) for row in new),
+        coeffs=tuple(tuple(row) for row in _normal_form(curve, frame, tau, h)),
         a=a,
-        order_budget=curve.order_budget,
         label=f"{curve.label or 'curve'}@tau={tau},h={h}",
     )
+
+
+def _normal_form(curve, frame, tau, h):
+    """Coefficient rows of [M D_h]^{-1} (gamma(h t + tau) - gamma(tau)), M the
+    frame at tau: the k-th row is t^{a_k} phi_k(t) for a curve of type a."""
+    shifted = shift_subtract(curve, tau, h).component_arrays()
+    return np.linalg.solve(frame.matrix @ diagonal_scaling(h, frame.a), shifted)
+
+
+def _monomial_factor(c, k):
+    """phi with c = t^k phi (coefficients low to high), up to DIVISIBILITY_TOL;
+    None when t^k does not divide c."""
+    c = np.asarray(c, dtype=float)
+    scale = max(1.0, np.max(np.abs(c), initial=0.0))
+    if np.max(np.abs(c[:k]), initial=0.0) > DIVISIBILITY_TOL * scale:
+        return None
+    return c[k:] if c.size > k else np.zeros(1)
 
 
 def _ck_deviation(coeff_diffs, max_order, grid):
@@ -443,28 +458,17 @@ def class_distance(curve, model="plain"):
     """
     grid = np.linspace(0.0, 1.0, SUP_GRID)
     if model == "plain":
-        ref = model_curve(curve.d)
-        width = max(len(a) for a in curve.coeffs + ref.coeffs)
-        diffs = []
-        for c, r in zip(curve.coeffs, ref.coeffs):
-            dc = np.zeros(width)
-            dc[: len(c)] += c
-            dc[: len(r)] -= r
-            diffs.append(dc)
+        diffs = [npoly.polysub(c, r)
+                 for c, r in zip(curve.coeffs, model_curve(curve.d).coeffs)]
         return _ck_deviation(diffs, curve.d + 1, grid)
 
     a = ExponentTuple(model)
     diffs = []
-    for i, c in enumerate(curve.coeffs):
-        ai = a[i]
-        c = np.asarray(c, dtype=float)
-        low = c[: min(ai, c.size)]
-        scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-        if low.size and np.max(np.abs(low)) > 1e-9 * scale:
+    for c, ai in zip(curve.coeffs, a, strict=True):
+        phi = _monomial_factor(c, ai)
+        if phi is None:
             return math.inf
-        phi = c[ai:].copy() if c.size > ai else np.zeros(1)
-        phi[0] -= 1.0 / math.factorial(ai)
-        diffs.append(phi)
+        diffs.append(npoly.polysub(phi, [1.0 / math.factorial(ai)]))
     return _ck_deviation(diffs, a[-1] + 1, grid)
 
 
@@ -485,14 +489,16 @@ class FiniteTypeData:
 def detect_finite_type(curve, tau):
     """Greedy minimal-tuple scan: smallest orders with independent derivatives.
 
+    The scan stops at the curve's degree, past which every derivative is 0.
     Returns the tuple and polynomial evaluators for the normalized
     factors phi_k with phi_k(0) = 1/a_k!.
     """
+    degree = max(len(c) for c in curve.coeffs) - 1
+    orders = ExponentTuple(range(1, max(degree, 1) + 1))
     chosen = []
     basis = []
     scale = 0.0
-    for order in range(1, curve.order_budget + 1):
-        v = curve.derivative(float(tau), order)
+    for order, v in zip(orders, frame_matrix(curve, tau, orders).matrix.T):
         scale = max(scale, float(np.linalg.norm(v)), 1e-300)
         resid = v.copy()
         for b in basis:
@@ -504,26 +510,15 @@ def detect_finite_type(curve, tau):
                 break
     if len(chosen) < curve.d:
         raise NotFiniteTypeError(
-            f"no nonsingular frame at tau={tau} within order budget "
-            f"{curve.order_budget}"
-        )
+            f"no nonsingular frame at tau={tau} up to the curve's degree {degree}")
     a = ExponentTuple(chosen)
-    frame = frame_matrix(curve, tau, a)
-    # phi_k from the exact polynomial identity
-    # M^{-1}(gamma(t+tau)-gamma(tau)) = (t^{a_k} phi_k(t))_k
-    normalized = np.linalg.solve(frame.matrix,
-                                 shift_subtract(curve, tau).component_arrays())
     phis = []
-    for k in range(curve.d):
-        row = normalized[k]
-        ak = a[k]
-        head = row[:ak]
-        scale_r = max(1.0, float(np.max(np.abs(row))))
-        if head.size and np.max(np.abs(head)) > 1e-7 * scale_r:
+    for k, row in enumerate(_normal_form(curve, frame_matrix(curve, tau, a), tau, 1.0)):
+        phi = _monomial_factor(row, a[k])
+        if phi is None:
             raise NotFiniteTypeError(
-                f"component {k + 1} not divisible by t^{ak} at tau={tau}"
-            )
-        phis.append(tuple(row[ak:]) if row.size > ak else (0.0,))
+                f"component {k + 1} not divisible by t^{a[k]} at tau={tau}")
+        phis.append(tuple(phi))
     return FiniteTypeData(a=a, phi_coeffs=tuple(phis))
 
 
@@ -583,7 +578,7 @@ def gamma_sum_map(curve, probe):
     """Sum map Gamma(t) = sum gamma(t_i) and its Jacobian determinant."""
     ts = np.asarray(probe.ts, dtype=float)
     point = curve.point(ts).sum(axis=0)
-    jac = np.stack([curve.derivative(float(t), 1) for t in ts], axis=-1)
+    jac = curve.derivative(ts, 1).T
     if jac.shape[0] != jac.shape[1]:
         raise ValueError("probe length must equal curve dimension for the sum map")
     return point, det_exact(jac)
@@ -614,79 +609,30 @@ def jacobian_lower_bound(b, ts):
 
 
 class QuadratureToleranceError(RuntimeError):
-    """Adaptive panel bisection failed to converge within the depth budget."""
+    """An integral of ik_recursion missed IK_TOL, by QUADPACK's estimate."""
 
 
-_GL8 = np.polynomial.legendre.leggauss(8)
-_GL16 = np.polynomial.legendre.leggauss(16)
-# bisection depth at which adaptive_quad gives up
-QUAD_MAX_DEPTH = 20
-
-
-def _gl_panel(f, a, b, rule):
-    x, w = rule
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.sum(w * np.asarray([f(mid + half * xi) for xi in x])))
-
-
-def adaptive_quad(f, a, b, tol=1e-8):
-    """Adaptive panel bisection with a GL8/GL16 error estimate."""
-    if a == b:
-        return 0.0
-    def recurse(lo, hi, depth):
-        coarse = _gl_panel(f, lo, hi, _GL8)
-        fine = _gl_panel(f, lo, hi, _GL16)
-        if abs(fine - coarse) <= tol or depth >= QUAD_MAX_DEPTH:
-            if abs(fine - coarse) > tol and depth >= QUAD_MAX_DEPTH:
-                raise QuadratureToleranceError(
-                    f"panel [{lo}, {hi}] did not reach tol {tol} at depth {depth}"
-                )
-            return fine
-        mid = 0.5 * (lo + hi)
-        return recurse(lo, mid, depth + 1) + recurse(mid, hi, depth + 1)
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    return sign * recurse(a, b, 0)
-
-
-def _phi_minor_functions(curve, b):
-    """Leading-minor evaluators Phi_k(t) of the rescaled derivative matrix.
+def _phi_minors(curve, b):
+    """Coefficients (low to high) of the leading minors Phi_1, ..., Phi_n of
+    the rescaled derivative matrix.
 
     Phi_{i,j}(t) = t^{j-b_i} d^j/dt^j (component_i)(t), a polynomial since
     component_i is divisible by t^{b_i}; each leading minor Phi_k is then
-    an exact polynomial, built once and evaluated by polyval.
+    an exact polynomial.
     """
-    b = ExponentTuple(b)
     n = b.d
     entries = []
     for i in range(n):
-        c = np.asarray(curve.coeffs[i], dtype=float)
-        scale = max(1.0, float(np.max(np.abs(c))))
         row = []
         for j in range(1, n + 1):
-            dc = _derivative_coeffs(c, j)
-            shift = j - b[i]
-            if shift >= 0:
-                ec = np.concatenate([np.zeros(shift), dc])
-            else:
-                head = dc[: -shift] if dc.size >= -shift else dc
-                if head.size and np.max(np.abs(head)) > 1e-7 * scale:
-                    raise ValueError(
-                        f"component {i + 1} is not of monomial type {b[i]}"
-                    )
-                ec = dc[-shift:] if dc.size > -shift else np.zeros(1)
+            dc = _derivative_coeffs(curve.coeffs[i], j)
+            ec = (np.concatenate([np.zeros(j - b[i]), dc]) if j >= b[i]
+                  else _monomial_factor(dc, b[i] - j))
+            if ec is None:
+                raise ValueError(f"component {i + 1} is not of monomial type {b[i]}")
             row.append(ec)
         entries.append(row)
-    minors = [_det_poly([row[:k] for row in entries[:k]])
-              for k in range(1, n + 1)]
-
-    def phi_k(k, t):
-        return float(npoly.polyval(t, minors[k - 1])) if k > 0 else 1.0
-
-    return phi_k
+    return [_det_poly([row[:k] for row in entries[:k]]) for k in range(1, n + 1)]
 
 
 def ik_recursion(curve, probe):
@@ -694,7 +640,14 @@ def ik_recursion(curve, probe):
 
     Builds the sequence I_1, ..., I_n from the rescaled leading minors and
     iterated integrals; I_n equals det dGamma/dt on the ordered simplex.
+    Each integral is QUADPACK's (scipy.integrate.quad) to absolute error
+    IK_TOL.  The integrand divides by Phi_1, ..., Phi_{n-1}, so a root of
+    one in [t_1, t_n] is a ValueError naming it.
     """
+    # imported here, not with the module: loading scipy.integrate would add
+    # to every import of the package, and so to the start-up of every run
+    from scipy.integrate import quad
+
     b = probe.b or curve.a
     if b is None:
         raise ValueError("probe or curve must carry an exponent tuple")
@@ -706,14 +659,30 @@ def ik_recursion(curve, probe):
     if not probe.strictly_ordered():
         return 0.0
     bvals = (0,) + b  # b_0 = 0
-    phi_k = _phi_minor_functions(curve, b)
+    minors = _phi_minors(curve, b)
+    for k, minor in enumerate(minors[:-1], start=1):
+        roots = [r for r in real_roots(minor) if ts[0] <= r <= ts[-1]]
+        if roots or not np.any(minor):
+            raise ValueError(f"Phi_{k} vanishes at t = {roots[0] if roots else ts[0]} "
+                             f"in [{ts[0]}, {ts[-1]}]; the I_k integrand divides by it")
+
+    def phi(k, t):  # Phi_k, with Phi_0 = Phi_{-1} = 1
+        return float(npoly.polyval(t, minors[k - 1])) if k > 0 else 1.0
 
     def prefactor(k, t):
         # t^{b_{n-k+1} - b_{n-k} - 1} * Phi_{n-k-1} Phi_{n-k+1} / Phi_{n-k}^2
         expo = bvals[n - k + 1] - bvals[n - k] - 1
-        num = phi_k(n - k - 1, t) * phi_k(n - k + 1, t)
-        den = phi_k(n - k, t) ** 2
+        num = phi(n - k - 1, t) * phi(n - k + 1, t)
+        den = phi(n - k, t) ** 2
         return (t ** expo) * num / den
+
+    def integral(f, lo, hi):
+        value, err, _, *warning = quad(f, lo, hi, epsabs=IK_TOL, epsrel=0.0, full_output=1)
+        if err > IK_TOL or warning:
+            raise QuadratureToleranceError("; ".join([
+                f"integral over [{lo}, {hi}]: error estimate {err:.3e}, tol {IK_TOL}",
+                *warning]))
+        return value
 
     def eval_ik(k, args):
         pref = math.prod(prefactor(k, t) for t in args)
@@ -723,7 +692,7 @@ def ik_recursion(curve, probe):
             # nested integral over s_i in (args[i], args[i+1])
             if level == k - 1:
                 return eval_ik(k - 1, tuple(depth_args))
-            return adaptive_quad(
+            return integral(
                 lambda s: integrand(depth_args + [s], level + 1),
                 args[level], args[level + 1])
         inner = integrand([], 0)

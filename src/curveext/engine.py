@@ -70,7 +70,6 @@ class TestFunction:
     lo: float
     hi: float
     coeffs: tuple = ()
-    label: str = ""
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -149,8 +148,7 @@ def zero_function():
 def trig_poly(seed, degree=64):
     rng = np.random.default_rng(seed)
     coeffs = tuple(rng.standard_normal(2 * degree + 1) / math.sqrt(2 * degree + 1))
-    return TestFunction("trig", 0.0, 1.0, coeffs=coeffs,
-                        label=f"trig(seed={seed}, degree={degree})")
+    return TestFunction("trig", 0.0, 1.0, coeffs=coeffs)
 
 
 def restrict(f, lo, hi):
@@ -159,7 +157,7 @@ def restrict(f, lo, hi):
     nlo, nhi = max(float(lo), f.lo), min(float(hi), f.hi)
     if nhi <= nlo:
         return zero_function()
-    return TestFunction(f.kind, nlo, nhi, coeffs=f.coeffs, label=f.label)
+    return TestFunction(f.kind, nlo, nhi, coeffs=f.coeffs)
 
 
 def pullback(f, tau, h):
@@ -174,7 +172,7 @@ def pullback(f, tau, h):
     if not 0.0 < abs(h) < math.inf:
         raise ValueError(f"h must be finite and nonzero, got {h}")
     return TestFunction(f.kind, (f.lo - tau) / h, (f.hi - tau) / h,
-                        coeffs=tuple((c - tau) / h for c in f.coeffs), label=f.label)
+                        coeffs=tuple((c - tau) / h for c in f.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +230,11 @@ def build_rules(pieces, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
     self-check's finer rule, which must differ from the coarse one even
     when the support is narrower than one panel.  Python lists each
     piece's segments; one numpy pass places all nodes.  omega is the
-    largest piece's; nodes_per_wavelength must be finite and positive.
+    largest piece's; omega must be finite and >= 0, nodes_per_wavelength
+    finite and > 0.
     """
+    if not 0.0 <= omega < math.inf:
+        raise ValueError(f"omega must be finite and >= 0, got {omega}")
     if not 0.0 < nodes_per_wavelength < math.inf:
         raise ValueError("nodes_per_wavelength must be finite and > 0, "
                          f"got {nodes_per_wavelength}")
@@ -298,7 +299,8 @@ def _rule(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1):
     one restricted to a subinterval); ValueError unless lam is finite."""
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
-    omega = lam * xmax * curve.velocity_sup()
+    # T at -lam is T at lam at -x: the same oscillation
+    omega = abs(lam) * xmax * curve.velocity_sup()
     grades = None if alpha is None else [weight_zeros(curve, p.lo, p.hi) for p in pieces]
     return build_rules(pieces, omega, nodes_per_wavelength, grades, split)
 
@@ -609,17 +611,29 @@ def plancherel_bound(curve, fs, lam):
     """Certified bound on ||prod T_lam f_i||_{L^2(dx)} for d factors with
     pairwise separated supports (sep apart):
     (2 pi / lam)^{d/2} c_d^{-1/2} sep^{-(d^2 - d)/4} prod ||f_i||_2,
-    with c_d the sum-map Jacobian constant."""
+    with c_d the sum-map Jacobian constant, and 0 with a zero factor.
+    ValueError unless lam is finite and > 0 and the bound is finite."""
     d = curve.d
     if len(fs) != d:
         raise ValueError("need exactly d factors")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and > 0, got {lam}")
     sep = support_separation(fs)
     if all(f.width > 0 for f in fs) and sep <= 0:
         raise SeparationError("supports must be pairwise separated")
-    return ((2.0 * math.pi) ** (d / 2.0) * lam ** (-d / 2.0)
-            / math.sqrt(jacobian_constant(d))
-            * max(sep, 1e-300) ** (-(d * d - d) / 4.0)
-            * math.prod(f.lp_norm(2) for f in fs))
+    norms = math.prod(f.lp_norm(2) for f in fs)
+    if norms == 0.0:  # a zero factor; else every width, and so sep, is > 0
+        return 0.0
+    try:
+        bound = ((2.0 * math.pi) ** (d / 2.0) * lam ** (-d / 2.0)
+                 / math.sqrt(jacobian_constant(d))
+                 * sep ** (-(d * d - d) / 4.0)
+                 * norms)
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise ValueError(f"the Plancherel bound overflows at lambda={lam}")
+    return bound
 
 
 def multilinear_l2(curve, fs, lam, box_r=20.0, tail_target=0.01,

@@ -389,6 +389,8 @@ def quotient_slope_prediction(alpha, d, p, q):
 
     Zero exactly on the scaling-critical line, negative strictly inside.
     """
+    eng.check_exponent("p", p)
+    eng.check_exponent("q", q)
     return (beta_alpha(alpha, d) / q + 1.0 / p - 1.0) / d
 
 
@@ -552,6 +554,8 @@ def rescaling_exponent_scan(curve, tau, mu, alpha, p, q, lam, h_list):
 
 def block_decay_rate(a, alpha, p, q):
     """Predicted per-block log2 decay: sigma(a, alpha)(1 - beta/q - 1/p)."""
+    eng.check_exponent("p", p)
+    eng.check_exponent("q", q)
     a = ExponentTuple(a)
     beta = beta_alpha(alpha, a.d)
     return sigma_exponent(a, alpha) * (1.0 - beta / q - 1.0 / p)

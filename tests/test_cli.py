@@ -614,6 +614,12 @@ class TestInputGates:
                      "tau and h must be finite, got tau=nan", id="finitetype-tau-nan"),
         pytest.param("multilinear", MULTILINEAR.format(supports="nan nan nan nan", box_r=24),
                      "test function ends must be finite", id="multilinear-supports-nan"),
+        # an OverflowError traceback, exit 1
+        pytest.param("multilinear", _set_key(_set_key(
+            SWEEP["multilinear"][0], "experiment.lambda_min_exp", "-1074"),
+            "experiment.lambda_max_exp", "-1074"),
+                     "the Plancherel bound overflows at lambda=5e-324",
+                     id="multilinear-lambda-5e-324"),
         # the grid path ignored the radius and exited 0
         pytest.param("scaling", GRADED.replace("seed = 0", "seed = 0\nradius = nan"),
                      "radius must be > 0, got nan", id="graded-scaling-radius-nan"),

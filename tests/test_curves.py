@@ -243,12 +243,6 @@ def test_det_exact_matches_numpy():
         assert cv.det_exact(m) == pytest.approx(np.linalg.det(m), rel=1e-9)
 
 
-def test_derivative_order_budget_enforced():
-    g = cv.model_curve(2)
-    with pytest.raises(cv.CapabilityError):
-        g.derivative(0.5, g.order_budget + 1)
-
-
 def _derivative_oracle(g, ts, k):
     """Per component, np.polyder/np.polyval on the highest-first coefficients."""
     return np.stack([np.polyval(np.polyder(c[::-1], k), ts) for c in g.coeffs],
@@ -259,7 +253,8 @@ def _derivative_oracle(g, ts, k):
 @given(_polynomial_curves(), st.floats(-1.0, 2.0))
 def test_derivative_matches_polyder_oracle(g, t):
     ts = np.array([t, 0.0, 0.5, 1.0])
-    for k in range(g.order_budget + 1):
+    # up to one order past the degree, where the derivative is 0
+    for k in range(max(len(c) for c in g.coeffs) + 1):
         want = _derivative_oracle(g, ts, k)
         np.testing.assert_allclose(g.derivative(ts, k), want, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(g.derivative(t, k), want[0], rtol=1e-12, atol=1e-12)
@@ -361,6 +356,13 @@ def test_class_distance_detects_perturbation_size():
     d2 = cv.class_distance(g)
     # C^3 norm of 0.01 t^3 on [0,1] is 0.06 (third derivative)
     assert d2 == pytest.approx(0.06, rel=0.02)
+
+
+def test_empty_component_is_the_zero_polynomial():
+    g = cv.CurveSpec(d=2, coeffs=((0, 1), ()))
+    assert g == cv.CurveSpec(d=2, coeffs=((0, 1), (0.0,)))
+    # (t, 0) against (t, t^2/2): the second derivative 1 of the difference
+    assert cv.class_distance(g) == pytest.approx(1.0 * cv.SUP_SAFETY)
 
 
 def test_class_distance_monomial_infinite_when_low_terms_present():
@@ -512,6 +514,22 @@ def test_ik_recursion_matches_jacobian_with_varying_minors(coeffs):
         assert cv.ik_recursion(g, probe) == pytest.approx(jac, abs=1e-8)
 
 
+@pytest.mark.parametrize("coeffs, ts, message", [
+    # Phi_1 = gamma_1' = 1 - 2t vanishes at 0.5 (this read "did not reach tol")
+    (((0, 1, -1), (0, 0, 0.5)), (0.2, 0.8), "Phi_1 vanishes at t = 0.5 in [0.2, 0.8]"),
+    # Phi_2 = 0 everywhere (an "invalid value" RuntimeWarning at 0 / 0)
+    (((0, 1), (0.0,), (0, 0, 0, 1 / 6)), (0.2, 0.5, 0.8),
+     "Phi_2 vanishes at t = 0.2 in [0.2, 0.8]"),
+])
+def test_ik_recursion_names_a_vanishing_minor(coeffs, ts, message):
+    # the integrand divides by Phi_1, ..., Phi_{n-1}
+    g = cv.CurveSpec(d=len(coeffs), coeffs=coeffs)
+    probe = cv.JacobianProbe(ts, b=cv.ExponentTuple(range(1, g.d + 1)))
+    with pytest.raises(ValueError) as info:
+        cv.ik_recursion(g, probe)
+    assert message in str(info.value)
+
+
 def test_jacobian_lower_bound_holds_for_model():
     g = cv.model_curve(3)
     rng = np.random.default_rng(11)
@@ -524,11 +542,3 @@ def test_jacobian_lower_bound_holds_for_model():
         lb = cv.jacobian_lower_bound((1, 2, 3), tuple(t))
         assert abs(jac) >= lb - 1e-12
 
-
-def test_adaptive_quad_polynomial_exactness():
-    val = cv.adaptive_quad(lambda s: s**3, 0.0, 2.0)
-    assert val == pytest.approx(4.0, abs=1e-12)
-
-
-def test_adaptive_quad_orientation():
-    assert cv.adaptive_quad(lambda s: 1.0, 1.0, 0.0) == pytest.approx(-1.0)

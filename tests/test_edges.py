@@ -7,7 +7,9 @@ QuadratureBudgetError: never another exception, nor a RuntimeWarning
 (an error under the test configuration).  The constructors are those of
 test functions, test families, curves, measures, grids, dyadic families
 and pushforward specs; the front ends are the evaluation kernels'
-extension_eval and extension_eval_grid and the lab's experiments.
+extension_eval, extension_eval_grid, build_rules and the multilinear L2
+check, the curve frame and its normal form, and the lab's experiments and
+predictions.
 """
 
 import math
@@ -30,6 +32,7 @@ C2 = cv.model_curve(2)
 MU = ms.make_lebesgue(2, (-1.0, 1.0), 8)
 GRID = lab.GradedGrid(2, 1.0, 8, 1)
 F = eng.indicator(0.1, 0.4)
+FS2 = (eng.indicator(0.0, 0.3), eng.indicator(0.6, 0.9))
 LAMS = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
 
 
@@ -62,6 +65,9 @@ CALLS = {
         C2, 8.0, (np.full(2, v),) * 2, F)),
     "extension_eval_grid(empty axes)": (EMPTY, lambda v: eng.extension_eval_grid(
         C2, 8.0, (np.array(v),) * 2, F)),
+    "build_rules(omega)": (EDGES, lambda v: eng.build_rules([F], v)),
+    "plancherel_bound(lam)": (EDGES, lambda v: eng.plancherel_bound(C2, FS2, v)),
+    "multilinear_l2(lam)": (EDGES, lambda v: eng.multilinear_l2(C2, FS2, v)),
     "CurveSpec(coeffs)": (EDGES, lambda v: cv.CurveSpec(2, ((0.0, 1.0), (0.0, 0.0, v)))),
     "CurveSpec(empty coeffs)": (EMPTY, lambda v: cv.CurveSpec(2, ((0.0, 1.0), v))),
     "model_curve(d)": (INTS, cv.model_curve),
@@ -69,6 +75,10 @@ CALLS = {
     "ExponentTuple(empty)": (EMPTY, cv.ExponentTuple),
     "shift_subtract(tau)": (EDGES, lambda v: cv.shift_subtract(C2, v)),
     "shift_subtract(h)": (EDGES, lambda v: cv.shift_subtract(C2, 0.5, v)),
+    "frame_matrix(tau)": (EDGES, lambda v: cv.frame_matrix(C2, v)),
+    "minor_determinant(t)": (EDGES, lambda v: cv.minor_determinant(C2, (1, 2), v)),
+    "normalize_curve(tau)": (EDGES, lambda v: cv.normalize_curve(C2, v, 0.5)),
+    "detect_finite_type(tau)": (EDGES, lambda v: cv.detect_finite_type(C2, v)),
     "beta_alpha(alpha)": (EDGES, lambda v: cv.beta_alpha(v, 2)),
     "JacobianProbe(ts)": (EDGES, lambda v: cv.JacobianProbe((v, 0.5))),
     "JacobianProbe(empty)": (EMPTY, cv.JacobianProbe),
@@ -76,6 +86,9 @@ CALLS = {
     "ExponentPair(alpha)": (EDGES, lambda v: lab.ExponentPair(p=4.0, q=8.0, d=2, alpha=v)),
     "admissible_region(alpha)": (EDGES, lambda v: lab.admissible_region(2, v, steps=4)),
     "admissible_region(steps)": (INTS, lambda v: lab.admissible_region(2, 2.0, steps=v)),
+    "quotient_slope_prediction(q)": (EDGES, lambda v: lab.quotient_slope_prediction(
+        2.0, 2, 4.0, v)),
+    "block_decay_rate(q)": (EDGES, lambda v: lab.block_decay_rate((1, 2), 2.0, 4.0, v)),
     "knapp_interval(lam)": (EDGES, lambda v: lab.knapp_interval(2, v)),
     "knapp_family(lam)": (EDGES, lambda v: lab.knapp_family(2, v)),
     "bump_family(lam)": (EDGES, lambda v: lab.bump_family(2, v)),
@@ -174,6 +187,32 @@ def test_edge_value_returns_or_raises_value_error(name, data):
       for v in (math.nan, math.inf)],
     pytest.param(lambda: cv.JacobianProbe(()), "sample points must lie in (0, 1], got ()",
                  id="jacobian-probe-empty"),
+    # ZeroDivisionError at 0 and infinity, "cannot convert float NaN to integer"
+    *[pytest.param(lambda lam=lam: eng.multilinear_l2(C2, FS2, lam),
+                   f"lambda must be finite and > 0, got {lam}", id=f"multilinear-lambda-{lam}")
+      for lam in (0.0, math.inf, math.nan)],
+    # OverflowError
+    pytest.param(lambda: eng.multilinear_l2(C2, FS2, 5e-324),
+                 "the Plancherel bound overflows at lambda=5e-324",
+                 id="multilinear-lambda-5e-324"),
+    # ZeroDivisionError at infinity, "cannot convert float NaN to integer"
+    *[pytest.param(lambda omega=omega: eng.build_rules([F], omega),
+                   f"omega must be finite and >= 0, got {omega}", id=f"build-rules-omega-{omega}")
+      for omega in (math.inf, math.nan)],
+    # a RuntimeWarning at infinity; a NaN frame, or "no nonsingular frame", at NaN
+    *[pytest.param(lambda fn=fn, tau=tau: fn(C2, tau), f"tau must be finite, got {tau}",
+                   id=f"{fn.__name__}-{tau}")
+      for fn in (cv.frame_matrix, cv.detect_finite_type) for tau in (math.inf, math.nan)],
+    pytest.param(lambda: cv.minor_determinant(C2, (1, 2), math.inf), "t must be finite, got inf",
+                 id="minor-determinant-inf"),
+    pytest.param(lambda: cv.normalize_curve(C2, math.inf, 0.5),
+                 "[tau, tau+h]* = [inf, inf] must be contained in [0, 1]",
+                 id="normalize-curve-tau-inf"),
+    # ZeroDivisionError
+    pytest.param(lambda: lab.quotient_slope_prediction(2.0, 2, 4.0, 0), "q must be >= 1, got 0",
+                 id="quotient-slope-q-0"),
+    pytest.param(lambda: lab.block_decay_rate((1, 2), 2.0, 4.0, 0), "q must be >= 1, got 0",
+                 id="block-decay-q-0"),
 ])
 def test_named_rejection(call, message):
     with pytest.raises(ValueError) as info:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from curveext import engine as eng
 from curveext import lab
 from curveext import measures as ms
 from curveext.curves import (
     CurveSpec,
-    adaptive_quad,
     derivative_matrix,
     det_exact,
     diagonal_scaling,
@@ -52,6 +52,13 @@ def test_trig_poly_deterministic_and_restricted():
     r = eng.restrict(f1, 0.5, 0.75)
     assert r(0.4) == 0.0
     assert r(0.6) == f1(0.6)
+
+
+def test_test_functions_equal_by_kind_support_and_coefficients():
+    # a trig polynomial used to carry a label that made it unequal to itself
+    f = eng.trig_poly(3)
+    assert f == eng.TestFunction("trig", 0, 1, f.coeffs)
+    assert eng.restrict(f, 0.25, 0.5) == eng.TestFunction("trig", 0.25, 0.5, f.coeffs)
 
 
 def test_restrict_empty_intersection_is_zero():
@@ -258,7 +265,7 @@ def test_weighted_value_at_double_torsion_root():
         def g(t):
             return fn(np.exp(1j * float(x @ _DOUBLE_ROOT.point(t)))
                       * abs(12.0 * (t - 0.3) ** 2) ** (1.0 / 3.0))
-        return sum(adaptive_quad(g, a, b, tol=1e-12) for a, b in ((0.0, 0.3), (0.3, 1.0)))
+        return sum(quad(g, a, b, epsabs=1e-12, epsrel=0.0)[0] for a, b in ((0.0, 0.3), (0.3, 1.0)))
 
     assert abs(got - complex(part(np.real), part(np.imag))) < 1e-8
 
@@ -705,6 +712,9 @@ def test_zero_and_negative_lambda_stay_valid(lam):
     vals = eng.extension_eval(curve, lam, targets, f)
     grid = eng.extension_eval_grid(curve, lam, [targets[:, 0], targets[:, 1]], f)
     assert np.all(np.isfinite(vals)) and abs(grid[0, 0] - vals[0]) < 1e-12
+    # T at -lam is T at lam at -x, on the same rule (a negative lam used to
+    # size its rule by a negative omega: one panel per support)
+    np.testing.assert_array_equal(vals, eng.extension_eval(curve, -lam, -targets, f))
     if lam == 0.0:
         assert np.allclose(vals, 0.8, rtol=0, atol=1e-12)
 
@@ -766,6 +776,9 @@ def test_multilinear_zero_factor():
     fs = [eng.indicator(0.0, 0.25), eng.zero_function()]
     res = eng.multilinear_l2(g, fs, 64.0)
     assert res.lhs == 0.0
+    # d = 3: the zero factor's gap of 0 used to overflow the bound's sep power
+    fs3 = [eng.indicator(0.0, 0.2), eng.zero_function(), eng.indicator(0.6, 0.9)]
+    assert eng.plancherel_bound(model_curve(3), fs3, 64.0) == 0.0
 
 
 def test_multilinear_requires_separation():

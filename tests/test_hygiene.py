@@ -4,11 +4,15 @@ parameters, every defaulted parameter of a public function is passed by
 some call in the package, its tests or its benchmark, and every dataclass
 field and public method or property is read there by name.  `self`, `cls`
 and names starting with `_` are exempt.  The package's net code lines
-stay within the baseline that ROADMAP.md tracks."""
+stay within the baseline that ROADMAP.md tracks, and importing it leaves
+scipy.integrate unloaded."""
 
 import ast
 import importlib.resources as importlib_resources
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -243,3 +247,15 @@ def test_net_code_lines_within_baseline():
     assert net_lines("x = 1\n\n    # note\n  y = 2  # tail\n") == 2
     total = sum(net_lines(p.read_text()) for p in MODULES)
     assert total <= NET_LINES_BASELINE, f"{total} net lines in src/curveext"
+
+
+def test_package_import_leaves_out_scipy_integrate():
+    # curves.ik_recursion imports it when called: loaded with the package,
+    # it would add to the start-up of every run
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, curveext.lab, curveext.decomposition; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
