@@ -142,6 +142,8 @@ class CurveSpec:
     def derivative(self, t, order):
         """order-th derivative vector at t (order 0 is the point itself)."""
         t = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"t must be finite, got {t[~np.isfinite(t)].flat[0]}")
         return np.stack([npoly.polyval(t, _derivative_coeffs(c, order))
                          for c in self.coeffs], axis=-1)
 
@@ -274,7 +276,10 @@ def torsion_poly(curve):
 
 def torsion(curve, t):
     """det(gamma'(t), ..., gamma^(d)(t)); nonvanishing means nondegenerate."""
-    vals = npoly.polyval(np.asarray(t, dtype=float), curve.torsion_coeffs)
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got {t[~np.isfinite(t)].flat[0]}")
+    vals = npoly.polyval(t, curve.torsion_coeffs)
     return float(vals) if np.ndim(vals) == 0 else vals
 
 
@@ -328,8 +333,6 @@ def real_roots(coeffs):
 def minor_determinant(curve, rows, t):
     """Determinant of selected rows against leading derivative columns;
     ValueError unless t is finite."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
     rows = sorted(rows)
     k = len(rows)
     if any(r < 1 or r > curve.d for r in rows):

@@ -3,9 +3,10 @@
 Computes T f(x) = integral of exp(i lambda x.gamma(t)) f(t) dt over panels
 of Gauss-Legendre nodes sized to the oscillation budget, one exp per
 target block and node chunk of whole pieces, or factored per axis when
-the targets are a tensor product.  Summation order is fixed (node chunks
-combined by compensated addition per target), so results are
-byte-identical regardless of worker partitioning.
+the targets are a tensor product; a grid that is its own mirror forms half
+its rows and conjugates them, as T f(-x) = conj T f(x) for real f.
+Summation order is fixed (node chunks combined by compensated addition per
+target), so results are byte-identical regardless of worker partitioning.
 """
 
 from __future__ import annotations
@@ -107,13 +108,17 @@ class TestFunction:
             out[inner] = np.exp(1.0 - 1.0 / (1.0 - u[inner] ** 2))
             return out
         if self.kind == "trig":
-            ab = np.asarray(self.coeffs[1:], dtype=float)
-            if ab.size % 2:  # a last a_k without its b_k
-                ab = np.append(ab, 0.0)
-            poly = np.concatenate(([0.0], ab[0::2] - 1j * ab[1::2]))
+            poly = np.concatenate(([0.0], self._trig_terms()))
             out = self.coeffs[0] + npoly.polyval(np.exp(2j * math.pi * t), poly).real
             return np.where(mask, out, 0.0)
         raise ValueError(self.kind)
+
+    def _trig_terms(self):
+        """a_k - i b_k for k = 1 ... degree, complex."""
+        ab = np.asarray(self.coeffs[1:], dtype=float)
+        if ab.size % 2:  # a last a_k without its b_k
+            ab = np.append(ab, 0.0)
+        return ab[0::2] - 1j * ab[1::2]
 
     def lp_norm(self, p):
         check_exponent("p", p)
@@ -305,10 +310,33 @@ def _rule(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1):
     return build_rules(pieces, omega, nodes_per_wavelength, grades, split)
 
 
-def _amplitude(f, nodes, weights, aw, part=slice(None)):
-    """f(t) w(t) [affine weight aw, if any] over nodes[part], complex."""
-    amp = f(nodes[part]) * weights[part]
-    return (amp if aw is None else amp * aw[part]).astype(complex)
+def _amplitude(f, nodes, weights, aw):
+    """f(t) w(t) [affine weight aw, if any] over the nodes, complex."""
+    amp = f(nodes) * weights
+    return (amp if aw is None else amp * aw).astype(complex)
+
+
+def _amplitudes(fs, nodes, weights, aw, part):
+    """_amplitude of each f in fs, one real row each.  Trig members share
+    one power table z^k, z = exp(2 pi i t), built by z^k = z^(k-1) z; each
+    sums its own terms against it, so no row depends on the other members."""
+    t = nodes[part]
+    out, table = np.empty((len(fs), t.size)), None
+    for row, f in zip(out, fs):
+        if f.kind != "trig":
+            row[:] = f(t)
+            continue
+        terms = f._trig_terms()
+        if table is None or len(table) != terms.size:
+            table = np.empty((terms.size, t.size), dtype=complex)
+            table[:1] = np.exp(2j * math.pi * t)
+            for k in range(1, terms.size):
+                np.multiply(table[k - 1], table[0], out=table[k])
+        row[:] = np.where((t >= f.lo) & (t <= f.hi), f.coeffs[0] + (terms @ table).real, 0.0)
+    out *= weights[part]
+    if aw is not None:
+        out *= aw[part]
+    return out
 
 
 def _setup(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1):
@@ -451,27 +479,31 @@ def extension_eval(curve, lam, targets, f, alpha=None, workers=1,
                                  self_check, nodes_per_wavelength)[0]
 
 
-def _axis_factor(a, g, lam):
+def _axis_factor(a, g, lam, mirror=False):
     """exp(i lam a_k g) for every point a_k of one axis: shape (a.size, g.size).
 
     On a uniform axis (every a_k within 8 ulp of a_0 + k h) each block of
     PHASE_RESTART rows starts from a direct exp and steps by the recurrence
     U[k+1] = U[k] exp(i lam h g); otherwise every block is one row, which
-    is the direct exp alone.
+    is the direct exp alone.  With `mirror` (a = -a[::-1]) the rows before
+    a.size // 2 are the conjugates of their mirror rows.
     """
+    half = a.size // 2 if mirror else 0
+    full = np.empty((a.size, g.size), dtype=complex)
+    a, u = a[half:], full[half:]
     m = a.size
     h = (a[-1] - a[0]) / (m - 1) if m > 1 else 0.0
     drift = np.abs(a - (a[:1] + h * np.arange(m)))
     uniform = np.all(drift <= 8.0 * np.finfo(float).eps * np.max(np.abs(a), initial=0.0))
     block = PHASE_RESTART if uniform else 1
-    u = np.empty((m, g.size), dtype=complex)
     np.exp(1j * lam * np.outer(a[::block], g), out=u[::block])
     step = np.exp(1j * lam * h * g)
     for k in range(0, m, block):
         rows = u[k : k + block]
         rows[1:] = step
         np.cumprod(rows, axis=0, out=rows)
-    return u
+    np.conjugate(full[::-1][:half], out=full[:half])
+    return full
 
 
 def _grid_planes(us, amp):
@@ -484,13 +516,16 @@ def _grid_planes(us, amp):
         yield idx, us[0] @ (us[1] * a2).T
 
 
-def _grid_values(us, amp):
-    """T on the tensor grid of the axis factors `us` for one amplitude."""
+def _grid_values(us, amp, shape):
+    """T on the tensor grid of `shape` for one real amplitude from the axis
+    factors `us`; if us[0] has only axis 0's last rows, T f(-x) = conj T f(x)."""
+    half = shape[0] - us[0].shape[0]
     values = None
     for idx, plane in _grid_planes(us, amp):
         if values is None:  # after the first GEMM has freed its operands
-            values = np.empty(tuple(u.shape[0] for u in us), dtype=complex)
-        values[(slice(None), slice(None)) + idx] = plane
+            values = np.empty(shape, dtype=complex)
+        values[(slice(half, None), slice(None)) + idx] = plane
+    np.conjugate(values[(slice(None, None, -1),) * len(shape)][:half], out=values[:half])
     return values
 
 
@@ -504,10 +539,12 @@ def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
 
     Members with the same support and bandwidth share a rule; one pass
     builds all rules.  Chunks of whole groups, none larger than the largest
-    group, copy their nodes out of it and build their curve points, affine
-    weight and phase factors exp(i lam axis gamma_k) once; a member adds
-    its amplitude and GEMMs on its group's columns.  Chunks run smallest
-    first, so the largest runs alone; members yield in that order.
+    group, copy their nodes out of it and form their affine weight and
+    every member's amplitude (_amplitudes), then the curve points and phase
+    factors exp(i lam axis gamma_k); a member GEMMs on its group's columns.
+    When every axis is its own mirror, the GEMMs fill only the rows from
+    axes[0].size // 2 on (_grid_values).  Chunks run smallest first, so the
+    largest runs alone; members yield in that order.
     """
     if len(axes) != curve.d:
         raise ValueError("need one axis per coordinate")
@@ -519,12 +556,14 @@ def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
     for j, f in enumerate(fs):
         groups.setdefault((f.lo, f.hi, f.bandwidth()), []).append(j)
     groups = list(groups.values())
+    shape = tuple(a.size for a in axes)
+    mirror = all(np.array_equal(a, -a[::-1]) for a in axes)
     rule = _rule(curve, [fs[g[0]] for g in groups], lam, _grid_xmax(axes), alpha,
                  nodes_per_wavelength)
     counts = rule.counts.tolist()
     for k in np.flatnonzero(rule.counts == 0):
         for j in groups[k]:
-            yield j, np.zeros(tuple(a.size for a in axes), dtype=complex)
+            yield j, np.zeros(shape, dtype=complex)
     parts = [(rule.nodes[a:b].copy(), rule.weights[a:b].copy(), offsets + [b - a], ks)
              for a, b, offsets, ks in _chunks(counts, max([1] + counts))]
     del rule  # chunks hold copies, so each is freed once it has run
@@ -532,12 +571,15 @@ def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
     while parts:
         nodes, weights, bounds, ks = parts.pop()
         aw = None if alpha is None else affine_weight(curve, alpha, nodes)
-        us = [_axis_factor(a, g, lam) for a, g in zip(axes, curve.point(nodes).T)]
-        for k, lo, hi in zip(ks, bounds, bounds[1:]):
-            for j in groups[k]:
-                yield j, _grid_values([u[:, lo:hi] for u in us],
-                                      _amplitude(fs[j], nodes, weights, aw, slice(lo, hi)))
-        del nodes, weights, aw, us  # before the next chunk builds its factors
+        amps = [_amplitudes([fs[j] for j in groups[k]], nodes, weights, aw, slice(lo, hi))
+                for k, lo, hi in zip(ks, bounds, bounds[1:])]
+        gs = curve.point(nodes).T
+        us = [_axis_factor(axes[0][shape[0] // 2 if mirror else 0:], gs[0], lam)]
+        us += [_axis_factor(a, g, lam, mirror) for a, g in zip(axes[1:], gs[1:])]
+        for k, lo, hi, amp in zip(ks, bounds, bounds[1:], amps):
+            for j, row in zip(groups[k], amp):
+                yield j, _grid_values([u[:, lo:hi] for u in us], row, shape)
+        del nodes, weights, aw, amps, us  # before the next chunk builds its own
 
 
 def extension_eval_grid(curve, lam, axes, f, alpha=None, self_check=True,
@@ -547,12 +589,13 @@ def extension_eval_grid(curve, lam, axes, f, alpha=None, self_check=True,
     Agrees with extension_eval at every grid point but factors the phase
     per axis, so the exp cost scales with the axis lengths rather than
     the full grid size.  Returns an array of shape (len(axes[0]), ...).
-    The self-check recomputes the far corner and the centre.
+    The self-check recomputes the near and far corners and the centre.
     """
     (_, values), = extension_eval_grid_family(curve, lam, axes, [f], alpha,
                                               nodes_per_wavelength)
     if self_check and f.hi > f.lo:
-        picks = (tuple(s - 1 for s in values.shape), tuple(s // 2 for s in values.shape))
+        picks = ((0,) * values.ndim, tuple(s - 1 for s in values.shape),
+                 tuple(s // 2 for s in values.shape))
         points = np.array([[float(a[i]) for a, i in zip(axes, ix)] for ix in picks])
         got = np.array([[values[ix] for ix in picks]])
         _self_check(partial(_setup, curve, [f], lam, _grid_xmax(axes), alpha,

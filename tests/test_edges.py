@@ -8,8 +8,8 @@ QuadratureBudgetError: never another exception, nor a RuntimeWarning
 test functions, test families, curves, measures, grids, dyadic families
 and pushforward specs; the front ends are the evaluation kernels'
 extension_eval, extension_eval_grid, build_rules and the multilinear L2
-check, the curve frame and its normal form, and the lab's experiments and
-predictions.
+check, the curve's derivatives, torsion, affine weight, frame and normal
+form, and the lab's experiments and predictions.
 """
 
 import math
@@ -77,6 +77,10 @@ CALLS = {
     "shift_subtract(h)": (EDGES, lambda v: cv.shift_subtract(C2, 0.5, v)),
     "frame_matrix(tau)": (EDGES, lambda v: cv.frame_matrix(C2, v)),
     "minor_determinant(t)": (EDGES, lambda v: cv.minor_determinant(C2, (1, 2), v)),
+    "derivative(t)": (EDGES, lambda v: C2.derivative(v, 1)),
+    "torsion(t)": (EDGES, lambda v: cv.torsion(C2, v)),
+    "affine_weight(t)": (EDGES, lambda v: cv.affine_weight(C2, 2.0, v)),
+    "jacobian_lower_bound(ts)": (EDGES, lambda v: cv.jacobian_lower_bound((1, 2), (v, 0.5))),
     "normalize_curve(tau)": (EDGES, lambda v: cv.normalize_curve(C2, v, 0.5)),
     "detect_finite_type(tau)": (EDGES, lambda v: cv.detect_finite_type(C2, v)),
     "beta_alpha(alpha)": (EDGES, lambda v: cv.beta_alpha(v, 2)),
@@ -205,6 +209,16 @@ def test_edge_value_returns_or_raises_value_error(name, data):
       for fn in (cv.frame_matrix, cv.detect_finite_type) for tau in (math.inf, math.nan)],
     pytest.param(lambda: cv.minor_determinant(C2, (1, 2), math.inf), "t must be finite, got inf",
                  id="minor-determinant-inf"),
+    # a RuntimeWarning ("invalid value encountered in multiply") at infinity,
+    # a NaN at NaN
+    *[pytest.param(lambda call=call, t=t: call(t), f"t must be finite, got {t}",
+                   id=f"{name}-{t}")
+      for name, call in [("derivative", lambda t: C2.derivative([0.5, t], 1)),
+                         ("torsion", lambda t: cv.torsion(C2, [0.5, t])),
+                         ("affine-weight", lambda t: cv.affine_weight(C2, 2.0, t)),
+                         ("jacobian-lower-bound",
+                          lambda t: cv.jacobian_lower_bound((1, 2), (t, 0.5)))]
+      for t in (math.inf, -math.inf, math.nan)],
     pytest.param(lambda: cv.normalize_curve(C2, math.inf, 0.5),
                  "[tau, tau+h]* = [inf, inf] must be contained in [0, 1]",
                  id="normalize-curve-tau-inf"),

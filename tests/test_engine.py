@@ -406,6 +406,22 @@ def test_self_check_raises_on_starved_budget():
                            nodes_per_wavelength=0.5)
 
 
+def test_grid_self_check_covers_the_mirrored_corner(monkeypatch):
+    # on mirror axes the near corner is the conjugate of the far one's
+    # mirror value, formed by no GEMM: an error there must not pass
+    grid_values = eng._grid_values
+
+    def corrupted(us, amp, shape):
+        values = grid_values(us, amp, shape)
+        values[(0,) * len(shape)] += 1e-3
+        return values
+
+    monkeypatch.setattr(eng, "_grid_values", corrupted)
+    axes = [_mirror_axis(6, 0.5), _mirror_axis(5, 0.25)]
+    with pytest.raises(eng.QuadratureBudgetError):
+        eng.extension_eval_grid(model_curve(2), 16.0, axes, eng.indicator(0.0, 1.0))
+
+
 @pytest.mark.parametrize("grid", [False, True])
 @pytest.mark.parametrize("curve, f, alpha", [
     # support narrower than one panel at omega = 10: a rule at doubled
@@ -646,6 +662,78 @@ def test_family_grid_equals_one_member_grids(monkeypatch, curve, axes, weighted)
         assert got[j].tobytes() == ref.tobytes()
     zero, again = len(fam) - 2, len(fam) - 1
     assert not np.any(got[zero]) and got[again].tobytes() == got[2].tobytes()
+
+
+def _mirror_axis(m, step):
+    """m points, exactly their own mirror: a = -a[::-1]."""
+    upper = step * (np.arange(m // 2) + 1.0 - 0.5 * (m % 2 == 0))
+    return np.concatenate((-upper[::-1], [0.0] * (m % 2), upper))
+
+
+_MIRROR_CURVES = {2: CurveSpec(d=2, coeffs=((0, 1), (0, 0, -0.45, 0, 0.5))),
+                  3: CurveSpec(d=3, coeffs=((0, 1), (0, 0, 1), (0, 0, 0, 1, -1)))}
+
+
+# even and odd leading axes; "ulp" moves one point of the last axis by an
+# ulp, so that axis is no mirror and the full grid is formed
+@pytest.mark.parametrize("sizes, ulp", [
+    ((6, 5), False), ((7, 4), False), ((5, 4, 3), False), ((4, 3, 6), False),
+    ((6, 5), True), ((5, 4, 3), True),
+])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("lam", [64.0, -64.0])
+def test_family_grid_on_mirror_axes_matches_scattered(monkeypatch, sizes, ulp,
+                                                      weighted, lam):
+    curve = _MIRROR_CURVES[len(sizes)]
+    alpha = float(curve.d) if weighted else None
+    axes = [_mirror_axis(m, 0.4 + 0.1 * k) for k, m in enumerate(sizes)]
+    assert all(np.array_equal(a, -a[::-1]) for a in axes)
+    if ulp:
+        axes[-1][0] = np.nextafter(axes[-1][0], -np.inf)
+    formed = []
+    axis_factor = eng._axis_factor
+
+    def recording(a, g, lam, mirror=False):
+        formed.append((a.size, mirror))
+        return axis_factor(a, g, lam, mirror)
+
+    monkeypatch.setattr(eng, "_axis_factor", recording)
+    fam = _mixed_family()
+    got = dict(eng.extension_eval_grid_family(curve, lam, axes, fam, alpha=alpha))
+    # per chunk: axis 0 from its middle row on, the other axes mirrored
+    m0 = sizes[0]
+    want = ([(m0, False)] + [(m, False) for m in sizes[1:]] if ulp
+            else [(m0 - m0 // 2, False)] + [(m, True) for m in sizes[1:]])
+    assert formed[:len(sizes)] == want
+    # shuffled rows are no C-order product: the scattered kernel serves them
+    pts = ms._product(*axes)
+    perm = np.random.default_rng(len(sizes)).permutation(len(pts))
+    for j, f in enumerate(fam):
+        ref = eng.extension_eval(curve, lam, pts[perm], f, alpha=alpha, self_check=False)
+        np.testing.assert_allclose(got[j].ravel()[perm], ref, rtol=0, atol=1e-12)
+
+
+def test_group_trig_amplitudes_match_horner():
+    # one group of degree-64 members, one a coefficient short (its last
+    # b_k is 0), beside an indicator; nodes on both sides of the support
+    fs = [eng.restrict(eng.trig_poly(seed), 0.2, 0.7) for seed in range(8)]
+    fs[3] = eng.TestFunction("trig", 0.2, 0.7, fs[3].coeffs[:-1])
+    assert len({f.bandwidth() for f in fs}) == 1
+    fs.insert(5, eng.indicator(0.2, 0.7))
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 1.0, 2288)
+    weights, aw = rng.uniform(0.5, 1.5, (2, t.size))
+    part = slice(100, 2200)
+    got = eng._amplitudes(fs, t, weights, aw, part)
+    assert got.shape == (len(fs), 2100) and got.dtype == float
+    for row, f in zip(got, fs):
+        ref = f(t[part]) * weights[part] * aw[part]
+        np.testing.assert_allclose(row, ref, rtol=0, atol=1e-13)
+        # a member's row does not depend on its group-mates
+        alone = eng._amplitudes([f], t, weights, aw, part)[0]
+        assert row.tobytes() == alone.tobytes()
+        if f.kind != "trig":
+            assert row.tobytes() == ref.tobytes()
 
 
 def test_family_grid_of_no_members_is_empty():
