@@ -3,8 +3,9 @@
 Computes T f(x) = integral of exp(i lambda x.gamma(t)) f(t) dt over panels
 of Gauss-Legendre nodes sized to the oscillation budget, one exp per
 target block and node chunk of whole pieces, or factored per axis when
-the targets are a tensor product; a grid that is its own mirror forms half
-its rows and conjugates them, as T f(-x) = conj T f(x) for real f.
+the targets are a tensor product.  An axis symmetric about c forms half
+its phase factors (the rest are exp(2 i lam c g) times their conjugates);
+a grid centred on 0 forms half its rows, as T f(-x) = conj T f(x), f real.
 Summation order is fixed (node chunks combined by compensated addition per
 target), so results are byte-identical regardless of worker partitioning.
 """
@@ -15,7 +16,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -479,16 +480,16 @@ def extension_eval(curve, lam, targets, f, alpha=None, workers=1,
                                  self_check, nodes_per_wavelength)[0]
 
 
-def _axis_factor(a, g, lam, mirror=False):
+def _axis_factor(a, g, lam, centre=None):
     """exp(i lam a_k g) for every point a_k of one axis: shape (a.size, g.size).
 
     On a uniform axis (every a_k within 8 ulp of a_0 + k h) each block of
     PHASE_RESTART rows starts from a direct exp and steps by the recurrence
-    U[k+1] = U[k] exp(i lam h g); otherwise every block is one row, which
-    is the direct exp alone.  With `mirror` (a = -a[::-1]) the rows before
-    a.size // 2 are the conjugates of their mirror rows.
+    U[k+1] = U[k] exp(i lam h g); otherwise every row is the direct exp.
+    With a `centre` c (a + a[::-1] == 2c exactly) only the rows k >= n // 2,
+    n = a.size, are formed; row k < n // 2 is exp(2 i lam c g) conj(row n-1-k).
     """
-    half = a.size // 2 if mirror else 0
+    half = 0 if centre is None else a.size // 2
     full = np.empty((a.size, g.size), dtype=complex)
     a, u = a[half:], full[half:]
     m = a.size
@@ -497,12 +498,15 @@ def _axis_factor(a, g, lam, mirror=False):
     uniform = np.all(drift <= 8.0 * np.finfo(float).eps * np.max(np.abs(a), initial=0.0))
     block = PHASE_RESTART if uniform else 1
     np.exp(1j * lam * np.outer(a[::block], g), out=u[::block])
-    step = np.exp(1j * lam * h * g)
-    for k in range(0, m, block):
-        rows = u[k : k + block]
-        rows[1:] = step
-        np.cumprod(rows, axis=0, out=rows)
+    if uniform:
+        step = np.exp(1j * lam * h * g)
+        for k in range(0, m, block):
+            rows = u[k : k + block]
+            rows[1:] = step
+            np.cumprod(rows, axis=0, out=rows)
     np.conjugate(full[::-1][:half], out=full[:half])
+    if centre:
+        full[:half] *= np.exp(2j * lam * centre * g)
     return full
 
 
@@ -541,10 +545,9 @@ def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
     builds all rules.  Chunks of whole groups, none larger than the largest
     group, copy their nodes out of it and form their affine weight and
     every member's amplitude (_amplitudes), then the curve points and phase
-    factors exp(i lam axis gamma_k); a member GEMMs on its group's columns.
-    When every axis is its own mirror, the GEMMs fill only the rows from
-    axes[0].size // 2 on (_grid_values).  Chunks run smallest first, so the
-    largest runs alone; members yield in that order.
+    factors exp(i lam axis gamma_k), half of each on an axis symmetric about
+    its centre; a member GEMMs on its group's columns.  Chunks run smallest
+    first, so the largest runs alone; members yield in that order.
     """
     if len(axes) != curve.d:
         raise ValueError("need one axis per coordinate")
@@ -557,9 +560,15 @@ def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
         groups.setdefault((f.lo, f.hi, f.bandwidth()), []).append(j)
     groups = list(groups.values())
     shape = tuple(a.size for a in axes)
-    mirror = all(np.array_equal(a, -a[::-1]) for a in axes)
     rule = _rule(curve, [fs[g[0]] for g in groups], lam, _grid_xmax(axes), alpha,
                  nodes_per_wavelength)
+    # each axis's centre c, if a + a[::-1] == 2c exactly, else None; on a grid
+    # centred on 0, axis 0 from its middle row on, as _grid_values conjugates
+    # the rest: T f(-x) = conj T f(x)
+    centres = [0.5 * (a[0] + a[-1]) if np.all(a + a[::-1] == a[0] + a[-1]) else None
+               for a in axes]
+    if all(c == 0.0 for c in centres):
+        axes[0], centres[0] = axes[0][shape[0] // 2:], None
     counts = rule.counts.tolist()
     for k in np.flatnonzero(rule.counts == 0):
         for j in groups[k]:
@@ -574,8 +583,7 @@ def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
         amps = [_amplitudes([fs[j] for j in groups[k]], nodes, weights, aw, slice(lo, hi))
                 for k, lo, hi in zip(ks, bounds, bounds[1:])]
         gs = curve.point(nodes).T
-        us = [_axis_factor(axes[0][shape[0] // 2 if mirror else 0:], gs[0], lam)]
-        us += [_axis_factor(a, g, lam, mirror) for a, g in zip(axes[1:], gs[1:])]
+        us = [_axis_factor(a, g, lam, c) for a, g, c in zip(axes, gs, centres)]
         for k, lo, hi, amp in zip(ks, bounds, bounds[1:], amps):
             for j, row in zip(groups[k], amp):
                 yield j, _grid_values([u[:, lo:hi] for u in us], row, shape)
@@ -627,12 +635,8 @@ def lq_norm(values, mu, q):
 
 
 def support_separation(fs):
-    vals = math.inf
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            gap = max(fs[j].lo - fs[i].hi, fs[i].lo - fs[j].hi)
-            vals = min(vals, gap)
-    return vals
+    return min((max(g.lo - f.hi, f.lo - g.hi) for f, g in combinations(fs, 2)),
+               default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -713,9 +717,7 @@ def multilinear_l2(curve, fs, lam, box_r=20.0, tail_target=0.01,
     for _ in range(max_doublings + 1):
         m = int(math.ceil(2.0 * box_r / step))
         axes = [(-box_r + step * (np.arange(m) + 0.5)) for _ in range(d)]
-        total = 0.0
-        outer = 0.0
-        inner2 = 0.0
+        total = outer = inner2 = 0.0
         # shell radii (infinity norm): the leading two axes, then the
         # trailing index of each plane
         r2d = np.maximum(np.abs(axes[0])[:, None], np.abs(axes[1])[None, :])
@@ -741,9 +743,7 @@ def multilinear_l2(curve, fs, lam, box_r=20.0, tail_target=0.01,
             outer += float(np.sum(dens[rad > box_r / 2.0]))
             inner2 += float(np.sum(dens[(rad > box_r / 4.0)
                                         & (rad <= box_r / 2.0)]))
-        total *= step ** d
-        outer *= step ** d
-        inner2 *= step ** d
+        total, outer, inner2 = (v * step ** d for v in (total, outer, inner2))
         q = outer / inner2 if inner2 > 0 else 1.0
         tail = outer * q / (1.0 - q) if q < 0.9 else math.inf
         tail_frac = 1.0 if math.isinf(tail) else tail / max(total + tail, 1e-300)

@@ -23,8 +23,10 @@ AUDIT_CENTERS = 512
 AUDIT_SLACK = 1.1
 AUDIT_FLOOR_FACTOR = 4.0
 
-# atoms per block of the mollifier sum
-MOLLIFY_CHUNK = 4096
+# atoms per tile of the mollifier sum: a tile's two 64 x 1024 float arrays
+# (512 KiB each) stay in L2 through the six passes each lambda makes over
+# them, where 64 x 4096 (2 MiB each) went out to memory
+MOLLIFY_CHUNK = 1024
 
 # rectangle-to-cube covering factor entering rescale certificates
 def covering_constant(d):
@@ -481,34 +483,36 @@ def kernel_profile(r2, d):
 
 
 def _mollified_sups(mu, lams, candidates):
-    """mollified_sup at every lambda in one pass over candidate blocks x
-    atom chunks: each block's squared distances are formed once."""
+    """mollified_sup at every lambda in one pass over tiles of 64 candidates
+    x MOLLIFY_CHUNK atoms: each tile's squared distances are formed once."""
     bad = [lam for lam in lams if not 1.0 <= lam < math.inf]
     if bad:
         raise ValueError(f"lambda must be finite and >= 1, got {bad[0]}")
     if candidates is None:
-        stride = max(1, mu.n // 512)
-        candidates = np.vstack([mu.atoms[::stride], np.zeros((1, mu.d))])
+        candidates = np.vstack([mu.atoms[::max(1, mu.n // 512)], np.zeros((1, mu.d))])
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    best = [0.0] * len(lams)
-    for start in range(0, candidates.shape[0], 64):
-        cs = candidates[start : start + 64]
-        acc = np.zeros((len(lams), cs.shape[0]))
+    shape = candidates.shape
+    if not (len(shape) == 2 and shape[0] >= 1 and shape[1] == mu.d
+            and np.all(np.isfinite(candidates))):
+        raise ValueError(f"candidates must be finite, of shape (k >= 1, {mu.d}); "
+                         f"got shape {shape}")
+    acc = np.zeros((len(lams), shape[0]))
+    tiles = np.empty((2, min(shape[0], 64) * min(mu.n, MOLLIFY_CHUNK)))
+    for start in range(0, shape[0], 64):
+        cs, acs = candidates[start : start + 64], acc[:, start : start + 64]
         for a0 in range(0, mu.n, MOLLIFY_CHUNK):
             block = mu.atoms[a0 : a0 + MOLLIFY_CHUNK]
-            w = mu.weights[a0 : a0 + MOLLIFY_CHUNK]
-            r2 = np.zeros((cs.shape[0], block.shape[0]))
-            work = np.empty_like(r2)
-            for k in range(mu.d):
+            r2, work = tiles[:, : cs.shape[0] * block.shape[0]].reshape(2, cs.shape[0], -1)
+            np.subtract(cs[:, :1], block[None, :, 0], out=r2)
+            r2 *= r2
+            for k in range(1, mu.d):
                 np.subtract(cs[:, k, None], block[None, :, k], out=work)
                 work *= work
                 r2 += work
             for i, lam in enumerate(lams):
                 np.multiply(r2, lam * lam, out=work)
-                acc[i] += kernel_profile(work, mu.d) @ w
-        best = [max(b, float(np.max(a)) * lam ** mu.d)
-                for b, a, lam in zip(best, acc, lams)]
-    return best
+                acs[i] += kernel_profile(work, mu.d) @ mu.weights[a0 : a0 + MOLLIFY_CHUNK]
+    return [float(np.max(a)) * lam ** mu.d for a, lam in zip(acc, lams)]
 
 
 def mollified_sup(mu, lam, candidates=None):

@@ -30,6 +30,7 @@ INTS = [0, -1]
 EMPTY = [()]
 C2 = cv.model_curve(2)
 MU = ms.make_lebesgue(2, (-1.0, 1.0), 8)
+CANTOR = ms.make_cantor(2, 1 / 3, 4)
 GRID = lab.GradedGrid(2, 1.0, 8, 1)
 F = eng.indicator(0.1, 0.4)
 FS2 = (eng.indicator(0.0, 0.3), eng.indicator(0.6, 0.9))
@@ -140,6 +141,10 @@ CALLS = {
     "regularity_audit(n_centers)": (INTS, lambda v: ms.regularity_audit(MU, n_centers=v)),
     "DiscreteMeasure.ball_mass(radius)": (EDGES, lambda v: MU.ball_mass(np.zeros(2), v)),
     "mollified_sup(lam)": (EDGES, lambda v: ms.mollified_sup(MU, v)),
+    "mollified_sup(candidates)": (EDGES, lambda v: ms.mollified_sup(
+        MU, 16.0, candidates=[[v, 0.0]])),
+    "mollified_sup(empty candidates)": (EMPTY, lambda v: ms.mollified_sup(
+        MU, 16.0, candidates=np.reshape(v, (0, 2)))),
     "PushforwardSpec(h)": (EDGES, lambda v: ms.PushforwardSpec((1, 2), v)),
     "PushforwardSpec(matrix)": (EDGES, lambda v: ms.PushforwardSpec(
         (1, 2), 0.5, [[1.0, v], [0.0, 1.0]])),
@@ -222,6 +227,16 @@ def test_edge_value_returns_or_raises_value_error(name, data):
     pytest.param(lambda: cv.normalize_curve(C2, math.inf, 0.5),
                  "[tau, tau+h]* = [inf, inf] must be contained in [0, 1]",
                  id="normalize-curve-tau-inf"),
+    # a (2, 3) array gave 2.0307 from its first two columns, non-finite or
+    # no candidates gave 0.0, and a (1, 1) array raised IndexError
+    *[pytest.param(lambda fn=fn, c=c: fn(c), f"candidates must be finite, of shape "
+                   f"(k >= 1, 2); got shape {np.shape(c)}", id=f"{name}-candidates-{cid}")
+      for name, fn in [("mollified-sup", lambda c: ms.mollified_sup(CANTOR, 16.0, c)),
+                       ("mollified-slope", lambda c: ms.mollified_slope(
+                           CANTOR, [16.0, 32.0], c))]
+      for cid, c in [("2x3", np.full((2, 3), 0.5)), ("nan", [[math.nan, 0.0]]),
+                     ("inf", [[math.inf, 0.0]]), ("empty", np.zeros((0, 2))),
+                     ("1x1", [[0.5]])]],
     # ZeroDivisionError
     pytest.param(lambda: lab.quotient_slope_prediction(2.0, 2, 4.0, 0), "q must be >= 1, got 0",
                  id="quotient-slope-q-0"),

@@ -484,11 +484,24 @@ def test_axis_factor_recurrence_matches_direct_exp():
     np.testing.assert_allclose(eng._axis_factor(a, g, lam), ref, rtol=0, atol=tol)
 
 
-def test_axis_factor_nonuniform_axis_is_direct_exp():
+def test_axis_factor_nonuniform_axis_is_direct_exp(monkeypatch):
     a = np.linspace(-3.0, 3.0, 150) ** 3
     g = np.random.default_rng(5).uniform(-1.0, 1.0, 700)
+    # the recurrence runs on uniform axes only: here it would be one no-op
+    # cumprod per row
+    cumprods = []
+    cumprod = np.cumprod
+
+    def counting(*args, **kwargs):
+        cumprods.append(1)
+        return cumprod(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumprod", counting)
     got = eng._axis_factor(a, g, 300.0)
     assert got.tobytes() == np.exp(1j * 300.0 * np.outer(a, g)).tobytes()
+    assert not cumprods
+    eng._axis_factor(np.linspace(-3.0, 3.0, 150), g, 300.0)
+    assert len(cumprods) == math.ceil(150 / eng.PHASE_RESTART)
 
 
 def test_grid_matches_scattered_on_long_axis():
@@ -675,7 +688,8 @@ _MIRROR_CURVES = {2: CurveSpec(d=2, coeffs=((0, 1), (0, 0, -0.45, 0, 0.5))),
 
 
 # even and odd leading axes; "ulp" moves one point of the last axis by an
-# ulp, so that axis is no mirror and the full grid is formed
+# ulp, so that axis has no centre and the full grid is formed from the
+# other axes' half factors
 @pytest.mark.parametrize("sizes, ulp", [
     ((6, 5), False), ((7, 4), False), ((5, 4, 3), False), ((4, 3, 6), False),
     ((6, 5), True), ((5, 4, 3), True),
@@ -693,23 +707,79 @@ def test_family_grid_on_mirror_axes_matches_scattered(monkeypatch, sizes, ulp,
     formed = []
     axis_factor = eng._axis_factor
 
-    def recording(a, g, lam, mirror=False):
-        formed.append((a.size, mirror))
-        return axis_factor(a, g, lam, mirror)
+    def recording(a, g, lam, centre=None):
+        formed.append((a.size, centre))
+        return axis_factor(a, g, lam, centre)
 
     monkeypatch.setattr(eng, "_axis_factor", recording)
     fam = _mixed_family()
     got = dict(eng.extension_eval_grid_family(curve, lam, axes, fam, alpha=alpha))
-    # per chunk: axis 0 from its middle row on, the other axes mirrored
+    # per chunk: axis 0 from its middle row on, the other axes centred on 0;
+    # with the ulp, every axis but the last centred on 0 and the last on none
     m0 = sizes[0]
-    want = ([(m0, False)] + [(m, False) for m in sizes[1:]] if ulp
-            else [(m0 - m0 // 2, False)] + [(m, True) for m in sizes[1:]])
+    want = ([(m, 0.0) for m in sizes[:-1]] + [(sizes[-1], None)] if ulp
+            else [(m0 - m0 // 2, None)] + [(m, 0.0) for m in sizes[1:]])
     assert formed[:len(sizes)] == want
     # shuffled rows are no C-order product: the scattered kernel serves them
     pts = ms._product(*axes)
     perm = np.random.default_rng(len(sizes)).permutation(len(pts))
     for j, f in enumerate(fam):
         ref = eng.extension_eval(curve, lam, pts[perm], f, alpha=alpha, self_check=False)
+        np.testing.assert_allclose(got[j].ravel()[perm], ref, rtol=0, atol=1e-12)
+
+
+# axes symmetric about 0.5: a Cantor axis, which is not uniform, and a
+# uniform one on [0, 1], where the mirror and the recurrence compose
+_CENTRED_AXES = {"cantor": np.unique(ms.make_cantor(1, 1 / 3, 6).atoms),
+                 "uniform": (np.arange(512) + 0.5) / 512}
+
+
+@pytest.mark.parametrize("name", _CENTRED_AXES)
+@pytest.mark.parametrize("lam", [4096.0, -4096.0])
+def test_axis_factor_centred_mirror_matches_direct_exp(name, lam):
+    a = _CENTRED_AXES[name]
+    assert np.all(a + a[::-1] == 1.0)
+    g = np.random.default_rng(6).uniform(-1.0, 1.0, 3000)
+    ref = np.exp(1j * lam * np.outer(a, g))
+    tol = abs(lam) * np.max(np.abs(a)) * np.max(np.abs(g)) * 1e-15
+    got = eng._axis_factor(a, g, lam, 0.5)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=tol)
+    # the exp forms the upper half, directly on the Cantor axis and by the
+    # recurrence on the uniform one; the lower half is its mirror image, so
+    # it differs from the exp in the last bits
+    half = a.size // 2
+    assert (got[half:].tobytes() == ref[half:].tobytes()) == (name == "cantor")
+    assert got[:half].tobytes() != ref[:half].tobytes()
+
+
+# the second axis with one point moved by an ulp: 0.5625 down makes its
+# sum with 0.4375 the float below 1, so the axis has no centre; 0.4375 up
+# adds less than half an ulp of 1 to the sum, so the axis stays centred to
+# working precision and is halved
+@pytest.mark.parametrize("moved, centre", [(None, 0.5), ((4, -np.inf), None),
+                                           ((3, np.inf), 0.5)])
+@pytest.mark.parametrize("lam", [48.0, -48.0])
+def test_family_grid_on_centred_axes_matches_scattered(monkeypatch, moved, centre, lam):
+    # a Cantor axis and a uniform axis, both on [0, 1] about 0.5
+    axes = [np.unique(ms.make_cantor(1, 1 / 3, 4).atoms), (np.arange(8) + 0.5) / 8]
+    if moved:
+        k, to = moved
+        axes[1][k] = np.nextafter(axes[1][k], to)
+    formed = []
+    axis_factor = eng._axis_factor
+
+    def recording(a, g, lam, centre=None):
+        formed.append((a.size, centre))
+        return axis_factor(a, g, lam, centre)
+
+    monkeypatch.setattr(eng, "_axis_factor", recording)
+    curve, fam = _MIRROR_CURVES[2], _mixed_family()
+    got = dict(eng.extension_eval_grid_family(curve, lam, axes, fam))
+    assert formed[:2] == [(16, 0.5), (8, centre)]
+    pts = ms._product(*axes)
+    perm = np.random.default_rng(1).permutation(len(pts))
+    for j, f in enumerate(fam):
+        ref = eng.extension_eval(curve, lam, pts[perm], f, self_check=False)
         np.testing.assert_allclose(got[j].ravel()[perm], ref, rtol=0, atol=1e-12)
 
 

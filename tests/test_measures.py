@@ -479,10 +479,11 @@ def test_kernel_profile_matches_pow(d):
     assert np.all((got[~keep] >= 0.0) & (got[~keep] <= 1e-280))
 
 
-def _pow_mollified_sup(mu, lam):
-    """One lambda's sup with the profile through `pow`, over the default
-    candidates: every (n // 512)-th atom and the origin."""
-    cands = np.vstack([mu.atoms[::max(1, mu.n // 512)], np.zeros((1, mu.d))])
+def _pow_mollified_sup(mu, lam, cands=None):
+    """One lambda's sup with the profile through `pow`, by default over
+    every (n // 512)-th atom and the origin."""
+    if cands is None:
+        cands = np.vstack([mu.atoms[::max(1, mu.n // 512)], np.zeros((1, mu.d))])
     r2 = np.sum((cands[:, None] - mu.atoms[None]) ** 2, axis=2)
     return float(np.max((1.0 + lam * lam * r2) ** -(mu.d + 2.0) @ mu.weights)) * lam ** mu.d
 
@@ -501,6 +502,23 @@ def test_mollified_values_match_pow_oracle(make):
     np.testing.assert_allclose(vals, [_pow_mollified_sup(mu, lam) for lam in lams],
                                rtol=1e-14, atol=0.0)
     assert [ms.mollified_sup(mu, lam) for lam in lams] == vals
+
+
+# tile edges: an atom chunk one short of MOLLIFY_CHUNK, and a last chunk
+# of one atom; one candidate block of 1 or 64, and a last block of one
+@pytest.mark.parametrize("n", [ms.MOLLIFY_CHUNK - 1, ms.MOLLIFY_CHUNK + 1])
+@pytest.mark.parametrize("k", [1, 64, 65])
+def test_mollified_tile_edges_match_pow_oracle(n, k):
+    rng = np.random.default_rng(n + k)
+    mu = ms.DiscreteMeasure(atoms=rng.uniform(-1.0, 1.0, (n, 2)),
+                            weights=rng.uniform(0.0, 2.0 / n, n),
+                            alpha=2.0, c_mu=1.0, resolution=1.0 / n)
+    cands = mu.atoms[rng.choice(n, k, replace=False)]
+    lams = [2.0 ** j for j in range(2, 8)]
+    _, vals = ms.mollified_slope(mu, lams, cands)
+    np.testing.assert_allclose(vals, [_pow_mollified_sup(mu, lam, cands) for lam in lams],
+                               rtol=1e-14, atol=0.0)
+    assert [ms.mollified_sup(mu, lam, cands) for lam in lams] == vals
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.5])
