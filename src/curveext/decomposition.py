@@ -1,12 +1,14 @@
 """Dyadic multilinear decomposition with checkable pointwise certificates.
 
-Splits T f(x) over nested dyadic interval families, choosing per target
-point either a dominating single interval or a pairwise-separated tuple,
-and records the inequality actually asserted together with its constants.
-Intervals of one level are its length apart exactly when their indices
-differ by 2 or more; the verifier rechecks that on exact rational endpoints.
-The interval tables come from one pass, and their telescoping check
-compares two different quadrature rules (see interval_values).
+After Bourgain and Guth, a certificate asserts one summed inequality at
+each target x: |T f(x)| is at most, summed over the levels, a factor times
+max_I |T f_I(x)|, plus a factor times the d-th root of the best product of
+d pairwise-separated deepest-level terms.  The right-hand side has this
+same form at every target; no branch is chosen per target.  Intervals of
+one level are its length apart exactly when their indices differ by 2 or
+more; the verifier rechecks that on exact rational endpoints.  The
+interval tables come from one pass, and their telescoping check compares
+two different quadrature rules (see interval_values).
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ import numpy as np
 from . import engine
 
 TELESCOPE_TOL = 1e-8
-SINGLE_THRESHOLD = 100.0
 
 
 def certificate_constant(d):
-    """Canonical per-term constant: threshold times summation overhead."""
-    return SINGLE_THRESHOLD * 2.0 ** d
+    """Canonical per-term constant: 100 times the 2^d summation overhead."""
+    return 100.0 * 2.0 ** d
 
 
 @dataclass(frozen=True)
@@ -124,79 +125,6 @@ def interval_values(f, family, curve, lam, targets, workers=1):
     return dict(sorted(tables.items())), full
 
 
-# ---------------------------------------------------------------------------
-# branch selection
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BranchRecord:
-    level: int
-    kind: str  # "single" or "tuple"
-    indices: tuple
-    value: float  # |T f_I| or the tuple product (not yet root-extracted)
-
-
-def base_split(lhs, values):
-    """Level-1 dichotomy: dominated by the max interval, or a separated pair.
-
-    lhs = |T f(x)|, values = |T f_I| per level-1 interval.  Either the max
-    interval dominates within the factor 100, or (since the full sum then
-    exceeds the near-neighborhood of the maximizer) some interval at
-    distance >= A_1 carries a share >= c A_1 of the total, giving the pair.
-    """
-    k_star = int(np.argmax(values))  # first max: lowest left endpoint wins
-    if lhs <= SINGLE_THRESHOLD * float(values[k_star]):
-        return BranchRecord(1, "single", (k_star,), float(values[k_star]))
-    far = [k for k in range(len(values)) if abs(k - k_star) >= 2]
-    if not far:
-        # one-interval families have no far partner; single is still sound
-        return BranchRecord(1, "single", (k_star,), float(values[k_star]))
-    k_far = min(far, key=lambda k: (-values[k], k))
-    return BranchRecord(
-        1, "pair", (k_star, k_far), float(values[k_star] * values[k_far]),
-    )
-
-
-def _children(family, level, parent):
-    """Indices of level-`level` intervals (level >= 2) inside the given
-    level-(level - 1) parent interval."""
-    ratio = int(family.lengths[level - 2] / family.lengths[level - 1])
-    return range(parent * ratio, (parent + 1) * ratio)
-
-
-def inductive_split(j, parents, child_values, family):
-    """Level-j dichotomy for a separated j-tuple of level-(j-1) intervals.
-
-    Case analysis per the two printed cases: every one-child-per-parent
-    tuple is "small or concentrated" (some factor below A_j^j times the
-    max of the per-parent maxima, or every factor within A_j of its
-    parent's maximizer) -> a single level-j interval dominates; otherwise
-    a (j+1)-tuple with pairwise distance >= A_j exists, formed by the j
-    per-parent maximizers plus the separated witness child.
-    """
-    a_j = family.lengths[j - 1]
-    maxima = []
-    for p in parents:
-        kids = list(_children(family, j, p))
-        kbest = min(kids, key=lambda c: (-child_values[c], c))
-        maxima.append(kbest)
-    m_star = max(float(child_values[k]) for k in maxima)
-    threshold = float(a_j) ** j * m_star
-    # case (II) needs every parent's best child above the threshold ...
-    if all(float(child_values[k]) >= threshold for k in maxima):
-        # ... and some qualifying child separated from its parent's maximizer
-        for p, kbest in zip(parents, maxima):
-            for c in _children(family, j, p):
-                if (float(child_values[c]) >= threshold
-                        and abs(c - kbest) >= 2):
-                    tup = tuple(maxima) + (c,)
-                    val = float(np.prod([child_values[k] for k in tup]))
-                    return BranchRecord(j, "tuple", tup, val)
-    k_single = min(maxima, key=lambda c: (-child_values[c], c))
-    return BranchRecord(j, "single", (k_single,), float(child_values[k_single]))
-
-
 def best_separated_tuple(values, size):
     """Max product over `size`-tuples of indices pairwise >= 2 apart.
 
@@ -224,12 +152,14 @@ def best_separated_tuple(values, size):
 
 @dataclass(frozen=True)
 class DecompositionCertificate:
-    """Per-target record of the asserted pointwise inequality."""
+    """Per-target record of the summed inequality lhs <= rhs, where rhs is
+    the constants times the single terms plus the last constant times the
+    d-th root of the tuple term (_rhs_value), the same form at every
+    target.  verified says whether the measured lhs meets it."""
 
     lam: float
     target: tuple
     lhs: float
-    branch: BranchRecord
     single_terms: tuple  # max |T f_I| per level 1..d-1
     tuple_term: float  # best separated d-tuple product at the deepest level
     tuple_indices: tuple
@@ -243,9 +173,6 @@ class DecompositionCertificate:
             f"lambda = {self.lam!r}",
             "target = " + " ".join(repr(v) for v in self.target),
             f"lhs = {self.lhs!r}",
-            f"branch = {self.branch.kind}@{self.branch.level}:"
-            + ",".join(str(family.intervals(self.branch.level)[i])
-                       for i in self.branch.indices),
             "tuple = " + ",".join(
                 str(family.intervals(family.depth)[i])
                 for i in self.tuple_indices),
@@ -291,14 +218,6 @@ def decompose_batch(f, family, curve, lam, targets, workers=1):
     certs = []
     for col in range(full.shape[0]):
         lhs = float(np.abs(full[col]))
-        # chain the dichotomies: base split at level 1, then the inductive
-        # split until a single interval dominates or the deepest level's
-        # separated d-tuple is reached
-        branch = base_split(lhs, abs_tables[1][:, col])
-        while branch.kind != "single" and branch.level < family.depth:
-            j = branch.level + 1
-            branch = inductive_split(j, branch.indices,
-                                     abs_tables[j][:, col], family)
         single_terms = tuple(
             float(np.max(abs_tables[lv][:, col]))
             for lv in range(1, family.depth + 1)
@@ -310,7 +229,6 @@ def decompose_batch(f, family, curve, lam, targets, workers=1):
             lam=lam,
             target=tuple(float(v) for v in np.atleast_2d(targets)[col]),
             lhs=lhs,
-            branch=branch,
             single_terms=single_terms,
             tuple_term=tup_val,
             tuple_indices=tup or (),
@@ -344,8 +262,8 @@ def verify_certificate(cert, family, d):
         if not math.isclose(got, want, rel_tol=1e-12):
             return False, 0.0
     if cert.tuple_indices or cert.tuple_term > 0:
-        # the tuple term enters every branch's rhs: d deepest-level
-        # intervals, separation rechecked in exact rational arithmetic
+        # d deepest-level intervals, separation rechecked in exact
+        # rational arithmetic
         a = family.lengths[-1]
         ivs = [DyadicInterval(i * a, (i + 1) * a)
                for i in cert.tuple_indices if 0 <= i < 1 / a]
@@ -361,7 +279,3 @@ def verify_certificate(cert, family, d):
         return True, math.inf
     return cert.lhs <= rhs, rhs / cert.lhs
 
-
-def total_constant(family, d):
-    """Sum of all certificate factors (monotone in the scale ratios)."""
-    return float(np.sum(certificate_factors(family, d)))

@@ -152,6 +152,8 @@ def zero_function():
 
 
 def trig_poly(seed, degree=64):
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     rng = np.random.default_rng(seed)
     coeffs = tuple(rng.standard_normal(2 * degree + 1) / math.sqrt(2 * degree + 1))
     return TestFunction("trig", 0.0, 1.0, coeffs=coeffs)

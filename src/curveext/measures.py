@@ -270,7 +270,10 @@ def make_cantor(d, ratio, depth):
     for _ in range(depth):
         starts = np.concatenate([starts, starts + length * (1.0 - ratio)])
         length *= ratio
-    centers1 = np.sort(starts + length / 2.0)
+    # the upper half mirrors the lower one, so centers1 is exactly
+    # symmetric about 1/2 and grid factors can be formed for half its rows
+    lower = np.sort(starts + length / 2.0)[: 2 ** (depth - 1)]
+    centers1 = np.concatenate([lower, 1.0 - lower[::-1]])
     alpha1 = math.log(2.0) / math.log(1.0 / ratio)
     atoms = _product(*([centers1] * d))
     weights = np.full(atoms.shape[0], 2.0 ** (-depth * d))

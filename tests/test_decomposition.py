@@ -46,16 +46,6 @@ def test_exact_distance():
     assert a.distance(a) == 0
 
 
-def test_children_partition_parent():
-    fam = dc.DyadicFamily.default(3)
-    kids = list(dc._children(fam, 2, 3))
-    assert len(kids) == 16
-    parent = fam.intervals(1)[3]
-    for c in kids:
-        child = fam.intervals(2)[c]
-        assert parent.lo <= child.lo and child.hi <= parent.hi
-
-
 # ---------------------------------------------------------------------------
 # interval values / telescoping
 # ---------------------------------------------------------------------------
@@ -140,58 +130,6 @@ def test_interval_values_self_check_raises_on_starved_budget(monkeypatch):
     with pytest.raises(eng.QuadratureBudgetError):
         dc.interval_values(eng.indicator(0.0, 1.0), dc.DyadicFamily.default(2),
                            model_curve(2), 512.0, np.array([[3.0, 2.0]]))
-
-
-# ---------------------------------------------------------------------------
-# splits
-# ---------------------------------------------------------------------------
-
-
-def test_base_split_single_when_concentrated():
-    values = np.zeros(16)
-    values[5] = 1.0
-    rec = dc.base_split(0.9, values)
-    assert rec.kind == "single"
-    assert rec.indices == (5,)
-
-
-def test_base_split_pair_when_spread():
-    fam = dc.DyadicFamily.default(2)
-    values = np.full(16, 1.0)
-    rec = dc.base_split(200.0, values)
-    assert rec.kind == "pair"
-    ivs = fam.intervals(1)
-    sep = ivs[rec.indices[0]].distance(ivs[rec.indices[1]])
-    assert sep >= fam.lengths[0]
-
-
-def test_base_split_zero_function():
-    rec = dc.base_split(0.0, np.zeros(16))
-    assert rec.kind == "single"
-
-
-def test_inductive_split_concentrated_children():
-    fam = dc.DyadicFamily.default(3)
-    child = np.zeros(256)
-    # one dominant child per parent, others negligible
-    child[3 * 16 + 2] = 1.0
-    child[9 * 16 + 5] = 0.8
-    rec = dc.inductive_split(2, (3, 9), child, fam)
-    assert rec.kind == "single"
-    assert rec.indices == (3 * 16 + 2,)
-
-
-def test_inductive_split_spread_children():
-    fam = dc.DyadicFamily.default(3)
-    child = np.zeros(256)
-    child[3 * 16 : 3 * 16 + 16] = 1.0
-    child[9 * 16 : 9 * 16 + 16] = 1.0
-    rec = dc.inductive_split(2, (3, 9), child, fam)
-    assert rec.kind == "tuple"
-    assert len(rec.indices) == 3
-    ivs = fam.intervals(2)
-    sep = dc.pairwise_separation([ivs[i] for i in rec.indices])
-    assert sep >= fam.lengths[1]
 
 
 def _tuple_oracle(values, size):
@@ -306,7 +244,6 @@ def test_decompose_concentrated_support_single_branch():
     fam = dc.DyadicFamily.default(2)
     f = eng.indicator(0.5, 0.5 + 1.0 / 16.0)
     cert = dc.decompose(f, fam, g, 64.0, [0.01, 0.01])
-    assert cert.branch.kind == "single"
     ok, _ = dc.verify_certificate(cert, fam, 2)
     assert ok
 
@@ -316,7 +253,6 @@ def test_verify_detects_halved_constant():
 
     g = model_curve(2)
     fam = dc.DyadicFamily.default(2)
-    # adversarial two-bump data saturating the pair branch
     f = eng.trig_poly(33, degree=24)
     cert = dc.decompose(f, fam, g, 128.0, [1.5, -0.5])
     tampered = replace(cert, constants=tuple(c / 2 for c in cert.constants))
@@ -332,23 +268,21 @@ def test_verify_detects_broken_separation():
     f = eng.trig_poly(34, degree=24)
     cert = dc.decompose(f, fam, g, 128.0, [1.5, -0.5])
     assert cert.tuple_indices
-    bad = replace(cert, branch=dc.BranchRecord(1, "pair", (0, 1), 1.0),
-                  tuple_indices=(0, 1))
+    bad = replace(cert, tuple_indices=(0, 1))
     ok, _ = dc.verify_certificate(bad, fam, 2)
     assert not ok
 
 
 @pytest.mark.parametrize("tup", [(0, 1), (8,), (), (-1, 8), (8, 16)])
 def test_verify_checks_tuple_on_single_branch(tup):
-    # the tuple term enters the rhs on every branch, so a single-branch
-    # certificate with an adjacent, short, missing or out-of-range tuple
-    # must fail
+    # the tuple term enters every certificate's rhs, so one with an
+    # adjacent, short, missing or out-of-range tuple must fail
     from dataclasses import replace
 
     fam = dc.DyadicFamily.default(2)
     cert = dc.decompose(eng.trig_poly(34, degree=24), fam, model_curve(2),
                         128.0, [1.5, -0.5])
-    assert cert.branch.kind == "single" and cert.tuple_indices == (8, 14)
+    assert cert.tuple_indices == (8, 14)
     assert cert.tuple_term > 0 and dc.verify_certificate(cert, fam, 2)[0]
     ok, _ = dc.verify_certificate(replace(cert, tuple_indices=tup), fam, 2)
     assert not ok
@@ -377,15 +311,17 @@ def test_verify_rechecks_derived_fields(change):
 def test_total_constant_monotone_in_scale():
     coarse = dc.DyadicFamily((Fraction(1, 4),))
     fine = dc.DyadicFamily((Fraction(1, 64),))
-    assert dc.total_constant(coarse, 2) <= dc.total_constant(fine, 2)
+    assert (sum(dc.certificate_factors(coarse, 2))
+            <= sum(dc.certificate_factors(fine, 2)))
 
 
 def test_certificate_text_export():
     g = model_curve(2)
     fam = dc.DyadicFamily.default(2)
     cert = dc.decompose(eng.indicator(0.0, 1.0), fam, g, 32.0, [0.5, 0.5])
-    text = cert.to_text(fam)
-    assert "lambda" in text and "slack" in text and "branch" in text
+    keys = [line.split(" = ", 1)[0] for line in cert.to_text(fam).splitlines()]
+    assert keys == ["lambda", "target", "lhs", "tuple", "single_terms",
+                    "tuple_term", "constants", "rhs", "slack", "verified"]
 
 
 @pytest.mark.parametrize("d", [2, 3])

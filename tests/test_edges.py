@@ -242,6 +242,9 @@ def test_edge_value_returns_or_raises_value_error(name, data):
                  id="quotient-slope-q-0"),
     pytest.param(lambda: lab.block_decay_rate((1, 2), 2.0, 4.0, 0), "q must be >= 1, got 0",
                  id="block-decay-q-0"),
+    # "negative dimensions are not allowed"
+    pytest.param(lambda: eng.trig_poly(7, -3), "degree must be >= 0, got -3",
+                 id="trig-poly-degree--3"),
 ])
 def test_named_rejection(call, message):
     with pytest.raises(ValueError) as info:

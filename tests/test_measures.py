@@ -189,6 +189,15 @@ def test_cantor_matches_meshgrid_oracle(d, depth):
                                                       2.0 ** (-depth * d)))
 
 
+@pytest.mark.parametrize("ratio", [1 / 3, 0.3, 0.25])
+def test_cantor_axis_exactly_symmetric(ratio):
+    # exact symmetry about 1/2 lets the grid family form half of each axis
+    for depth in range(1, 9):
+        a = ms.make_cantor(1, ratio, depth).atoms[:, 0]
+        assert np.all(a + a[::-1] == 1.0), depth
+        assert np.all(np.diff(a) > 0)
+
+
 def _graded_edges_by_insertion(extent, resolution, grading_levels):
     """Reference: the uniform edges, then per level the two cells next to
     0 split at their midpoint-toward-0, by list insertion."""
