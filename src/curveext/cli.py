@@ -339,8 +339,9 @@ def cmd_multilinear(args):
     curve = curve_from_config(cfg)
     lams = lambda_grid_from_config(cfg)
     ends = _get(cfg, "experiment", "supports", _floats)
-    if len(ends) != 2 * curve.d:
-        raise ConfigError("supports must list lo hi per factor")
+    # NaN ends pass here and the test function names them
+    if len(ends) != 2 * curve.d or any(lo >= hi for lo, hi in zip(ends[::2], ends[1::2])):
+        raise ConfigError(f"[experiment] supports must list lo < hi per factor, got {ends}")
     fs = [eng.indicator(*ends[i : i + 2]) for i in range(0, len(ends), 2)]
     box_r = _get(cfg, "experiment", "box_r", float, 16.0)
     out = OutputDir(args.out, force=args.force, config_hash=chash)

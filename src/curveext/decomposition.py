@@ -114,9 +114,9 @@ def interval_values(f, family, curve, lam, targets, workers=1):
                                          workers=workers)
     tables = {}
     for level in range(family.depth, 0, -1):
-        table = table.reshape(int(1 / family.lengths[level - 1]), -1,
-                              targets.shape[0]).sum(axis=1)
-        resid = float(np.max(np.abs(table.sum(axis=0) - full)))
+        n = int(1 / family.lengths[level - 1])
+        table = table.reshape(n, table.shape[0] // n, targets.shape[0]).sum(axis=1)
+        resid = float(np.max(np.abs(table.sum(axis=0) - full), initial=0.0))
         if resid > TELESCOPE_TOL:
             raise TelescopingError(
                 f"level {level} telescoping residual {resid:.3e}"

@@ -21,7 +21,7 @@ from itertools import combinations, product
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curves import affine_weight, jacobian_constant
+from .curves import affine_weight, jacobian_constant, model_curve
 from .measures import _product
 
 NODES_PER_WAVELENGTH = 10
@@ -649,7 +649,6 @@ class MultilinearResult:
     box_r: float
     grid_step: float
     tail_fraction: float
-    f_l2: tuple
 
     @property
     def ratio(self):
@@ -658,13 +657,16 @@ class MultilinearResult:
 
 def plancherel_bound(curve, fs, lam):
     """Certified bound on ||prod T_lam f_i||_{L^2(dx)} for d factors with
-    pairwise separated supports (sep apart):
+    pairwise separated supports (sep apart) on the model curve:
     (2 pi / lam)^{d/2} c_d^{-1/2} sep^{-(d^2 - d)/4} prod ||f_i||_2,
-    with c_d the sum-map Jacobian constant, and 0 with a zero factor.
-    ValueError unless lam is finite and > 0 and the bound is finite."""
+    with c_d the model curve's sum-map Jacobian constant, and 0 with a zero
+    factor.  ValueError unless the curve is the model curve, lam is finite
+    and > 0 and the bound is finite."""
     d = curve.d
     if len(fs) != d:
         raise ValueError("need exactly d factors")
+    if curve.coeffs != model_curve(d).coeffs:
+        raise ValueError(f"the Plancherel bound needs the model curve, got {curve.coeffs}")
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
     sep = support_separation(fs)
@@ -685,76 +687,74 @@ def plancherel_bound(curve, fs, lam):
     return bound
 
 
-def multilinear_l2(curve, fs, lam, box_r=20.0, tail_target=0.01,
-                   max_doublings=3, nodes_per_wavelength=NODES_PER_WAVELENGTH):
+def _sum_map_mass(fs, lam, panels):
+    """(2 pi / lam)^d times the integral of prod f_i(t_i)^2 / |J(t)|, with
+    J = 2 c_d prod_{i<j} (t_j - t_i) the model curve's sum-map Jacobian, by
+    Gauss-Legendre on `panels` equal panels per support."""
+    d = len(fs)
+    if (PANEL_ORDER * panels) ** d > MAX_NODES:
+        raise QuadratureBudgetError(f"sum-map rule in d={d} over MAX_NODES={MAX_NODES}")
+    edges = [np.linspace(f.lo, f.hi, panels + 1) for f in fs]
+    ts, ws = zip(*(_panel_nodes(e[:-1], e[1:]) for e in edges))
+    ts, ws = (np.meshgrid(*v, indexing="ij", sparse=True) for v in (ts, ws))
+    dens = math.prod(w * f(t) ** 2 for f, t, w in zip(fs, ts, ws))
+    for ti, tj in combinations(ts, 2):
+        dens /= np.abs(tj - ti)
+    return (2.0 * math.pi / lam) ** d * float(np.sum(dens)) / (2.0 * jacobian_constant(d))
+
+
+def multilinear_l2(curve, fs, lam, box_r=20.0,
+                   nodes_per_wavelength=NODES_PER_WAVELENGTH):
     """L2 norm of the product of the d extensions against its Plancherel bound.
 
-    The product's spectrum lies in a ball of radius lam * sum of curve-arc
-    diameters, so a grid at (half) the Nyquist step makes the Riemann sum
-    exact up to box truncation; the truncation tail is estimated from the
-    decay of concentric shell sums and the box doubled until it is below
-    tail_target.  Per box, each factor is self-checked at the grid corner,
-    where |x| is largest.  ValueError unless box_r is finite and positive
-    and max_doublings >= 0.
-    """
+    The sum map t -> gamma(t_1) + ... + gamma(t_d) is one-to-one on
+    separated supports (Newton's identities), so by Plancherel the squared
+    norm is _sum_map_mass, on 2 panels checked against 4.  T checks it on
+    [-box_r, box_r]^d at (half) the Nyquist step of the product's spectrum:
+    the box's mass may exceed it by SELF_CHECK_TOL at most, and
+    tail_fraction = 1 - box mass / mass.  Each factor is self-checked at the
+    grid corner, where |x| is largest.  ValueError unless box_r is finite
+    and > 0."""
     if not 0.0 < box_r < math.inf:
         raise ValueError(f"box_r must be finite and > 0, got {box_r}")
-    if max_doublings < 0:
-        raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
     bound = plancherel_bound(curve, fs, lam)
     d = curve.d
     sep = support_separation(fs)
     diam_sum = 0.0
-    for f in fs:
-        if f.width > 0:
-            pts = curve.point(np.linspace(f.lo, f.hi, 65))
-            diam_sum += float(np.max(np.linalg.norm(pts - pts[0], axis=1)))
+    for f in fs:  # a zero factor's arc is one point, of diameter 0
+        pts = curve.point(np.linspace(f.lo, f.hi, 65))
+        diam_sum += float(np.max(np.linalg.norm(pts - pts[0], axis=1)))
     omega_x = max(lam * diam_sum, 1e-9)
     step = math.pi / omega_x
+    if bound == 0.0:  # a zero factor
+        return MultilinearResult(0.0, bound, sep, box_r, step, 0.0)
 
-    f_l2 = tuple(f.lp_norm(2) for f in fs)
-    if any(v == 0.0 for v in f_l2):
-        return MultilinearResult(0.0, bound, sep, box_r, step, 0.0, f_l2)
-
-    for _ in range(max_doublings + 1):
-        m = int(math.ceil(2.0 * box_r / step))
-        axes = [(-box_r + step * (np.arange(m) + 0.5)) for _ in range(d)]
-        total = outer = inner2 = 0.0
-        # shell radii (infinity norm): the leading two axes, then the
-        # trailing index of each plane
-        r2d = np.maximum(np.abs(axes[0])[:, None], np.abs(axes[1])[None, :])
-        setups = [partial(_setup, curve, [f], lam, _grid_xmax(axes), None,
-                          nodes_per_wavelength) for f in fs]
-        factors = []
-        for f, setup in zip(fs, setups):
-            _, gamma_nodes, amplitude = setup()
-            factors.append(_grid_planes([_axis_factor(a, g, lam) for a, g
-                                         in zip(axes, gamma_nodes)], amplitude(f)))
-        corner = np.array([[a[0] for a in axes]])
-        for planes in zip(*factors):
-            idx, prod = planes[0]
-            if not any(idx):  # the first plane: its [0, 0] entry is the corner
-                for f, setup, (_, plane) in zip(fs, setups, planes):
-                    _self_check(setup, f, lam, corner, plane[:1, :1])
-            for _, plane in planes[1:]:
-                prod = prod * plane
-            dens = np.abs(prod) ** 2
-            rad = np.maximum(r2d, max((abs(a[i]) for a, i in zip(axes[2:], idx)),
-                                      default=0.0))
-            total += float(np.sum(dens))
-            outer += float(np.sum(dens[rad > box_r / 2.0]))
-            inner2 += float(np.sum(dens[(rad > box_r / 4.0)
-                                        & (rad <= box_r / 2.0)]))
-        total, outer, inner2 = (v * step ** d for v in (total, outer, inner2))
-        q = outer / inner2 if inner2 > 0 else 1.0
-        tail = outer * q / (1.0 - q) if q < 0.9 else math.inf
-        tail_frac = 1.0 if math.isinf(tail) else tail / max(total + tail, 1e-300)
-        if tail_frac <= tail_target:
-            return MultilinearResult(
-                math.sqrt(total), bound, sep, box_r, step, tail_frac, f_l2)
-        box_r *= 2.0
-    return MultilinearResult(
-        math.sqrt(total), bound, sep, box_r / 2.0, step, tail_frac, f_l2)
+    mass, fine = (_sum_map_mass(fs, lam, panels) for panels in (2, 4))
+    if abs(mass - fine) > SELF_CHECK_TOL * mass:
+        raise QuadratureBudgetError(f"sum-map mass {mass:.9e} on 2 panels, {fine:.9e} on 4")
+    m = int(math.ceil(2.0 * box_r / step))
+    axes = [(-box_r + step * (np.arange(m) + 0.5)) for _ in range(d)]
+    setups = [partial(_setup, curve, [f], lam, _grid_xmax(axes), None,
+                      nodes_per_wavelength) for f in fs]
+    factors = []
+    for f, setup in zip(fs, setups):
+        _, gamma_nodes, amplitude = setup()
+        factors.append(_grid_planes([_axis_factor(a, g, lam) for a, g
+                                     in zip(axes, gamma_nodes)], amplitude(f)))
+    corner = np.array([[a[0] for a in axes]])
+    total = 0.0
+    for planes in zip(*factors):
+        idx, prod = planes[0]
+        if not any(idx):  # the first plane: its [0, 0] entry is the corner
+            for f, setup, (_, plane) in zip(fs, setups, planes):
+                _self_check(setup, f, lam, corner, plane[:1, :1])
+        for _, plane in planes[1:]:
+            prod = prod * plane
+        total += float(np.sum(np.abs(prod) ** 2))
+    total *= step ** d
+    if total > mass * (1.0 + SELF_CHECK_TOL):
+        raise QuadratureBudgetError(f"box mass {total:.9e} exceeds the sum-map mass {mass:.9e}")
+    return MultilinearResult(math.sqrt(mass), bound, sep, box_r, step, 1.0 - total / mass)
 
 
 # ---------------------------------------------------------------------------

@@ -447,8 +447,7 @@ def multilinear_knapp_slope(curve, lam_grid):
     for lam in lam_grid:
         w = _knapp_width(d, lam)
         fs = [indicator(t, t + w) for t in taus]
-        res = eng.multilinear_l2(curve, fs, lam,
-                                 box_r=max(16.0, 1.5 * math.sqrt(lam)))
+        res = eng.multilinear_l2(curve, fs, lam)
         vals.append(res.lhs / math.prod(f.lp_norm(2.0) for f in fs))
     return fit_line(lam_grid, vals)[0], vals
 

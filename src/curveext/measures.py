@@ -292,21 +292,23 @@ def make_cantor(d, ratio, depth):
 
 
 def fit_line(xs, ys):
-    """Least-squares slope, intercept, and slope standard error in log2;
-    ValueError names the first x where x or y is not finite and > 0."""
+    """Least-squares slope, intercept, and slope standard error in log2 of
+    one y per x at two distinct x or more, each x and y finite and > 0."""
     x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"log-log fit needs one y per x, got {x.size} x and {y.size} y")
     bad = ~((x > 0) & (x < math.inf) & (y > 0) & (y < math.inf))
     if np.any(bad):
         raise ValueError(f"log-log fit needs finite values > 0; at x = "
                          f"{float(x[bad][0])} it got y = {float(y[bad][0])}")
     x, y = np.log2(x), np.log2(y)
-    if x.size < 2:
-        raise ValueError("need at least two points for a slope")
+    if np.unique(x).size < 2:
+        raise ValueError(f"log-log fit needs two distinct x, got {xs}")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     dof = max(x.size - 2, 1)
     varx = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(float(np.sum(resid**2)) / dof / varx) if varx else 0.0
+    stderr = math.sqrt(float(np.sum(resid**2)) / dof / varx)
     return float(slope), float(intercept), stderr
 
 
@@ -532,8 +534,6 @@ def mollified_slope(mu, lams, candidates=None):
     """Least-squares slope of log2 mollified_sup against log2 lambda, with
     every lambda's sup from one pass over the atoms."""
     lams = list(lams)
-    if len(set(lams)) < 2:
-        raise ValueError(f"mollified_slope needs two distinct lambdas, got {lams}")
     if not mu.total_mass() > 0.0:
         raise ValueError(f"mollified_slope needs positive mass; {mu.generator!r} has none")
     vals = _mollified_sups(mu, lams, candidates)

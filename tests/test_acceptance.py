@@ -164,13 +164,11 @@ def test_criterion_06_multilinear_l2():
     worst = 0.0
     for _ in range(100):
         lam, fs = _random_separated(rng, 2, (4, 9), 0.06)
-        res = eng.multilinear_l2(model_curve(2), fs, lam, box_r=16.0,
-                                 max_doublings=1)
+        res = eng.multilinear_l2(model_curve(2), fs, lam, box_r=16.0)
         worst = max(worst, res.ratio)
     for _ in range(100):
         lam, fs = _random_separated(rng, 3, (4, 5), 0.05)
-        res = eng.multilinear_l2(model_curve(3), fs, lam, box_r=6.0,
-                                 max_doublings=0)
+        res = eng.multilinear_l2(model_curve(3), fs, lam, box_r=6.0)
         worst = max(worst, res.ratio)
     ok = worst <= 1.0
     lams = [2.0 ** k for k in range(4, 9)]

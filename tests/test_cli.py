@@ -614,6 +614,15 @@ class TestInputGates:
                      "tau and h must be finite, got tau=nan", id="finitetype-tau-nan"),
         pytest.param("multilinear", MULTILINEAR.format(supports="nan nan nan nan", box_r=24),
                      "test function ends must be finite", id="multilinear-supports-nan"),
+        # lhs 0, bound 0, ratio inf and verdict PASS
+        *[pytest.param("multilinear", MULTILINEAR.format(supports=supports, box_r=24),
+                       "[experiment] supports must list lo < hi", id=f"multilinear-{name}")
+          for name, supports in [("reversed", "0.9 0.6 0.3 0.1"), ("empty", "0.1 0.1 0.5 0.9")]],
+        # the Plancherel bound's constant is the model curve's
+        pytest.param("multilinear", MULTILINEAR.replace(
+            "kind = model", "kind = poly\ncoeffs1 = 0 1\ncoeffs2 = 0 0 0 1").format(
+                supports="0.05 0.3 0.65 0.95", box_r=24), "needs the model curve",
+                     id="multilinear-poly-curve"),
         # an OverflowError traceback, exit 1
         pytest.param("multilinear", _set_key(_set_key(
             SWEEP["multilinear"][0], "experiment.lambda_min_exp", "-1074"),

@@ -239,6 +239,16 @@ def test_decompose_zero_function_vacuous():
     assert ok and slack == math.inf
 
 
+@pytest.mark.parametrize("d, fam", [
+    (2, dc.DyadicFamily.default(2)),
+    (3, dc.DyadicFamily((Fraction(1, 8), Fraction(1, 64))))])
+def test_decompose_batch_no_targets(d, fam):
+    # raised "cannot reshape array of size 0 into shape (16,newaxis,0)",
+    # where extension_eval returns no values
+    assert dc.decompose_batch(eng.trig_poly(3, degree=8), fam, model_curve(d),
+                              32.0, np.zeros((0, d))) == []
+
+
 def test_decompose_concentrated_support_single_branch():
     g = model_curve(2)
     fam = dc.DyadicFamily.default(2)

@@ -950,8 +950,7 @@ def test_multilinear_trilinear_example():
     g = model_curve(3)
     fs = [eng.indicator(0.0, 0.2), eng.indicator(0.4, 0.6),
           eng.indicator(0.8, 1.0)]
-    res = eng.multilinear_l2(g, fs, 16.0, box_r=16.0, tail_target=0.05,
-                             max_doublings=1)
+    res = eng.multilinear_l2(g, fs, 16.0, box_r=16.0)
     assert res.lhs > 0
     assert res.lhs <= res.bound
 
@@ -960,15 +959,14 @@ def test_multilinear_any_d_matches_scattered_product():
     # d = 4 runs through the same grid contraction as d = 2, 3
     g = model_curve(4)
     fs = [eng.indicator(0.3 * k, 0.3 * k + 0.1) for k in range(4)]
-    res = eng.multilinear_l2(g, fs, 4.0, box_r=4.0, tail_target=1.0,
-                             max_doublings=0)
+    res = eng.multilinear_l2(g, fs, 4.0, box_r=4.0)
     m = int(math.ceil(2.0 * res.box_r / res.grid_step))
     axis = -res.box_r + res.grid_step * (np.arange(m) + 0.5)
     pts = np.stack(np.meshgrid(*[axis] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
     pts = pts[::-1]  # no C-order product: the scattered kernel serves it
     prod = np.prod([eng.extension_eval(g, 4.0, pts, f) for f in fs], axis=0)
     lhs = math.sqrt(float(np.sum(np.abs(prod) ** 2)) * res.grid_step ** 4)
-    assert res.lhs == pytest.approx(lhs, rel=1e-9)
+    assert res.lhs * math.sqrt(1.0 - res.tail_fraction) == pytest.approx(lhs, rel=1e-9)
 
 
 def test_multilinear_starved_rule_fails_its_corner_check():
@@ -977,7 +975,8 @@ def test_multilinear_starved_rule_fails_its_corner_check():
     g = model_curve(2)
     fs = [eng.indicator(0.1, 0.3), eng.indicator(0.6, 0.8)]
     res = eng.multilinear_l2(g, fs, 256.0, box_r=16.0, nodes_per_wavelength=10)
-    assert res.lhs == pytest.approx(0.0070277, rel=1e-5)
+    assert res.lhs * math.sqrt(1.0 - res.tail_fraction) == pytest.approx(0.0070277, rel=1e-5)
+    assert res.lhs == pytest.approx(0.0070404, rel=1e-5)
     for npw in (0.5, 0.25):
         with pytest.raises(eng.QuadratureBudgetError, match="self-check error"):
             eng.multilinear_l2(g, fs, 256.0, box_r=16.0, nodes_per_wavelength=npw)
@@ -985,14 +984,51 @@ def test_multilinear_starved_rule_fails_its_corner_check():
 
 @pytest.mark.parametrize("kwargs, name", [
     (dict(box_r=0.0), "box_r"), (dict(box_r=-1.0), "box_r"),
-    (dict(box_r=math.nan), "box_r"), (dict(box_r=math.inf), "box_r"),
-    (dict(max_doublings=-1), "max_doublings")])
+    (dict(box_r=math.nan), "box_r"), (dict(box_r=math.inf), "box_r")])
 def test_multilinear_rejects_degenerate_box(kwargs, name):
     # box_r 0 and -1 returned lhs 0 (a pass), NaN and inf failed converting
-    # to an integer, and max_doublings -1 ended in UnboundLocalError
+    # to an integer
     fs = [eng.indicator(0.0, 0.25), eng.indicator(0.75, 1.0)]
     with pytest.raises(ValueError, match=name):
         eng.multilinear_l2(model_curve(2), fs, 64.0, **kwargs)
+
+
+def test_multilinear_needs_the_model_curve():
+    # the bound's constant c_d and the sum map's injectivity are the model
+    # curve's; (t, t^3/6) used to be bounded with them all the same
+    g = monomial_model((1, 3))
+    fs = [eng.indicator(0.0, 0.25), eng.indicator(0.75, 1.0)]
+    for call in (eng.plancherel_bound, eng.multilinear_l2):
+        with pytest.raises(ValueError, match="needs the model curve"):
+            call(g, fs, 64.0)
+
+
+def test_multilinear_lhs_is_the_sum_map_integral():
+    # criterion 6's 55th d = 3 draw: the one box of 6 returned lhs 7.11e-5,
+    # 4.5 % of the norm, with tail_fraction 1 and no error
+    fs = [eng.bump(0.11405879609760905, 0.1262317875130392),
+          eng.bump(0.40457342970559923, 0.4362472524689124),
+          eng.indicator(0.7258378697450669, 0.7386143506752834)]
+    res = eng.multilinear_l2(model_curve(3), fs, 16.0, box_r=6.0)
+    exact = math.sqrt(eng._sum_map_mass(fs, 16.0, 12))
+    assert res.lhs == pytest.approx(exact, rel=1e-8)
+    assert res.lhs == pytest.approx(1.587e-3, rel=1e-3)
+    assert res.tail_fraction > 0.9
+
+
+@pytest.mark.parametrize("scale, message", [
+    (lambda panels: 1.0 + 1e-3 * panels, "on 2 panels"),
+    (lambda panels: 0.5, "exceeds the sum-map mass")], ids=["rules-disagree", "box-over-mass"])
+def test_multilinear_sum_map_checks(monkeypatch, scale, message):
+    # the identity's two rules must agree, and the box must not hold more
+    # than the whole of R^d
+    g = model_curve(2)
+    fs = [eng.indicator(0.0, 0.25), eng.indicator(0.75, 1.0)]
+    exact = eng._sum_map_mass
+    monkeypatch.setattr(eng, "_sum_map_mass",
+                        lambda fs, lam, panels: scale(panels) * exact(fs, lam, panels))
+    with pytest.raises(eng.QuadratureBudgetError, match=message):
+        eng.multilinear_l2(g, fs, 64.0, box_r=40.0)
 
 
 def test_multilinear_lambda_decay():

@@ -1,7 +1,9 @@
 """Source hygiene of the curveext package, checked with the standard ast
 module: every import is used, every function reads each of its
 parameters, every defaulted parameter of a public function is passed by
-some call in the package, its tests or its benchmark, and every dataclass
+some call in the package, its tests or its benchmark (and, but for a few
+kept for a stated reason, by one in the package or its benchmark: an
+option only tests set is a knob no run turns), and every dataclass
 field and public method or property is read there by name.  `self`, `cls`
 and names starting with `_` are exempt.  The package's net code lines
 stay within the baseline that ROADMAP.md tracks, and importing it leaves
@@ -20,19 +22,33 @@ import pytest
 SRC = Path(importlib_resources.files("curveext"))
 MODULES = sorted(SRC.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
-CALLERS = MODULES + sorted((REPO / "tests").glob("*.py")) + sorted(
-    (REPO / "bench").glob("*.py"))
+PROGRAM = MODULES + sorted((REPO / "bench").glob("*.py"))
+CALLERS = PROGRAM + sorted((REPO / "tests").glob("*.py"))
 EXEMPT = {"self", "cls"}
 # net code lines of the package (non-blank, not starting with `#`,
 # docstrings counted): the baseline the design work measures against
 NET_LINES_BASELINE = 2799
 # Kept settable although no caller sets them (none at present).
 KEPT_DEFAULTS = set()
+# Defaulted parameters that only tests set, and why each is kept.
+TEST_SET_DEFAULTS = {
+    "build_rule(nodes_per_wavelength)": "build_rule is build_rules for one "
+    "piece, with its signature; the program sets all three on build_rules",
+    "build_rule(grade_points)": "as build_rule(nodes_per_wavelength)",
+    "build_rule(split)": "as build_rule(nodes_per_wavelength)",
+    "class_distance(model)": "the distance to a monomial class, which the "
+    "curve tests measure for finite-type normal forms",
+    "main(argv)": "the console entry point reads sys.argv; tests pass argv",
+    "mollified_sup(candidates)": "tests pin the sup at chosen centres",
+    "mollified_slope(candidates)": "criterion 5 pins the slope at chosen centres",
+    "multilinear_l2(nodes_per_wavelength)": "a starved rule must fail the "
+    "corner check, which the default rule never does",
+}
 # Kept although nothing reads them yet: the report values a run is to
-# state (the factors' L2 norms and the terms of the multilinear L^q
-# chain), which result files do not carry yet.
-KEPT_MEMBERS = {"MultilinearResult.f_l2", "MultilinearLqResult.l2_plancherel",
-                "MultilinearLqResult.mollified", "MultilinearLqResult.linf"}
+# state (the terms of the multilinear L^q chain), which result files do
+# not carry yet.
+KEPT_MEMBERS = {"MultilinearLqResult.l2_plancherel", "MultilinearLqResult.mollified",
+                "MultilinearLqResult.linf"}
 
 
 def _loaded_names(tree):
@@ -141,6 +157,12 @@ def test_every_default_is_set_by_some_call():
     calls = [ast.parse(p.read_text()) for p in CALLERS]
     assert unset_defaults([ast.parse(p.read_text()) for p in MODULES],
                           calls) == []
+
+
+def test_every_default_is_set_by_the_program():
+    calls = [ast.parse(p.read_text()) for p in PROGRAM]
+    assert sorted(unset_defaults([ast.parse(p.read_text()) for p in MODULES],
+                                 calls)) == sorted(TEST_SET_DEFAULTS)
 
 
 def test_default_scan_matches_by_keyword_position_and_star():

@@ -68,6 +68,25 @@ class TestFitLine:
         with pytest.raises(ValueError):
             lab.fit_line([4.0], [1.0])
 
+    def test_needs_two_distinct_x(self):
+        # returned slope 0.396 and stderr 0.0 from a rank-deficient polyfit,
+        # with a RankWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="two distinct x, got \\[2.0, 2.0\\]"):
+                lab.fit_line([2.0, 2.0], [1.0, 3.0])
+
+    def test_needs_one_y_per_x(self):
+        # failed inside numpy's broadcast
+        with pytest.raises(ValueError, match="one y per x, got 3 x and 2 y"):
+            lab.fit_line([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    def test_scaling_needs_two_distinct_lambdas(self):
+        # verdict FAIL with slope -0.031 from a fit of one x
+        mu = ms.make_lebesgue(2, (-1.0, 1.0), 8)
+        with pytest.raises(ValueError, match="two distinct x"):
+            lab.scaling_experiment(model_curve(2), 4.0, 8.0, 2.0, [16.0] * 6, mu=mu)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_degenerate_value_named_without_warning(self, bad):
         # log2 of 0 or of a negative value warned and the slope came back

@@ -540,7 +540,7 @@ def test_mollified_sup_rejects_bad_lambda(lam):
 @pytest.mark.parametrize("lams", [[16.0], [16.0, 16.0]])
 def test_mollified_slope_needs_two_lambdas(lams):
     # one lambda gave a slope from a rank-deficient polyfit
-    with pytest.raises(ValueError, match="two distinct lambdas"):
+    with pytest.raises(ValueError, match="log-log fit needs two distinct x"):
         ms.mollified_slope(ms.make_cantor(1, 1 / 3, 4), lams)
 
 
