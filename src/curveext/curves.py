@@ -123,8 +123,10 @@ class CurveSpec:
             raise ValueError("dimension must be >= 2")
         if len(self.coeffs) != self.d:
             raise ValueError("need one coefficient list per component")
-        # an empty component is the zero polynomial
-        tidy = tuple(tuple(float(c) for c in comp) or (0.0,) for comp in self.coeffs)
+        # trailing zeros trimmed, so equal curves compare equal; an empty or
+        # all-zero component is the zero polynomial (0.0,)
+        tidy = tuple(tuple(np.trim_zeros(np.array(comp, dtype=float), "b").tolist())
+                     or (0.0,) for comp in self.coeffs)
         if not all(map(math.isfinite, sum(tidy, ()))):
             raise ValueError(f"curve coefficients must be finite, got {tidy}")
         object.__setattr__(self, "coeffs", tidy)

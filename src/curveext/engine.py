@@ -502,10 +502,9 @@ def _axis_factor(a, g, lam, centre=None):
     np.exp(1j * lam * np.outer(a[::block], g), out=u[::block])
     if uniform:
         step = np.exp(1j * lam * h * g)
-        for k in range(0, m, block):
-            rows = u[k : k + block]
-            rows[1:] = step
-            np.cumprod(rows, axis=0, out=rows)
+        for k in range(1, m):
+            if k % block:
+                np.multiply(u[k - 1], step, out=u[k])
     np.conjugate(full[::-1][:half], out=full[:half])
     if centre:
         full[:half] *= np.exp(2j * lam * centre * g)

@@ -185,25 +185,39 @@ class GradedGrid:
                                                 resolution, levels)
 
     def family_lq(self, curve, lam, fs, q, alpha=None,
-                  nodes_per_wavelength=eng.NODES_PER_WAVELENGTH):
+                  nodes_per_wavelength=eng.NODES_PER_WAVELENGTH, _memo=None):
         """L^q norm of T f against the grid's measure for each f in fs.
 
-        Per level, members sharing a rule share its phase factors
-        (extension_eval_grid_family); each member keeps only a running
-        sum of w |T f|^q, or a running max at q = infinity.
+        Level l is level 0 dilated by 2^{-l}, and T_lam f(2^{-l} x) =
+        T_{lam 2^{-l}} f(x); so each (f, lam 2^{-l}) is evaluated once, on
+        level 0's axes (extension_eval_grid_family, whose members share
+        rules and phase factors), into the sums of |T f|^q over level 0's
+        kept annulus and over its core, or their maxima at q = infinity.
+        Level l adds cell_l^d times the annulus part, the finest level also
+        the core part.  A sweep passes `_memo`, a dict that keeps these
+        pairs across calls on a grid of more than one level.
         """
         eng.check_exponent("q", q)
-        acc = [0.0] * len(fs)
-        for axes, keep, cell in self.levels:
+        axes, keep, _ = self.levels[0]
+        memo = _memo if _memo is not None and len(self.levels) > 1 else {}
+        lams = [lam * 2.0 ** -level for level in range(len(self.levels))]
+        for lam_l in lams:
+            todo = [f for f in dict.fromkeys(fs) if (f, lam_l) not in memo]
             for j, values in eng.extension_eval_grid_family(
-                    curve, lam, axes, fs, alpha=alpha,
+                    curve, lam_l, axes, todo, alpha=alpha,
                     nodes_per_wavelength=nodes_per_wavelength):
-                mod = np.abs(values[keep])
-                acc[j] = (max(acc[j], float(np.max(mod, initial=0.0)))
-                          if q == math.inf
-                          else acc[j] + float(np.sum(cell ** self.d * mod ** q)))
-                del values, mod  # before the next member is evaluated
-        return [s if q == math.inf else s ** (1.0 / q) for s in acc]
+                mod = np.abs(values)
+                del values
+                memo[todo[j], lam_l] = tuple(
+                    float(np.max(part, initial=0.0)) if q == math.inf
+                    else float(np.sum(part ** q)) for part in (mod[keep], mod[~keep]))
+                del mod  # before the next member is evaluated
+        # (cell_l^d, lam 2^{-l}, part): each level's annulus, the finest one's core
+        terms = [(cell ** self.d, lam_l, 0) for lam_l, (_, _, cell) in zip(lams, self.levels)]
+        terms.append(terms[-1][:2] + (1,))
+        if q == math.inf:
+            return [max(memo[f, lam_l][i] for _, lam_l, i in terms) for f in fs]
+        return [sum(w * memo[f, lam_l][i] for w, lam_l, i in terms) ** (1.0 / q) for f in fs]
 
     def extension_lq(self, curve, lam, f, q,
                      nodes_per_wavelength=eng.NODES_PER_WAVELENGTH):
@@ -241,21 +255,22 @@ class ScalingReport:
 
 
 def family_sup(curve, lam, family, p, q, mu=None, grid=None, alpha=None,
-               npw=eng.NODES_PER_WAVELENGTH, _norms=None):
+               npw=eng.NODES_PER_WAVELENGTH, _memo=None):
     """Sup over the family of ||T f||_{L^q} / ||f||_p; returns (value, label).
 
     The L^q norm is taken on the graded grid when one is given, else
-    against the measure mu.  A sweep passes `_norms`, a dict of the
-    ||f||_p it has taken, so a member that recurs is normed once.
+    against the measure mu.  A sweep passes `_memo`, one dict for its
+    length: it keeps each ||f||_p, so a member that recurs is normed once,
+    and the grid's per-level sums (GradedGrid.family_lq).
     """
-    known = {} if _norms is None else _norms
+    memo = {} if _memo is None else _memo
     for _, f in family:
-        if f not in known:
-            known[f] = f.lp_norm(p)
-    fps = [(name, f, known[f]) for name, f in family if known[f] != 0.0]
+        if f not in memo:
+            memo[f] = f.lp_norm(p)
+    fps = [(name, f, memo[f]) for name, f in family if memo[f] != 0.0]
     if grid is not None:
         norms = grid.family_lq(curve, lam, [f for _, f, _ in fps], q,
-                               alpha=alpha, nodes_per_wavelength=npw)
+                               alpha=alpha, nodes_per_wavelength=npw, _memo=memo)
     else:
         norms = [lq_norm(extension_eval(curve, lam, mu.atoms, f, alpha=alpha,
                                         nodes_per_wavelength=npw), mu, q)
@@ -294,10 +309,10 @@ def scaling_experiment(curve, p, q, alpha, lam_grid, mu=None, grid=None,
     elif radius < math.sqrt(grid.d) * grid.half:  # a grid is not cut to a ball
         raise ValueError(f"radius must reach the grid's corners at "
                          f"{math.sqrt(grid.d) * grid.half}, got {radius}")
-    sups, labels, norms = [], [], {}
+    sups, labels, memo = [], [], {}
     for lam in lam_grid:
         val, label = family_sup(curve, lam, family_fn(lam), p, q, mu=mu,
-                                grid=grid, npw=npw, _norms=norms)
+                                grid=grid, npw=npw, _memo=memo)
         sups.append(val)
         labels.append(label)
     target = -alpha / q
@@ -598,19 +613,20 @@ def translate_curve(curve, tau):
 
 def finite_type_blocks(curve, grid, a, alpha, p, q, lam, n_blocks=7,
                        fit_blocks=5, npw=eng.NODES_PER_WAVELENGTH,
-                       widths=(1.0, 2.0, 4.0)):
+                       widths=(1.0, 2.0, 4.0), _memo=None):
     """Weighted family-sup norms per dyadic block of the parameter interval.
 
     Block j carries f supported in [2^{-j-1}, 2^{-j}]; the fitted log2
     decay over the first fit_blocks blocks is compared against
     sigma (1 - beta/q - 1/p).  Aggregate is the triangle-inequality sum.
+    A sweep passes `_memo` on to family_sup.
     """
     if not 2 <= fit_blocks <= n_blocks:
         raise ValueError(f"need 2 <= fit_blocks <= blocks, got {fit_blocks} and {n_blocks}")
     if not all(0.0 < w < math.inf for w in widths):
         raise ValueError(f"widths must be finite and > 0, got {widths}")
-    norms = [family_sup(curve, lam, _block_family(curve.d, lam, j, widths), p, q,
-                        grid=grid, alpha=alpha, npw=npw)[0] for j in range(n_blocks)]
+    norms = [family_sup(curve, lam, _block_family(curve.d, lam, j, widths), p, q, grid=grid,
+                        alpha=alpha, npw=npw, _memo=_memo)[0] for j in range(n_blocks)]
     rate = -fit_line(2.0 ** np.arange(fit_blocks), norms[:fit_blocks])[0]
     return BlockReport(
         lam=lam, block_norms=tuple(norms), rate=rate,
@@ -634,8 +650,10 @@ def finite_type_pipeline(curve, tau, grid, alpha, p, q, lam_grid,
     a = detect_finite_type(shifted, 0.0).a
     if not ExponentPair(p=p, q=q, d=curve.d, alpha=alpha).admissible:
         raise ValueError(f"(p, q) = ({p}, {q}) is not admissible")
+    memo = {}
     reports = [finite_type_blocks(shifted, grid, a, alpha, p, q, lam, n_blocks=n_blocks,
-                                  fit_blocks=fit_blocks, npw=npw, widths=widths)
+                                  fit_blocks=fit_blocks, npw=npw, widths=widths,
+                                  _memo=memo)
                for lam in lam_grid]
     slope = fit_line(lam_grid, [r.aggregate for r in reports])[0]
     target = -alpha / q

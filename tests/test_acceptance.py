@@ -219,7 +219,6 @@ def test_criterion_07_certificates():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("p", [math.inf, 2.0])
 def test_criterion_08_main_scaling(p):
     grid = lab.GradedGrid(2, 16.0, 128, 8)
@@ -322,6 +321,7 @@ def test_criterion_11_jacobian_recursion():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_12_determinism_throughput():
     g = model_curve(2)
     rng = np.random.default_rng(6)

@@ -382,6 +382,15 @@ box_r = 24
         assert "verdict = PASS" in (
             tmp_path / "o" / "multilinear_verdict.txt").read_text()
 
+    def test_multilinear_model_curve_with_a_trailing_zero(self, tmp_path):
+        # coeffs1 = 0 1 0 is the model curve; it was refused with exit 2
+        # ("needs the model curve")
+        cfg = write_config(tmp_path, MULTILINEAR.replace(
+            "kind = model", "kind = poly\ncoeffs1 = 0 1 0\ncoeffs2 = 0 0 0.5").format(
+                supports="0.05 0.3 0.65 0.95", box_r=24))
+        assert cli.main(["multilinear", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert "verdict = PASS" in (tmp_path / "o" / "multilinear_verdict.txt").read_text()
+
     def test_finitetype_report_only(self, tmp_path):
         cfg = write_config(tmp_path, """
 [curve]

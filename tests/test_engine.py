@@ -487,21 +487,25 @@ def test_axis_factor_recurrence_matches_direct_exp():
 def test_axis_factor_nonuniform_axis_is_direct_exp(monkeypatch):
     a = np.linspace(-3.0, 3.0, 150) ** 3
     g = np.random.default_rng(5).uniform(-1.0, 1.0, 700)
-    # the recurrence runs on uniform axes only: here it would be one no-op
-    # cumprod per row
-    cumprods = []
-    cumprod = np.cumprod
+    ref = np.exp(1j * 300.0 * np.outer(a, g))
+    # the recurrence runs on uniform axes only: here every row is a direct
+    # exp, there only the first row of each block
+    rows = []
+    exp = np.exp
 
-    def counting(*args, **kwargs):
-        cumprods.append(1)
-        return cumprod(*args, **kwargs)
+    def counting(x, *args, **kwargs):
+        out = exp(x, *args, **kwargs)
+        if np.ndim(out) == 2:
+            rows.append(out.shape[0])
+        return out
 
-    monkeypatch.setattr(np, "cumprod", counting)
+    monkeypatch.setattr(np, "exp", counting)
     got = eng._axis_factor(a, g, 300.0)
-    assert got.tobytes() == np.exp(1j * 300.0 * np.outer(a, g)).tobytes()
-    assert not cumprods
+    assert got.tobytes() == ref.tobytes()
+    assert rows == [a.size]
+    rows.clear()
     eng._axis_factor(np.linspace(-3.0, 3.0, 150), g, 300.0)
-    assert len(cumprods) == math.ceil(150 / eng.PHASE_RESTART)
+    assert rows == [math.ceil(150 / eng.PHASE_RESTART)]
 
 
 def test_grid_matches_scattered_on_long_axis():
@@ -1001,6 +1005,16 @@ def test_multilinear_needs_the_model_curve():
     for call in (eng.plancherel_bound, eng.multilinear_l2):
         with pytest.raises(ValueError, match="needs the model curve"):
             call(g, fs, 64.0)
+
+
+def test_model_curve_with_a_trailing_zero_is_the_model_curve():
+    # (t + 0 t^2, t^2/2) was refused with "needs the model curve": the gate
+    # compared coefficient tuples that kept the trailing zero
+    g = CurveSpec(2, ((0, 1, 0), (0, 0, 0.5)))
+    assert g.coeffs == model_curve(2).coeffs == ((0.0, 1.0), (0.0, 0.0, 0.5))
+    fs = [eng.indicator(0.0, 0.25), eng.indicator(0.75, 1.0)]
+    assert eng.plancherel_bound(g, fs, 64.0) == eng.plancherel_bound(model_curve(2), fs, 64.0)
+    assert eng.multilinear_l2(g, fs, 64.0) == eng.multilinear_l2(model_curve(2), fs, 64.0)
 
 
 def test_multilinear_lhs_is_the_sum_map_integral():

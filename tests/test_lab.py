@@ -578,3 +578,109 @@ class TestFiniteType:
                                      512.0, n_blocks=4, fit_blocks=4, npw=8)
         for a, b in zip(rep.block_norms, rep.block_norms[1:]):
             assert b / a <= 2.0**-0.4
+
+
+# ---------------------------------------------------------------------------
+# graded sweeps: level l is level 0 at lambda 2^{-l}
+# ---------------------------------------------------------------------------
+
+
+def _per_level_lq(grid, curve, lam, fs, q, alpha=None,
+                  nodes_per_wavelength=eng.NODES_PER_WAVELENGTH, _memo=None):
+    """family_lq without the memo: every member on every level's own axes."""
+    acc = [0.0] * len(fs)
+    for axes, keep, cell in grid.levels:
+        for j, values in eng.extension_eval_grid_family(
+                curve, lam, axes, fs, alpha=alpha,
+                nodes_per_wavelength=nodes_per_wavelength):
+            mod = np.abs(values[keep])
+            acc[j] = (max(acc[j], float(np.max(mod, initial=0.0))) if q == math.inf
+                      else acc[j] + float(np.sum(cell ** grid.d * mod ** q)))
+    return [s if q == math.inf else s ** (1.0 / q) for s in acc]
+
+
+def _counting_evaluations(monkeypatch):
+    """Patch the grid family to record every (member, lambda) it evaluates."""
+    seen = []
+    family = eng.extension_eval_grid_family
+
+    def counting(curve, lam, axes, fs, *args, **kwargs):
+        for j, values in family(curve, lam, axes, fs, *args, **kwargs):
+            seen.append((fs[j], lam))
+            yield j, values
+
+    monkeypatch.setattr(eng, "extension_eval_grid_family", counting)
+    return seen
+
+
+def _bench_family(lam):
+    return (lab.knapp_family(2, lam, 8, 3) + lab.bump_family(2, lam, 4)
+            + lab.trig_family(41, 8))
+
+
+class TestGradedSweepMemo:
+    @pytest.mark.parametrize("args", [(2, 16.0, 128, 8), (2, 8.0, 128, 9), (2, 4.0, 32, 3),
+                                      (2, 4.0, 8, 1), (2, 2.0, 32, 0), (2, 2.0, 8, 0)])
+    def test_levels_are_exact_dilations_of_level_0(self, args):
+        # the grids of criteria 8 and 10 and of the benchmark workloads: the
+        # memo evaluates level l on level 0's axes at lambda 2^{-l}
+        levels = lab.GradedGrid(*args).levels
+        axes0, keep0, cell0 = levels[0]
+        for level, (axes, keep, cell) in enumerate(levels):
+            scale = 2.0 ** -level
+            assert cell == cell0 * scale
+            for a, a0 in zip(axes, axes0):
+                assert a.tobytes() == (a0 * scale).tobytes()
+            if level < len(levels) - 1:
+                np.testing.assert_array_equal(keep, keep0)
+        assert levels[-1][1].all()
+
+    @pytest.mark.parametrize("q", [8.0, math.inf])
+    def test_scaling_sweep_matches_per_level_reference(self, q, monkeypatch):
+        grid = lab.GradedGrid(2, 4.0, 32, 3)
+        lams = [2.0 ** k for k in range(3, 9)]
+        args = (model_curve(2), math.inf, q, 2.0, lams)
+        kwargs = dict(grid=grid, family_fn=_bench_family, npw=6)
+        rep = lab.scaling_experiment(*args, **kwargs)
+        monkeypatch.setattr(lab.GradedGrid, "family_lq", _per_level_lq)
+        ref = lab.scaling_experiment(*args, **kwargs)
+        np.testing.assert_allclose(rep.sup_norms, ref.sup_norms, rtol=1e-14, atol=0)
+        assert rep.best_labels == ref.best_labels
+        assert rep.verdict == ref.verdict
+
+    @pytest.mark.parametrize("q", [8.0, math.inf])
+    def test_finite_type_sweep_matches_per_level_reference(self, q, monkeypatch):
+        # weighted (alpha), on a grid of four levels, where caps recur at
+        # lambda / 4 with twice the width
+        grid = lab.GradedGrid(2, 4.0, 32, 3)
+        lams = [2.0 ** k for k in range(5, 11)]
+        args = (DEG_23, 0.0, grid, 2.0, 4.0, q, lams)
+        kwargs = dict(n_blocks=4, fit_blocks=3, npw=6)
+        reports, slope, _, verdict = lab.finite_type_pipeline(*args, **kwargs)
+        monkeypatch.setattr(lab.GradedGrid, "family_lq", _per_level_lq)
+        refs, ref_slope, _, ref_verdict = lab.finite_type_pipeline(*args, **kwargs)
+        np.testing.assert_allclose([r.block_norms for r in reports],
+                                   [r.block_norms for r in refs], rtol=1e-14, atol=0)
+        assert abs(slope - ref_slope) <= 1e-12 and verdict == ref_verdict
+
+    def test_each_member_once_per_effective_lambda(self, monkeypatch):
+        grid = lab.GradedGrid(2, 4.0, 32, 3)
+        lams = [2.0 ** k for k in range(3, 9)]
+        seen = _counting_evaluations(monkeypatch)
+        args = (model_curve(2), math.inf, 8.0, 2.0, lams)
+        distinct = {(f, lam * 2.0 ** -level) for lam in lams for _, f in _bench_family(lam)
+                    for level in range(len(grid.levels))}
+        lab.scaling_experiment(*args, grid=grid, family_fn=_bench_family, npw=6)
+        assert len(seen) == len(distinct) and set(seen) == distinct
+        # the memo lives in one sweep: a second one evaluates them all again
+        lab.scaling_experiment(*args, grid=grid, family_fn=_bench_family, npw=6)
+        assert len(seen) == 2 * len(distinct)
+
+    def test_trig_member_once_per_effective_lambda(self, monkeypatch):
+        # lambda = 2^3 ... 2^8 on four levels: effective lambdas 2^0 ... 2^8
+        grid = lab.GradedGrid(2, 4.0, 32, 3)
+        seen = _counting_evaluations(monkeypatch)
+        lab.scaling_experiment(model_curve(2), math.inf, 8.0, 2.0,
+                               [2.0 ** k for k in range(3, 9)], grid=grid,
+                               family_fn=lambda lam: lab.trig_family(0, 1), npw=6)
+        assert sorted(lam for _, lam in seen) == [2.0 ** k for k in range(9)]
