@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .curves import affine_weight, jacobian_constant, model_curve
-from .measures import _product
+from .measures import _tensor_axes
 
 NODES_PER_WAVELENGTH = 10
 PANEL_ORDER = 16
@@ -398,17 +398,6 @@ def _scatter(targets, gamma_nodes, amp, counts, lam, workers=1):
         comp[at] = (t - values[at]) - y
         values[at] = t
     return values
-
-
-def _tensor_axes(targets):
-    """The per-coordinate axes whose C-order product is `targets`, if it
-    is one with at least two axes of more than one point; else None."""
-    axes = [np.unique(c) for c in targets.T]
-    sizes = [a.size for a in axes]
-    if (sum(s > 1 for s in sizes) < 2 or math.prod(sizes) != targets.shape[0]
-            or not np.array_equal(targets, _product(*axes))):
-        return None
-    return axes
 
 
 def _self_check(setup, f, lam, points, got):

@@ -203,6 +203,10 @@ class GradedGrid:
         lams = [lam * 2.0 ** -level for level in range(len(self.levels))]
         for lam_l in lams:
             todo = [f for f in dict.fromkeys(fs) if (f, lam_l) not in memo]
+            # nothing to evaluate; a lambda that is not finite still goes to
+            # the family, which rejects it
+            if not todo and math.isfinite(lam_l):
+                continue
             for j, values in eng.extension_eval_grid_family(
                     curve, lam_l, axes, todo, alpha=alpha,
                     nodes_per_wavelength=nodes_per_wavelength):

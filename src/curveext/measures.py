@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 from scipy.spatial import KDTree, cKDTree
@@ -25,7 +26,8 @@ AUDIT_FLOOR_FACTOR = 4.0
 
 # atoms per tile of the mollifier sum: a tile's two 64 x 1024 float arrays
 # (512 KiB each) stay in L2 through the six passes each lambda makes over
-# them, where 64 x 4096 (2 MiB each) went out to memory
+# them, where 64 x 4096 (2 MiB each) went out to memory; the per-axis sum
+# forms its kernel table in blocks of the same 64 x 1024 entries
 MOLLIFY_CHUNK = 1024
 
 # rectangle-to-cube covering factor entering rescale certificates
@@ -106,6 +108,17 @@ def _product(*axes):
     """Points of the tensor product of 1-D axes in C order, one row each."""
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _tensor_axes(points):
+    """The per-coordinate axes whose C-order product is `points`, if it
+    is one with at least two axes of more than one point; else None."""
+    axes = [np.unique(c) for c in points.T]
+    sizes = [a.size for a in axes]
+    if (sum(s > 1 for s in sizes) < 2 or math.prod(sizes) != points.shape[0]
+            or not np.array_equal(points, _product(*axes))):
+        return None
+    return axes
 
 
 def graded_level_structure(d, box, resolution, grading_levels):
@@ -487,23 +500,12 @@ def kernel_profile(r2, d):
     return r2
 
 
-def _mollified_sups(mu, lams, candidates):
-    """mollified_sup at every lambda in one pass over tiles of 64 candidates
-    x MOLLIFY_CHUNK atoms: each tile's squared distances are formed once."""
-    bad = [lam for lam in lams if not 1.0 <= lam < math.inf]
-    if bad:
-        raise ValueError(f"lambda must be finite and >= 1, got {bad[0]}")
-    if candidates is None:
-        candidates = np.vstack([mu.atoms[::max(1, mu.n // 512)], np.zeros((1, mu.d))])
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    shape = candidates.shape
-    if not (len(shape) == 2 and shape[0] >= 1 and shape[1] == mu.d
-            and np.all(np.isfinite(candidates))):
-        raise ValueError(f"candidates must be finite, of shape (k >= 1, {mu.d}); "
-                         f"got shape {shape}")
-    acc = np.zeros((len(lams), shape[0]))
-    tiles = np.empty((2, min(shape[0], 64) * min(mu.n, MOLLIFY_CHUNK)))
-    for start in range(0, shape[0], 64):
+def _tiled_sums(mu, lams, candidates):
+    """sum_a w_a K(lam^2 |c - a|^2) per lambda and candidate c, over tiles of
+    64 candidates x MOLLIFY_CHUNK atoms whose squared distances serve every lambda."""
+    acc = np.zeros((len(lams), candidates.shape[0]))
+    tiles = np.empty((2, min(candidates.shape[0], 64) * min(mu.n, MOLLIFY_CHUNK)))
+    for start in range(0, candidates.shape[0], 64):
         cs, acs = candidates[start : start + 64], acc[:, start : start + 64]
         for a0 in range(0, mu.n, MOLLIFY_CHUNK):
             block = mu.atoms[a0 : a0 + MOLLIFY_CHUNK]
@@ -517,15 +519,71 @@ def _mollified_sups(mu, lams, candidates):
             for i, lam in enumerate(lams):
                 np.multiply(r2, lam * lam, out=work)
                 acs[i] += kernel_profile(work, mu.d) @ mu.weights[a0 : a0 + MOLLIFY_CHUNK]
-    return [float(np.max(a)) * lam ** mu.d for a, lam in zip(acc, lams)]
+    return acc
+
+
+def _kernel_sums(mu, lams, candidates):
+    """_tiled_sums, summed per axis where the atoms are a product of axes of
+    one weight w: with D_k the distinct (c_k - a_k)^2 (exact floats) over the
+    candidates' distinct k-th coordinates c_k and axis k, and A_k[p, c_k] the
+    count of a_k at D_k[p], the sum is w sum_{p, q, ...} A_0[p, c_0] A_1[q, c_1]
+    ... K(lam^2 (D_0[p] + D_1[q] + ...)): the tiled sum's kernel values, in
+    row blocks of at most 64 x MOLLIFY_CHUNK (or one row), contracted with the
+    A_k by GEMMs.  That runs only if its output, one entry per tuple of
+    distinct c_k, fits in 64 x MOLLIFY_CHUNK and its kernel values, count and
+    output entries are fewer than candidates x atoms."""
+    axes = _tensor_axes(mu.atoms)
+    if axes is None or np.any(mu.weights != mu.weights[0]):
+        return _tiled_sums(mu, lams, candidates)
+    picks, dists, counts = [], [], []
+    for axis, c in zip(axes, candidates.T):
+        cs, pick = np.unique(c, return_inverse=True)
+        dist, idx = np.unique(np.square(cs[:, None] - axis), return_inverse=True)
+        cells = idx.reshape(cs.size, -1) * cs.size + np.arange(cs.size)[:, None]
+        picks.append(pick)
+        dists.append(dist)
+        counts.append(np.bincount(cells.ravel(), minlength=dist.size * cs.size)
+                      .reshape(dist.size, cs.size).astype(float))
+    sizes, outs = [t.size for t in dists], [a.shape[1] for a in counts]
+    formed = math.prod(sizes) + math.prod(outs) + sum(a.size for a in counts)
+    if math.prod(outs) > 64 * MOLLIFY_CHUNK or formed >= candidates.shape[0] * mu.n:
+        return _tiled_sums(mu, lams, candidates)
+    rows = max(1, 64 * MOLLIFY_CHUNK // math.prod(sizes[1:]))
+    acc, tile = np.zeros((len(lams), *outs)), np.empty(rows * math.prod(sizes[1:]))
+    for p0 in range(0, sizes[0], rows):
+        r2 = reduce(np.add.outer, dists[1:], dists[0][p0 : p0 + rows])
+        work = tile[: r2.size].reshape(r2.shape)
+        for i, lam in enumerate(lams):
+            t = kernel_profile(np.multiply(r2, lam * lam, out=work), mu.d)
+            for a in counts[1:]:
+                t = np.tensordot(t, a, axes=(1, 0))
+            acc[i] += np.tensordot(counts[0][p0 : p0 + rows], t, axes=(0, 0))
+    return mu.weights[0] * acc[(slice(None), *picks)]
+
+
+def _mollified_sups(mu, lams, candidates):
+    """mollified_sup at every lambda, with one pass for all (_kernel_sums)."""
+    bad = [lam for lam in lams if not 1.0 <= lam < math.inf]
+    if bad:
+        raise ValueError(f"lambda must be finite and >= 1, got {bad[0]}")
+    if candidates is None:
+        candidates = np.vstack([mu.atoms[::max(1, mu.n // 512)], np.zeros((1, mu.d))])
+    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    shape = candidates.shape
+    if not (len(shape) == 2 and shape[0] >= 1 and shape[1] == mu.d
+            and np.all(np.isfinite(candidates))):
+        raise ValueError(f"candidates must be finite, of shape (k >= 1, {mu.d}); "
+                         f"got shape {shape}")
+    sums = _kernel_sums(mu, lams, candidates)
+    return [float(np.max(a)) * lam ** mu.d for a, lam in zip(sums, lams)]
 
 
 def mollified_sup(mu, lam, candidates=None):
     """Sup over candidate centers of the lambda-mollified measure.
 
     Evaluates sum_y lambda^d phi(lambda (x - y)) dmu(y) with the heavy-tail
-    polynomial profile; candidates default to a deterministic atom
-    subsample (plus the origin).
+    polynomial profile, per axis on a product of axes of one weight; the
+    candidates default to every (n // 512)-th atom and the origin.
     """
     return _mollified_sups(mu, [lam], candidates)[0]
 

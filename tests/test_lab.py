@@ -684,3 +684,34 @@ class TestGradedSweepMemo:
                                [2.0 ** k for k in range(3, 9)], grid=grid,
                                family_fn=lambda lam: lab.trig_family(0, 1), npw=6)
         assert sorted(lam for _, lam in seen) == [2.0 ** k for k in range(9)]
+
+    def test_no_family_call_when_the_memo_holds_every_member(self, monkeypatch):
+        # 24 (lambda, level) pairs at 9 effective lambdas: the 15 repeats
+        # called the grid family with no members
+        grid = lab.GradedGrid(2, 4.0, 32, 3)
+        sizes = []
+        family = eng.extension_eval_grid_family
+
+        def recording(curve, lam, axes, fs, *args, **kwargs):
+            sizes.append(len(fs))
+            return family(curve, lam, axes, fs, *args, **kwargs)
+
+        monkeypatch.setattr(eng, "extension_eval_grid_family", recording)
+        lab.scaling_experiment(model_curve(2), math.inf, 8.0, 2.0,
+                               [2.0 ** k for k in range(3, 9)], grid=grid,
+                               family_fn=lambda lam: lab.trig_family(0, 1), npw=6)
+        assert sizes == [1] * 9
+
+    @pytest.mark.parametrize("levels", [0, 3])
+    @pytest.mark.parametrize("family", [[], [("zero", eng.zero_function())]],
+                             ids=["empty", "zero-norm"])
+    def test_non_finite_lambda_rejected_without_members(self, levels, family):
+        # a family with no member of nonzero norm evaluates nothing, and must
+        # still reject the lambda
+        grid = lab.GradedGrid(2, 4.0, 32, levels)
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"lambda must be finite, got {lam}"):
+                lab.family_sup(model_curve(2), lam, family, 2.0, 8.0, grid=grid,
+                               _memo={})
+            with pytest.raises(ValueError, match=f"lambda must be finite, got {lam}"):
+                grid.family_lq(model_curve(2), lam, [], 8.0)

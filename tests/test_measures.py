@@ -503,7 +503,10 @@ def _pow_mollified_sup(mu, lam, cands=None):
     lambda: ms.make_cantor(3, 1 / 3, 3),
     lambda: ms.make_lebesgue(2, (-1.0, 1.0), 16, 2),
     lambda: ms.make_appendix_a(2, 1.5, 0, resolution=32, grading_levels=4),
-], ids=["cantor1", "cantor2", "cantor3", "graded_lebesgue", "appendix_a2"])
+    lambda: ms.make_cantor(2, 1 / 3, 6),
+    lambda: ms.make_lebesgue(2, (-1.0, 1.0), 64),
+], ids=["cantor1", "cantor2", "cantor3", "graded_lebesgue", "appendix_a2", "cantor2_bench",
+        "lebesgue2"])
 def test_mollified_values_match_pow_oracle(make):
     mu = make()
     lams = [2.0 ** k for k in range(2, 8)]
@@ -528,6 +531,50 @@ def test_mollified_tile_edges_match_pow_oracle(n, k):
     np.testing.assert_allclose(vals, [_pow_mollified_sup(mu, lam, cands) for lam in lams],
                                rtol=1e-14, atol=0.0)
     assert [ms.mollified_sup(mu, lam, cands) for lam in lams] == vals
+
+
+def _kernel_values(monkeypatch, mu, lams, cands=None):
+    """The number of kernel values mollified_slope forms per lambda."""
+    sizes = []
+    profile = ms.kernel_profile
+
+    def counting(r2, d):
+        sizes.append(r2.size)
+        return profile(r2, d)
+
+    monkeypatch.setattr(ms, "kernel_profile", counting)
+    ms.mollified_slope(mu, lams, cands)
+    return sum(sizes) / len(lams)
+
+
+def test_product_measure_mollifies_per_axis(monkeypatch):
+    # the bench shape: 873 distinct squared offsets on axis 0 and 406 on
+    # axis 1, against 513 candidates x 4 096 atoms
+    mu = ms.make_cantor(2, 1 / 3, 6)
+    assert _kernel_values(monkeypatch, mu, [16.0, 64.0]) < 513 * mu.n
+
+
+@pytest.mark.parametrize("case", ["product_weights", "off_lattice", "large_output"])
+def test_tiled_mollifier_where_per_axis_forms_more(monkeypatch, case):
+    # Appendix-A atoms are a product, their weights are not one value;
+    # random candidates share no offsets; 300 candidates with 300 distinct
+    # coordinates on each axis need an output table of 90 000 entries
+    rng = np.random.default_rng(5)
+    if case == "product_weights":
+        mu = ms.make_appendix_a(2, 1.5, 0, resolution=32)
+        cands = mu.atoms[::7]
+        k = cands.shape[0]
+    elif case == "off_lattice":
+        mu = ms.make_cantor(2, 1 / 3, 6)
+        cands = rng.uniform(0.0, 1.0, (100, 2))
+        k = 100
+    else:
+        mu = ms.make_lebesgue(2, (-1.0, 1.0), 300)
+        axis = np.unique(mu.atoms[:, 0])
+        cands = np.stack([axis, axis[rng.permutation(300)]], axis=1)
+        k = 300
+    assert ms._tensor_axes(mu.atoms) is not None
+    assert _kernel_values(monkeypatch, mu, [16.0, 64.0], cands) == k * mu.n
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.5])
