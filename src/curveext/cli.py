@@ -1,7 +1,7 @@
 """Batch front-end: every kernel and experiment behind one command.
 
 Subcommands: torsion, region, scaling, sharpness, decompose, multilinear,
-finitetype, measure-audit, bench.  Exit codes: 0 all verdicts pass (or
+finitetype, measure-audit.  Exit codes: 0 all verdicts pass (or
 --report-only), 2 configuration, parse or input error (any ValueError), 3
 numerical certification failure (a failed verdict, quadrature over its
 budget or self-check, or a telescoping residual).  `main` is the one place
@@ -401,32 +401,6 @@ def cmd_measure_audit(args):
                ("floor", report.floor)])
 
 
-def cmd_bench(args):
-    cfg, chash = load_config(args.config)
-    seed = _get(cfg, "experiment", "seed", int)
-    curve = curve_from_config(cfg)
-    lam = _get(cfg, "experiment", "lambda", float)
-    n_targets = _get(cfg, "experiment", "targets", int, 10000)
-    if n_targets < 1:
-        raise ConfigError(f"[experiment] targets must be >= 1, got {n_targets}")
-    workers = tuple(int(w) for w in
-                    _get(cfg, "experiment", "workers", str, "1 2 4").split())
-    out = OutputDir(args.out, force=args.force, config_hash=chash)
-    report = eng.throughput_benchmark(curve, lam, n_targets, workers,
-                                      seed=seed)
-    # wall-clock numbers are not deterministic, so they live in the
-    # sidecar log; the result files carry only reproducible fields
-    base = report.seconds[min(report.seconds)]
-    best = min(report.seconds.values())
-    for w, s in sorted(report.seconds.items()):
-        out.log(f"bench workers={w} seconds={s:.3f}")
-    out.log(f"bench speedup={base / best if best > 0 else 1.0:.3f}")
-    return out.report(
-        "bench", [], ("workers",), [(w,) for w in sorted(report.seconds)],
-        [("lambda", lam), ("targets", n_targets), ("nodes", report.n_nodes),
-         ("checksum", report.checksum)])
-
-
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
@@ -459,7 +433,7 @@ def build_parser():
             ("scaling", cmd_scaling), ("sharpness", cmd_sharpness),
             ("decompose", cmd_decompose), ("multilinear", cmd_multilinear),
             ("finitetype", cmd_finitetype),
-            ("measure-audit", cmd_measure_audit), ("bench", cmd_bench)):
+            ("measure-audit", cmd_measure_audit)):
         sp = sub.add_parser(name, parents=[common])
         sp.add_argument("config")
         sp.set_defaults(func=func)

@@ -6,17 +6,18 @@ max_I |T f_I(x)|, plus a factor times the d-th root of the best product of
 d pairwise-separated deepest-level terms.  The right-hand side has this
 same form at every target; no branch is chosen per target.  Intervals of
 one level are its length apart exactly when their indices differ by 2 or
-more; the verifier rechecks that on exact rational endpoints.  The
+more; the verifier rechecks that on exact integer index gaps.  The
 interval tables come from one pass, and their telescoping check compares
-two different quadrature rules (see interval_values).
+two different quadrature rules (see interval_values); one tuple search
+serves every target of a batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -40,15 +41,6 @@ class DyadicInterval:
 
     def __str__(self):
         return f"[{self.lo},{self.hi}]"
-
-
-def pairwise_separation(intervals):
-    """Exact minimum pairwise distance of closed intervals."""
-    best = None
-    for a, b in combinations(intervals, 2):
-        dist = a.distance(b)
-        best = dist if best is None else min(best, dist)
-    return best
 
 
 @dataclass(frozen=True)
@@ -125,29 +117,34 @@ def interval_values(f, family, curve, lam, targets, workers=1):
     return dict(sorted(tables.items())), full
 
 
-def best_separated_tuple(values, size):
-    """Max product over `size`-tuples of indices pairwise >= 2 apart.
+def best_separated_tuple(table, size):
+    """Per column of `table` (intervals x targets), the max product over
+    `size`-tuples of row indices pairwise >= 2 apart.
 
-    Exact dynamic program, one array pass per size: best[s][i] (s indices
-    below i) is the running max from 0 of best[s - 1][max(i - 2, 0)] *
-    values[i - 1], products formed left to right as np.prod forms them.
-    Walking back, each size's first i reaching its best gives index i - 1:
-    among equal products the lexicographically smallest tuple, since the
-    best tuple below i only grows with i.  (None, 0.0) if none is positive.
+    Exact dynamic program, one array pass per size over every column:
+    best[s][i] (s indices below i) is the running max from 0 of
+    best[s - 1][max(i - 2, 0)] * table[i - 1], products formed left to right
+    as np.prod forms them.  Walking back, each size's first i reaching its
+    best gives index i - 1: among equal products the lexicographically
+    smallest tuple, since the best tuple below i only grows with i.  One
+    (tuple, product) per column, as Python ints and floats; (None, 0.0)
+    where none is positive.
     """
-    vals = np.asarray(values, dtype=float)
-    bests = [np.ones(vals.size + 1)]  # size 0: the empty tuple, product 1
+    vals = np.asarray(table, dtype=float)
+    n, m = vals.shape
+    bests = [np.ones((n + 1, m))]  # size 0: the empty tuple, product 1
     for _ in range(size):
-        c = bests[-1][np.maximum(np.arange(vals.size) - 1, 0)] * vals
-        bests.append(np.maximum.accumulate(np.concatenate(([0.0], c))))
-    if not bests[-1][-1] > 0.0:
-        return None, 0.0
-    tup, i = [], vals.size
+        c = bests[-1][np.maximum(np.arange(n) - 1, 0)] * vals
+        bests.append(np.maximum.accumulate(np.vstack((np.zeros((1, m)), c))))
+    tup, i = [], np.full(m, n)
     for best in bests[:0:-1]:
-        i = int(np.searchsorted(best[: i + 1], best[i]))
+        # columns are nondecreasing: the first row reaching best[i] is the
+        # number of rows below it
+        i = np.sum(best < best[i, np.arange(m)], axis=0)
         tup.append(i - 1)
-        i = max(i - 2, 0)
-    return tuple(tup[::-1]), float(bests[-1][-1])
+        i = np.maximum(i - 2, 0)
+    return [(tuple(t[::-1]), p) if p > 0.0 else (None, 0.0)
+            for t, p in zip(np.reshape(tup, (size, m)).T.tolist(), bests[-1][-1].tolist())]
 
 
 @dataclass(frozen=True)
@@ -186,6 +183,7 @@ class DecompositionCertificate:
         return "\n".join(segs) + "\n"
 
 
+@functools.lru_cache(maxsize=32)  # a few families per process
 def certificate_factors(family, d):
     """The per-level constants of the asserted inequality, as printed."""
     c = certificate_constant(d)
@@ -198,46 +196,37 @@ def certificate_factors(family, d):
     return tuple(factors)
 
 
-def _rhs_value(single_terms, tuple_term, factors, d):
+def _rhs_value(single_terms, tuple_root, factors):
+    """Constants times terms, summed in level order; the same operations on
+    floats and, elementwise, on arrays of them."""
     rhs = 0.0
     for fac, term in zip(factors[:-1], single_terms):
         rhs += fac * term
-    rhs += factors[-1] * tuple_term ** (1.0 / d)
-    return rhs
+    return rhs + factors[-1] * tuple_root
 
 
 def decompose_batch(f, family, curve, lam, targets, workers=1):
-    """Certificates for each target, sharing one interval-value table."""
+    """Certificates for each target from one interval-value table, one tuple
+    search and array passes for the terms and the inequality."""
     d = curve.d
     if family.depth != d - 1:
         raise ValueError("family depth must be d - 1")
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
     tables, full = interval_values(f, family, curve, lam, targets,
                                    workers=workers)
-    abs_tables = {lv: np.abs(t) for lv, t in tables.items()}
     factors = certificate_factors(family, d)
-    certs = []
-    for col in range(full.shape[0]):
-        lhs = float(np.abs(full[col]))
-        single_terms = tuple(
-            float(np.max(abs_tables[lv][:, col]))
-            for lv in range(1, family.depth + 1)
-        )
-        tup, tup_val = best_separated_tuple(abs_tables[family.depth][:, col], d)
-        rhs = _rhs_value(single_terms, tup_val, factors, d)
-        vacuous = lhs == 0.0
-        certs.append(DecompositionCertificate(
-            lam=lam,
-            target=tuple(float(v) for v in np.atleast_2d(targets)[col]),
-            lhs=lhs,
-            single_terms=single_terms,
-            tuple_term=tup_val,
-            tuple_indices=tup or (),
-            constants=factors,
-            rhs=rhs,
-            verified=(vacuous or lhs <= rhs),
-            vacuous=vacuous,
-        ))
-    return certs
+    lhs = np.abs(full)
+    singles = [np.max(np.abs(t), axis=0) for t in tables.values()]
+    tuples = best_separated_tuple(np.abs(tables[family.depth]), d)
+    # the d-th root on Python floats, as the verifier takes it
+    rhs = _rhs_value(singles, np.array([p ** (1.0 / d) for _, p in tuples]), factors)
+    vacuous = lhs == 0.0
+    rows = zip(targets.tolist(), lhs.tolist(), np.transpose(singles).tolist(), tuples,
+               rhs.tolist(), (vacuous | (lhs <= rhs)).tolist(), vacuous.tolist())
+    return [DecompositionCertificate(
+        lam=lam, target=tuple(x), lhs=lh, single_terms=tuple(st), tuple_term=p,
+        tuple_indices=tup or (), constants=factors, rhs=r, verified=ok, vacuous=vac)
+        for x, lh, st, (tup, p), r, ok, vac in rows]
 
 
 def decompose(f, family, curve, lam, x):
@@ -249,28 +238,31 @@ def verify_certificate(cert, family, d):
 
     Returns (ok, slack).  Constants must equal the canonical factors for
     this family (a tampered or halved constant fails provenance even when
-    the loose inequality would still hold), and the recorded rhs, verified
-    and vacuous must equal what the recorded terms and the canonical
-    constants give.  The measured values (lhs and the single and tuple
-    terms) are trusted: only re-evaluating T f could check them.  slack is
-    rhs/lhs, infinite for the vacuous zero-function case.
+    the loose inequality would still hold).  The measured values (lhs, the
+    d - 1 single terms and the tuple term) must be >= 0, and a tuple must
+    name d deepest-level intervals by int index, pairwise separated: two
+    intervals of one level are its length apart exactly when their indices
+    differ by 2 or more, so separation is rechecked on exact integer index
+    gaps.  The recorded rhs, verified and vacuous must equal what the
+    recorded terms and the canonical constants give.  Beyond that the
+    measured values are trusted: only re-evaluating T f could check them.
+    slack is rhs/lhs, infinite for the vacuous zero-function case.
     """
     canonical = certificate_factors(family, d)
-    if len(cert.constants) != len(canonical):
+    if len(cert.constants) != len(canonical) or not all(
+            math.isclose(got, want, rel_tol=1e-12)
+            for got, want in zip(cert.constants, canonical)):
         return False, 0.0
-    for got, want in zip(cert.constants, canonical):
-        if not math.isclose(got, want, rel_tol=1e-12):
-            return False, 0.0
+    if len(cert.single_terms) != d - 1 or not all(
+            v >= 0.0 for v in (cert.lhs, cert.tuple_term, *cert.single_terms)):
+        return False, 0.0
     if cert.tuple_indices or cert.tuple_term > 0:
-        # d deepest-level intervals, separation rechecked in exact
-        # rational arithmetic
-        a = family.lengths[-1]
-        ivs = [DyadicInterval(i * a, (i + 1) * a)
-               for i in cert.tuple_indices if 0 <= i < 1 / a]
-        if (len(ivs) != d or len(cert.tuple_indices) != d
-                or pairwise_separation(ivs) < a):
+        idx = sorted(i for i in cert.tuple_indices if type(i) is int)  # no bool
+        n = family.lengths[-1].denominator  # the length is 1/n
+        if (len(idx) != d or len(cert.tuple_indices) != d or idx[0] < 0
+                or idx[-1] >= n or any(j - i < 2 for i, j in zip(idx, idx[1:]))):
             return False, 0.0
-    rhs = _rhs_value(cert.single_terms, cert.tuple_term, canonical, d)
+    rhs = _rhs_value(cert.single_terms, cert.tuple_term ** (1.0 / d), canonical)
     vacuous = cert.lhs == 0.0
     if (cert.rhs != rhs or cert.vacuous != vacuous
             or cert.verified != (vacuous or cert.lhs <= rhs)):
@@ -278,4 +270,3 @@ def verify_certificate(cert, family, d):
     if vacuous:
         return True, math.inf
     return cert.lhs <= rhs, rhs / cert.lhs
-

@@ -215,16 +215,43 @@ def _graded_cuts(lo, hi, grade_points):
 @dataclass(frozen=True)
 class QuadratureRule:
     """Panelized nodes/weights for support intervals and an oscillation
-    budget; the first counts[0] nodes are piece 0's, the next piece 1's..."""
+    budget; the first counts[0] nodes are piece 0's, the next piece 1's...
+    panels holds the left and the right ends of the panels, in node order."""
 
     nodes: np.ndarray
     weights: np.ndarray
     omega: float
     counts: np.ndarray
+    panels: tuple
 
     @property
     def n(self):
         return self.nodes.size
+
+
+def _budget(nodes, omega):
+    if nodes > MAX_NODES:
+        raise QuadratureBudgetError(f"rule at omega={omega:.3e} needs {nodes} nodes, "
+                                    f"over MAX_NODES={MAX_NODES}")
+
+
+def _panel_rule(left, right, omega, counts, split):
+    """The rule on the panels [left_k, right_k], each cut in `split` equal
+    panels: the one split, for build_rules and for the self-check's finer
+    rule cut from a coarse rule's panels (_split_rule)."""
+    if split > 1:
+        left = left[:, None] + (right - left)[:, None] * (np.arange(split) / split)
+        right = np.concatenate((left[:, 1:], right[:, None]), axis=1).ravel()
+        left = left.ravel()
+    ts, ws = _panel_nodes(left, right)
+    return QuadratureRule(ts, ws, omega, counts * split, (left, right))
+
+
+def _split_rule(rule, split):
+    """`rule` with every panel cut in `split`: build_rules(..., split) of its
+    pieces, byte for byte, without their per-piece pass."""
+    _budget(int(rule.counts.max(initial=0)) * split, rule.omega)
+    return _panel_rule(*rule.panels, rule.omega, rule.counts, split)
 
 
 def build_rules(pieces, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
@@ -255,17 +282,13 @@ def build_rules(pieces, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
         base = (2.0 * math.pi / max(omega_tot, 1e-9)) * PANEL_ORDER / nodes_per_wavelength
         base = min(base, f.hi - f.lo)
         # the uniform panels alone, before any array is built; grading only adds
-        nodes = math.ceil((f.hi - f.lo) / base) * split * PANEL_ORDER
-        if nodes > MAX_NODES:
-            raise QuadratureBudgetError(
-                f"rule at omega={omega_tot:.3e} needs {nodes} nodes, "
-                f"over MAX_NODES={MAX_NODES}")
+        _budget(math.ceil((f.hi - f.lo) / base) * split * PANEL_ORDER, omega_tot)
         cuts = (_graded_cuts(f.lo, f.hi, grade_points[k])
                 if grade_points and grade_points[k] else (f.lo, f.hi))
         # each segment in equal panels at most base wide
         panels = [max(1, math.ceil((b - a) / base)) for a, b in zip(cuts[:-1], cuts[1:])]
         segs += zip(cuts[:-1], cuts[1:], panels)
-        counts.append(sum(panels) * split * PANEL_ORDER)
+        counts.append(sum(panels) * PANEL_ORDER)
         omega_max = max(omega_max, omega_tot)
     a, b, n = np.array(segs, dtype=float).reshape(-1, 3).T
     n = n.astype(int)
@@ -274,12 +297,7 @@ def build_rules(pieces, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
     left = (np.arange(n.sum()) - (ends - n).repeat(n)) * ((b - a) / n).repeat(n) + a.repeat(n)
     right = np.append(left[1:], b[-1:])
     right[ends - 1] = b
-    if split > 1:
-        left = left[:, None] + (right - left)[:, None] * (np.arange(split) / split)
-        right = np.concatenate((left[:, 1:], right[:, None]), axis=1).ravel()
-        left = left.ravel()
-    ts, ws = _panel_nodes(left, right)
-    return QuadratureRule(ts, ws, omega_max, np.array(counts, dtype=int))
+    return _panel_rule(left, right, omega_max, np.array(counts, dtype=int), split)
 
 
 def build_rule(f, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
@@ -342,10 +360,12 @@ def _amplitudes(fs, nodes, weights, aw, part):
     return out
 
 
-def _setup(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1):
-    """_rule, its nodes' curve points (d, n), and amplitude(f), the
-    _amplitude of any f over its nodes."""
-    rule = _rule(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split)
+def _setup(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1, coarse=None):
+    """_rule (or, given the coarse rule _rule made, that rule split), its
+    nodes' curve points (d, n), and amplitude(f), the _amplitude of any f
+    over its nodes."""
+    rule = (_rule(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split)
+            if coarse is None else _split_rule(coarse, split))
     aw = None if alpha is None else affine_weight(curve, alpha, rule.nodes)
     return rule, curve.point(rule.nodes).T.copy(), partial(
         _amplitude, nodes=rule.nodes, weights=rule.weights, aw=aw)
@@ -368,12 +388,16 @@ def _chunks(counts, cap):
 
 def _scatter(targets, gamma_nodes, amp, counts, lam, workers=1):
     """T at every target on each piece's nodes (counts[k] of them, in
-    order): shape (len(counts), m).  Per target block and node chunk, one
-    exp of the phase sum_k x_k gamma_k and np.add.reduceat per piece; a
-    piece's chunks add up by compensated addition, so no piece's value
-    depends on another piece or on the worker count."""
+    order): shape (len(counts), m).  Per target block and node chunk (one
+    job), one exp of the phase sum_k x_k gamma_k and np.add.reduceat per
+    piece; a piece's chunks add up by compensated addition, so no piece's
+    value depends on another piece, on the worker count or on m."""
     m = targets.shape[0]
+    # few targets take up to NODE_CHUNK nodes of whole pieces per job (a
+    # one-target self-check is one job); a piece over NODE_CHUNK nodes is
+    # still cut at the NODE_CHUNK boundaries, so no piece's sum changes
     cap = min(max(max(counts, default=0), SCATTER_CHUNK), NODE_CHUNK)
+    cap = max(cap, NODE_CHUNK // max(min(m, TARGET_BLOCK), 1))
     jobs = [(i, c) for i in range(0, m, TARGET_BLOCK) for c in _chunks(counts.tolist(), cap)]
 
     def run(job):
@@ -404,7 +428,8 @@ def _self_check(setup, f, lam, points, got):
     """Recompute `got` (pieces x points) with every panel split in two,
     through the scattered kernel.
 
-    `setup(split=...)` rebuilds the rule that gave `got`; disagreement
+    `setup(split=2)` gives the rule that gave `got` with every panel split
+    (cut from its panels when setup holds it as `coarse`); disagreement
     beyond the absolute tolerance raises QuadratureBudgetError.
     """
     fine, gamma_nodes, amplitude = setup(split=2)
@@ -444,6 +469,7 @@ def extension_eval_pieces(curve, lam, targets, f, pieces, alpha=None, workers=1,
     if axes is None:
         rule, gamma_nodes, amplitude = setup()
         values = _scatter(targets, gamma_nodes, amplitude(f), rule.counts, lam, workers)
+        setup = partial(setup, coarse=rule)  # the self-check cuts its panels
     else:  # the family yields in chunk order, so rows are placed by index
         values = np.empty((len(pieces), targets.shape[0]), dtype=complex)
         for j, grid in extension_eval_grid_family(curve, lam, axes, pieces, alpha,
@@ -744,38 +770,3 @@ def multilinear_l2(curve, fs, lam, box_r=20.0,
         raise QuadratureBudgetError(f"box mass {total:.9e} exceeds the sum-map mass {mass:.9e}")
     return MultilinearResult(math.sqrt(mass), bound, sep, box_r, step, 1.0 - total / mass)
 
-
-# ---------------------------------------------------------------------------
-# throughput benchmark
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    n_nodes: int
-    seconds: dict
-    checksum: str
-
-
-def throughput_benchmark(curve, lam, n_targets, worker_counts=(1, 2, 4), seed=0):
-    """Timed batch evaluation; checksum must match across worker counts."""
-    import hashlib
-    import time
-
-    rng = np.random.default_rng(seed)
-    targets = rng.uniform(-1.0, 1.0, size=(n_targets, curve.d))
-    f = indicator(0.0, 1.0)
-    xmax = float(np.max(np.linalg.norm(targets, axis=1)))
-    n_nodes = _rule(curve, [f], lam, xmax, None, NODES_PER_WAVELENGTH).n
-    seconds = {}
-    checksum = None
-    for w in worker_counts:
-        t0 = time.perf_counter()
-        vals = extension_eval(curve, lam, targets, f, workers=w, self_check=False)
-        seconds[w] = time.perf_counter() - t0
-        digest = hashlib.sha256(vals.tobytes()).hexdigest()
-        if checksum is None:
-            checksum = digest
-        elif digest != checksum:
-            raise AssertionError("checksum mismatch across worker counts")
-    return BenchReport(n_nodes, seconds, checksum)

@@ -440,25 +440,6 @@ seed = 0
         np.testing.assert_array_equal(
             [float(c) for c in fields["worst_center"].split()], report.worst_center)
 
-    def test_bench_runs(self, tmp_path):
-        cfg = write_config(tmp_path, """
-[curve]
-kind = model
-d = 2
-
-[experiment]
-lambda = 64
-targets = 400
-workers = 1 2
-seed = 5
-""")
-        rc = cli.main(["bench", cfg, "--out", str(tmp_path / "o")])
-        assert rc == 0
-        verdict = (tmp_path / "o" / "bench_verdict.txt").read_text()
-        assert "checksum" in verdict and "verdict = PASS" in verdict
-        log = (tmp_path / "o" / "run.log").read_text()
-        assert "speedup" in log
-
 
 # ---------------------------------------------------------------------------
 # the error boundary: every rejected input is exit 2, every failed
@@ -475,6 +456,8 @@ lambda_max_exp = 7
 box_r = {box_r}
 """
 AUDIT = "[measure]\n{measure}\n\n[experiment]\nseed = 0\n"
+# `bench` is no subcommand since its timing harness went (the benchmark
+# lives in bench/): with any config, flag or key it exits 2 without output
 BENCH = MODEL_D2 + "[experiment]\nlambda = 64\ntargets = {targets}\nworkers = 1 2\nseed = 5\n"
 GRADED = TestMeasureMismatch.BODY.format(measure=TestExponentKeys.MEASURE)
 
@@ -647,8 +630,6 @@ class TestInputGates:
         pytest.param("decompose", DECOMPOSE.format(lam=32, degree=4).replace(
             "targets = 2", "targets = 0"), "[experiment] targets must be >= 1, got 0",
                      id="decompose-targets-0"),
-        pytest.param("bench", BENCH.format(targets=-1),
-                     "[experiment] targets must be >= 1, got -1", id="bench-targets-minus-1"),
         # the Knapp rectangles were empty at every lambda
         *[pytest.param("sharpness", GRADED.replace("fit_blocks = 2", f"fit_blocks = 2\nc = {c}"),
                        f"c must be finite and > 0, got {c}", id=f"sharpness-c-{c}")
@@ -692,12 +673,12 @@ class TestConfigIsTheRun:
         *[(command, "--workers") for command in COMMANDS if command != "decompose"]])
     def test_flag_rejected_without_output(self, tmp_path, command, flag):
         # each used to be accepted: --seed changed results under the same
-        # hash, and --workers was ignored everywhere but decompose and bench
+        # hash, and --workers was ignored everywhere but decompose
         argv, _ = _smallest_run(tmp_path, command)
         assert cli.main(argv + [flag, "2", "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "bench"])
     def test_result_files(self, tmp_path, command):
         argv, source = _smallest_run(tmp_path, command)
         out = tmp_path / "o"

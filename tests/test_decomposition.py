@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -148,22 +149,31 @@ def _tuple_oracle(values, size):
     return best_tuple, best
 
 
-def _tuple_draws(rng):
-    return {
-        "random": lambda n: rng.uniform(0, 1, n),
-        "ties": lambda n: rng.integers(0, 4, n).astype(float),
-        "half_zero": lambda n: rng.uniform(0, 1, n) * (rng.uniform(size=n) < 0.5),
-        "constant": lambda n: np.full(n, rng.uniform(0, 2)),
+def _tuple_table(rng, n):
+    """A table of n intervals with one column per kind of draw (random,
+    ties, half zero, constant) and a zero column: (kinds, table)."""
+    cols = {
+        "random": rng.uniform(0, 1, n),
+        "ties": rng.integers(0, 4, n).astype(float),
+        "half_zero": rng.uniform(0, 1, n) * (rng.uniform(size=n) < 0.5),
+        "constant": np.full(n, rng.uniform(0, 2)),
+        "zero": np.zeros(n),
     }
+    return list(cols), np.column_stack(list(cols.values()))
 
 
 def test_best_separated_tuple_matches_brute_force():
-    for kind, draw in _tuple_draws(np.random.default_rng(4)).items():
-        for size in (2, 3):
-            for n in range(1, 41):
-                values = draw(n)
-                got = dc.best_separated_tuple(values, size)
-                assert got == _tuple_oracle(values, size), (kind, size, n)
+    # each column of one table as the oracle finds it for that column
+    # alone, and as the search finds it in a table of that column only
+    rng = np.random.default_rng(4)
+    for size in (2, 3):
+        for n in range(1, 41):
+            kinds, table = _tuple_table(rng, n)
+            got = dc.best_separated_tuple(table, size)
+            assert len(got) == len(kinds)
+            for c, kind in enumerate(kinds):
+                assert got[c] == _tuple_oracle(table[:, c], size), (kind, size, n)
+                assert [got[c]] == dc.best_separated_tuple(table[:, [c]], size)
 
 
 def _tuple_dp(values, size):
@@ -186,18 +196,18 @@ def _tuple_dp(values, size):
 
 
 def test_best_separated_tuple_matches_index_dp():
-    # bit-equal products and the same tuple, up to the 256 finest
-    # intervals of the default d = 3 family, ties and zeros included
+    # bit-equal products and the same tuple per column, up to the 256
+    # finest intervals of the default d = 3 family, ties and zeros included
     sizes_n = list(range(0, 41)) + [63, 64, 100, 127, 128, 200, 255, 256]
-    for kind, draw in _tuple_draws(np.random.default_rng(9)).items():
-        for size in (2, 3):
-            for n in sizes_n:
-                values = draw(n)
-                got = dc.best_separated_tuple(values, size)
-                want = _tuple_dp(values, size)
-                assert got == want, (kind, size, n)
+    rng = np.random.default_rng(9)
+    for size in (2, 3):
+        for n in sizes_n:
+            kinds, table = _tuple_table(rng, n)
+            for kind, got, col in zip(kinds, dc.best_separated_tuple(table, size), table.T):
+                assert got == _tuple_dp(col, size), (kind, size, n)
                 assert got[0] is None or all(type(i) is int for i in got[0])
                 assert type(got[1]) is float
+        assert dc.best_separated_tuple(np.zeros((n, 0)), size) == []
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +326,51 @@ def test_verify_rechecks_derived_fields(change):
     assert dc.verify_certificate(cert, fam, 2)[0]
     ok, _ = dc.verify_certificate(replace(cert, **change), fam, 2)
     assert not ok
+
+
+def test_decompose_batch_runs_one_tuple_search(monkeypatch):
+    calls = []
+    search = dc.best_separated_tuple
+
+    def counting(table, size):
+        calls.append(np.shape(table))
+        return search(table, size)
+
+    monkeypatch.setattr(dc, "best_separated_tuple", counting)
+    xs = np.random.default_rng(3).uniform(-2, 2, size=(40, 3))
+    certs = dc.decompose_batch(eng.trig_poly(36, degree=12), dc.DyadicFamily.default(3),
+                               model_curve(3), 32.0, xs)
+    assert len(certs) == 40 and calls == [(256, 40)]
+
+
+def _with_rhs(cert, d, **change):
+    """cert with `change` and the rhs, verified and vacuous it implies,
+    summed as the certificate text is rechecked."""
+    cert = replace(cert, **change)
+    rhs = 0.0
+    for fac, term in zip(cert.constants[:-1], cert.single_terms):
+        rhs += fac * term
+    rhs += cert.constants[-1] * cert.tuple_term ** (1.0 / d)
+    vacuous = cert.lhs == 0.0
+    return replace(cert, rhs=rhs, vacuous=vacuous, verified=vacuous or cert.lhs <= rhs)
+
+
+@pytest.mark.parametrize("change", [
+    dict(tuple_indices=(7, 15.5)), dict(tuple_indices=(7.5, 15)),
+    dict(tuple_indices=(True, 3)), dict(tuple_indices=(0, 15.9)),
+    dict(tuple_indices=(np.int64(7), 15)), dict(lhs=-1.0), dict(single_terms=(-5.0,)),
+    dict(single_terms=(1.0, 2.0)),
+], ids=["float-index", "float-first-index", "bool-index", "index-15.9", "numpy-index",
+        "negative-lhs", "negative-term", "extra-term"])
+def test_verify_rejects_unnamed_interval_or_negative_term(change):
+    # each of these verified: a tuple index that names no interval (to_text
+    # raised TypeError on 15.5), and negative terms with rhs made to match
+    fam = dc.DyadicFamily.default(2)
+    cert = dc.decompose(eng.trig_poly(33, degree=24), fam, model_curve(2), 128.0,
+                        [1.5, -0.5])
+    assert cert.tuple_indices == (7, 15) and dc.verify_certificate(cert, fam, 2)[0]
+    assert dc.verify_certificate(_with_rhs(cert, 2), fam, 2) == dc.verify_certificate(cert, fam, 2)
+    assert dc.verify_certificate(_with_rhs(cert, 2, **change), fam, 2) == (False, 0.0)
 
 
 def test_total_constant_monotone_in_scale():

@@ -217,6 +217,44 @@ def test_build_rules_equals_per_piece_rules(split, graded):
         assert rule.weights[end - one.n : end].tobytes() == one.weights.tobytes()
 
 
+@pytest.mark.parametrize("split", [2, 3])
+@pytest.mark.parametrize("graded", [False, True])
+def test_split_rule_equals_built_split_rule(split, graded):
+    # cutting a coarse rule's panels gives build_rules(..., split) byte for
+    # byte: graded pieces, pieces of many panels, empty ones
+    curve = CurveSpec(d=2, coeffs=((0, 1), (0, 0, -0.45, 0, 0.5)))
+    root = curve.torsion_roots[-1]
+    rng = np.random.default_rng(7)
+    pieces = [eng.indicator(0.0, 1.0), eng.zero_function(), eng.bump(root, 1.0),
+              eng.trig_poly(3, 12), eng.restrict(eng.trig_poly(4, 6), 0.1, root)]
+    for k in range(40):
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
+        pieces.append((eng.indicator(lo, hi), eng.restrict(eng.trig_poly(k, 6), lo, hi))[k % 2])
+    grade = [eng.weight_zeros(curve, p.lo, p.hi) if graded else () for p in pieces]
+    coarse = eng.build_rules(pieces, 400.0, 6.0, grade)
+    assert max(coarse.counts) > 8 * eng.PANEL_ORDER and (not graded or any(grade))
+    cut = eng._split_rule(coarse, split)
+    built = eng.build_rules(pieces, 400.0, 6.0, grade, split)
+    assert cut.nodes.tobytes() == built.nodes.tobytes()
+    assert cut.weights.tobytes() == built.weights.tobytes()
+    assert cut.counts.tolist() == built.counts.tolist() and cut.omega == built.omega
+    for got, want in zip(cut.panels, built.panels):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_split_rule_keeps_the_node_budget(monkeypatch):
+    # the self-check's finer rule is held to MAX_NODES as a built one is
+    f = eng.indicator(0.1, 0.9)
+    x = np.array([[1.0, 1.0]])
+    n = eng._rule(model_curve(2), [f], 64.0, math.sqrt(2.0), None,
+                  eng.NODES_PER_WAVELENGTH).n
+    monkeypatch.setattr(eng, "MAX_NODES", 2 * n)
+    eng.extension_eval(model_curve(2), 64.0, x, f)
+    monkeypatch.setattr(eng, "MAX_NODES", 2 * n - 1)
+    with pytest.raises(eng.QuadratureBudgetError, match=f"needs {2 * n} nodes"):
+        eng.extension_eval(model_curve(2), 64.0, x, f)
+
+
 def test_torsion_poly_matches_pointwise():
     g = CurveSpec(d=3, coeffs=((0, 1, 0.3), (0, 0.2, 0.5, 0.1), (0, 0, 0.1, 0.4)))
     coeffs = torsion_poly(g)
@@ -431,14 +469,16 @@ def test_grid_self_check_covers_the_mirrored_corner(monkeypatch):
     (monomial_model((2, 3)), eng.indicator(0.0, 0.5), 2.0),
 ])
 def test_self_check_rule_splits_every_panel(monkeypatch, grid, curve, f, alpha):
+    # every rule is placed by _panel_rule: the coarse one by build_rules,
+    # the finer one by build_rules (grid) or cut from the coarse panels
     built = []
-    build_rules = eng.build_rules
+    panel_rule = eng._panel_rule
 
     def recording(*args, **kwargs):
-        built.append(build_rules(*args, **kwargs))
+        built.append(panel_rule(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(eng, "build_rules", recording)
+    monkeypatch.setattr(eng, "_panel_rule", recording)
     x = 10.0 / curve.velocity_sup()
     if grid:
         eng.extension_eval_grid(curve, 1.0, [np.array([x]), np.array([0.0])], f,
@@ -573,6 +613,27 @@ def test_scattered_pieces_rows_equal_single_evaluations(workers):
     for row, piece in zip(rows, pieces):
         one = eng.extension_eval(curve, lam, targets, piece, self_check=False)
         assert row.tobytes() == one.tobytes()
+
+
+def test_one_target_runs_as_one_scatter_job(monkeypatch):
+    # a one-target evaluation of 256 pieces and its self-check take every
+    # piece in one node chunk: one phase pass each, not one per few pieces
+    chunked = []
+    chunks = eng._chunks
+
+    def recording(counts, cap):
+        chunked.append((sum(counts), chunks(counts, cap)))
+        return chunked[-1][1]
+
+    monkeypatch.setattr(eng, "_chunks", recording)
+    f = eng.trig_poly(300, degree=24)
+    pieces = [eng.restrict(f, k / 256, (k + 1) / 256) for k in range(256)]
+    rows = eng.extension_eval_pieces(model_curve(3), 128.0, np.array([[0.5, -0.5, 1.0]]),
+                                     f, pieces)
+    assert rows.shape == (256, 1)
+    main, check = chunked
+    assert check[0] == 2 * main[0] <= eng.NODE_CHUNK
+    assert len(main[1]) == len(check[1]) == 1
 
 
 def test_pieces_peak_not_above_whole_support():
@@ -1052,15 +1113,3 @@ def test_multilinear_lambda_decay():
     r2 = eng.multilinear_l2(g, fs, 64.0, box_r=40.0)
     # lhs decays by roughly 2^{-d/2} per lambda doubling
     assert r2.lhs < r1.lhs
-
-
-# ---------------------------------------------------------------------------
-# benchmark plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_benchmark_report_runs_small():
-    g = model_curve(2)
-    rep = eng.throughput_benchmark(g, 64.0, 300, worker_counts=(1, 2))
-    assert rep.checksum
-    assert set(rep.seconds) == {1, 2}
