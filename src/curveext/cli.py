@@ -296,6 +296,8 @@ def cmd_sharpness(args):
 
 
 def cmd_decompose(args):
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg, chash = load_config(args.config)
     seed = _get(cfg, "experiment", "seed", int)
     curve = curve_from_config(cfg)

@@ -166,13 +166,13 @@ class DecompositionCertificate:
     vacuous: bool
 
     def to_text(self, family):
+        a = family.lengths[-1]  # the tuple's intervals are [i a, (i + 1) a]
         segs = [
             f"lambda = {self.lam!r}",
             "target = " + " ".join(repr(v) for v in self.target),
             f"lhs = {self.lhs!r}",
-            "tuple = " + ",".join(
-                str(family.intervals(family.depth)[i])
-                for i in self.tuple_indices),
+            "tuple = " + ",".join(str(DyadicInterval(i * a, (i + 1) * a))
+                                  for i in self.tuple_indices),
             "single_terms = " + " ".join(repr(v) for v in self.single_terms),
             f"tuple_term = {self.tuple_term!r}",
             "constants = " + " ".join(repr(c) for c in self.constants),

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -235,35 +234,29 @@ def _budget(nodes, omega):
                                     f"over MAX_NODES={MAX_NODES}")
 
 
-def _panel_rule(left, right, omega, counts, split):
-    """The rule on the panels [left_k, right_k], each cut in `split` equal
-    panels: the one split, for build_rules and for the self-check's finer
-    rule cut from a coarse rule's panels (_split_rule)."""
-    if split > 1:
-        left = left[:, None] + (right - left)[:, None] * (np.arange(split) / split)
-        right = np.concatenate((left[:, 1:], right[:, None]), axis=1).ravel()
-        left = left.ravel()
+def _panel_rule(left, right, omega, counts):
+    """The rule on the panels [left_k, right_k], in order."""
     ts, ws = _panel_nodes(left, right)
-    return QuadratureRule(ts, ws, omega, counts * split, (left, right))
+    return QuadratureRule(ts, ws, omega, counts, (left, right))
 
 
 def _split_rule(rule, split):
-    """`rule` with every panel cut in `split`: build_rules(..., split) of its
-    pieces, byte for byte, without their per-piece pass."""
+    """`rule` with every panel cut in `split` equal panels: the self-check's
+    finer rule, distinct from `rule` even on a support inside one panel."""
     _budget(int(rule.counts.max(initial=0)) * split, rule.omega)
-    return _panel_rule(*rule.panels, rule.omega, rule.counts, split)
+    left, right = rule.panels
+    left = left[:, None] + (right - left)[:, None] * (np.arange(split) / split)
+    right = np.concatenate((left[:, 1:], right[:, None]), axis=1).ravel()
+    return _panel_rule(left.ravel(), right, rule.omega, rule.counts * split)
 
 
 def build_rules(pieces, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
-                grade_points=None, split=1):
+                grade_points=None):
     """One rule holding each piece's own rule, in piece order.
 
     Panel width keeps wavelengths-per-panel at PANEL_ORDER /
     nodes_per_wavelength; grade points (one tuple per piece) get
-    geometrically refined panels (weight singularities).  `split` > 1 then
-    halves (thirds, ...) every panel, graded ones included: the
-    self-check's finer rule, which must differ from the coarse one even
-    when the support is narrower than one panel.  Python lists each
+    geometrically refined panels (weight singularities).  Python lists each
     piece's segments; one numpy pass places all nodes.  omega is the
     largest piece's; omega must be finite and >= 0, nodes_per_wavelength
     finite and > 0.
@@ -282,7 +275,7 @@ def build_rules(pieces, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
         base = (2.0 * math.pi / max(omega_tot, 1e-9)) * PANEL_ORDER / nodes_per_wavelength
         base = min(base, f.hi - f.lo)
         # the uniform panels alone, before any array is built; grading only adds
-        _budget(math.ceil((f.hi - f.lo) / base) * split * PANEL_ORDER, omega_tot)
+        _budget(math.ceil((f.hi - f.lo) / base) * PANEL_ORDER, omega_tot)
         cuts = (_graded_cuts(f.lo, f.hi, grade_points[k])
                 if grade_points and grade_points[k] else (f.lo, f.hi))
         # each segment in equal panels at most base wide
@@ -297,14 +290,13 @@ def build_rules(pieces, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
     left = (np.arange(n.sum()) - (ends - n).repeat(n)) * ((b - a) / n).repeat(n) + a.repeat(n)
     right = np.append(left[1:], b[-1:])
     right[ends - 1] = b
-    return _panel_rule(left, right, omega_max, np.array(counts, dtype=int), split)
+    return _panel_rule(left, right, omega_max, np.array(counts, dtype=int))
 
 
-def build_rule(f, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
-               grade_points=(), split=1):
+def build_rule(f, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH, grade_points=()):
     """Rule over supp f resolving `omega` radians per unit t: the
     one-piece case of build_rules."""
-    return build_rules([f], omega, nodes_per_wavelength, [tuple(grade_points)], split)
+    return build_rules([f], omega, nodes_per_wavelength, [tuple(grade_points)])
 
 
 def weight_zeros(curve, lo=0.0, hi=1.0):
@@ -320,7 +312,7 @@ def weight_zeros(curve, lo=0.0, hi=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _rule(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1):
+def _rule(curve, pieces, lam, xmax, alpha, nodes_per_wavelength):
     """The rule for T up to |x| = xmax over all pieces (each a function or
     one restricted to a subinterval); ValueError unless lam is finite."""
     if not math.isfinite(lam):
@@ -328,19 +320,14 @@ def _rule(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1):
     # T at -lam is T at lam at -x: the same oscillation
     omega = abs(lam) * xmax * curve.velocity_sup()
     grades = None if alpha is None else [weight_zeros(curve, p.lo, p.hi) for p in pieces]
-    return build_rules(pieces, omega, nodes_per_wavelength, grades, split)
-
-
-def _amplitude(f, nodes, weights, aw):
-    """f(t) w(t) [affine weight aw, if any] over the nodes, complex."""
-    amp = f(nodes) * weights
-    return (amp if aw is None else amp * aw).astype(complex)
+    return build_rules(pieces, omega, nodes_per_wavelength, grades)
 
 
 def _amplitudes(fs, nodes, weights, aw, part):
-    """_amplitude of each f in fs, one real row each.  Trig members share
-    one power table z^k, z = exp(2 pi i t), built by z^k = z^(k-1) z; each
-    sums its own terms against it, so no row depends on the other members."""
+    """f(t) times the weights [and aw, if any] over nodes[part], one real row
+    per f in fs.  Trig members share one power table z^k, z = exp(2 pi i t),
+    built by z^k = z^(k-1) z; each sums its own terms against it, so no row
+    depends on the other members."""
     t = nodes[part]
     out, table = np.empty((len(fs), t.size)), None
     for row, f in zip(out, fs):
@@ -360,15 +347,13 @@ def _amplitudes(fs, nodes, weights, aw, part):
     return out
 
 
-def _setup(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split=1, coarse=None):
-    """_rule (or, given the coarse rule _rule made, that rule split), its
-    nodes' curve points (d, n), and amplitude(f), the _amplitude of any f
-    over its nodes."""
-    rule = (_rule(curve, pieces, lam, xmax, alpha, nodes_per_wavelength, split)
-            if coarse is None else _split_rule(coarse, split))
-    aw = None if alpha is None else affine_weight(curve, alpha, rule.nodes)
-    return rule, curve.point(rule.nodes).T.copy(), partial(
-        _amplitude, nodes=rule.nodes, weights=rule.weights, aw=aw)
+def _setup(curve, rule, alpha, f):
+    """The rule's nodes' curve points (d, n) and f's complex amplitude over
+    them: f(t) times the weights [and the affine weight, given alpha]."""
+    amp = f(rule.nodes) * rule.weights
+    if alpha is not None:
+        amp *= affine_weight(curve, alpha, rule.nodes)
+    return curve.point(rule.nodes).T.copy(), amp.astype(complex)
 
 
 def _chunks(counts, cap):
@@ -424,22 +409,18 @@ def _scatter(targets, gamma_nodes, amp, counts, lam, workers=1):
     return values
 
 
-def _self_check(setup, f, lam, points, got):
-    """Recompute `got` (pieces x points) with every panel split in two,
-    through the scattered kernel.
-
-    `setup(split=2)` gives the rule that gave `got` with every panel split
-    (cut from its panels when setup holds it as `coarse`); disagreement
-    beyond the absolute tolerance raises QuadratureBudgetError.
-    """
-    fine, gamma_nodes, amplitude = setup(split=2)
-    ref = _scatter(points, gamma_nodes, amplitude(f), fine.counts, lam)
+def _self_check(curve, rule, alpha, f, lam, points, got):
+    """Recompute `got` (pieces x points), which `rule` gave, through the
+    scattered kernel on `rule` with every panel split in two; disagreement
+    beyond the absolute tolerance raises QuadratureBudgetError."""
+    rule = _split_rule(rule, 2)  # frees a coarse rule the caller does not hold
+    ref = _scatter(points, *_setup(curve, rule, alpha, f), rule.counts, lam)
     err = float(np.max(np.abs(got - ref), initial=0.0))
     if err > SELF_CHECK_TOL:
         # the rule that gave `got` has half the split rule's nodes, same omega
         raise QuadratureBudgetError(
             f"self-check error {err:.3e} at lambda={lam}, "
-            f"nodes={fine.n // 2}, omega={fine.omega:.3e}"
+            f"nodes={rule.n // 2}, omega={rule.omega:.3e}"
         )
 
 
@@ -455,7 +436,8 @@ def extension_eval_pieces(curve, lam, targets, f, pieces, alpha=None, workers=1,
     chunk (see _scatter); targets that are a C-order
     tensor product take extension_eval_grid_family with the pieces as its
     members.  Since restrict keeps f 1_I for every kind, row k is
-    byte-identical to extension_eval at pieces[k].
+    byte-identical to extension_eval at pieces[k].  The self-check splits
+    the panels of the rule that gave the values, rebuilt after the family.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if targets.shape[1] != curve.d:
@@ -463,13 +445,11 @@ def extension_eval_pieces(curve, lam, targets, f, pieces, alpha=None, workers=1,
     if not np.all(np.isfinite(targets)):
         raise ValueError("targets must be finite")
     xmax = float(np.max(np.linalg.norm(targets, axis=1))) if targets.size else 0.0
-    setup = partial(_setup, curve, pieces, lam, xmax, alpha,
-                    nodes_per_wavelength)
     axes = _tensor_axes(targets)
     if axes is None:
-        rule, gamma_nodes, amplitude = setup()
-        values = _scatter(targets, gamma_nodes, amplitude(f), rule.counts, lam, workers)
-        setup = partial(setup, coarse=rule)  # the self-check cuts its panels
+        rule = _rule(curve, pieces, lam, xmax, alpha, nodes_per_wavelength)
+        values = _scatter(targets, *_setup(curve, rule, alpha, f), rule.counts, lam,
+                          workers)
     else:  # the family yields in chunk order, so rows are placed by index
         values = np.empty((len(pieces), targets.shape[0]), dtype=complex)
         for j, grid in extension_eval_grid_family(curve, lam, axes, pieces, alpha,
@@ -477,7 +457,9 @@ def extension_eval_pieces(curve, lam, targets, f, pieces, alpha=None, workers=1,
             values[j] = grid.ravel()
     if self_check and targets.shape[0] > 0:
         idx = np.arange(0, targets.shape[0], SELF_CHECK_STRIDE)
-        _self_check(setup, f, lam, targets[idx], values[:, idx])
+        _self_check(curve, rule if axes is None else
+                    _rule(curve, pieces, lam, xmax, alpha, nodes_per_wavelength),
+                    alpha, f, lam, targets[idx], values[:, idx])
     return values
 
 
@@ -622,8 +604,8 @@ def extension_eval_grid(curve, lam, axes, f, alpha=None, self_check=True,
                  tuple(s // 2 for s in values.shape))
         points = np.array([[float(a[i]) for a, i in zip(axes, ix)] for ix in picks])
         got = np.array([[values[ix] for ix in picks]])
-        _self_check(partial(_setup, curve, [f], lam, _grid_xmax(axes), alpha,
-                            nodes_per_wavelength), f, lam, points, got)
+        _self_check(curve, _rule(curve, [f], lam, _grid_xmax(axes), alpha,
+                                 nodes_per_wavelength), alpha, f, lam, points, got)
     return values
 
 
@@ -728,7 +710,8 @@ def multilinear_l2(curve, fs, lam, box_r=20.0,
     the box's mass may exceed it by SELF_CHECK_TOL at most, and
     tail_fraction = 1 - box mass / mass.  Each factor is self-checked at the
     grid corner, where |x| is largest.  ValueError unless box_r is finite
-    and > 0."""
+    and > 0; QuadratureBudgetError before a plane or an axis factor over
+    MAX_NODES is formed."""
     if not 0.0 < box_r < math.inf:
         raise ValueError(f"box_r must be finite and > 0, got {box_r}")
     bound = plancherel_bound(curve, fs, lam)
@@ -747,21 +730,23 @@ def multilinear_l2(curve, fs, lam, box_r=20.0,
     if abs(mass - fine) > SELF_CHECK_TOL * mass:
         raise QuadratureBudgetError(f"sum-map mass {mass:.9e} on 2 panels, {fine:.9e} on 4")
     m = int(math.ceil(2.0 * box_r / step))
+    if m * m > MAX_NODES:  # a plane's entries, checked before the axes and rules
+        raise QuadratureBudgetError(f"box of {m} points per axis over MAX_NODES={MAX_NODES}")
     axes = [(-box_r + step * (np.arange(m) + 0.5)) for _ in range(d)]
-    setups = [partial(_setup, curve, [f], lam, _grid_xmax(axes), None,
-                      nodes_per_wavelength) for f in fs]
-    factors = []
-    for f, setup in zip(fs, setups):
-        _, gamma_nodes, amplitude = setup()
-        factors.append(_grid_planes([_axis_factor(a, g, lam) for a, g
-                                     in zip(axes, gamma_nodes)], amplitude(f)))
+    rules = [_rule(curve, [f], lam, _grid_xmax(axes), None, nodes_per_wavelength)
+             for f in fs]
+    n = max(rule.n for rule in rules)
+    if m * n > MAX_NODES:  # an axis factor's entries
+        raise QuadratureBudgetError(f"axis factor of {m} x {n} over MAX_NODES={MAX_NODES}")
+    factors = [_grid_planes([_axis_factor(a, g, lam) for a, g in zip(axes, gs)], amp)
+               for gs, amp in (_setup(curve, rule, None, f) for f, rule in zip(fs, rules))]
     corner = np.array([[a[0] for a in axes]])
     total = 0.0
     for planes in zip(*factors):
         idx, prod = planes[0]
         if not any(idx):  # the first plane: its [0, 0] entry is the corner
-            for f, setup, (_, plane) in zip(fs, setups, planes):
-                _self_check(setup, f, lam, corner, plane[:1, :1])
+            for f, rule, (_, plane) in zip(fs, rules, planes):
+                _self_check(curve, rule, None, f, lam, corner, plane[:1, :1])
         for _, plane in planes[1:]:
             prod = prod * plane
         total += float(np.sum(np.abs(prod) ** 2))

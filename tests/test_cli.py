@@ -365,6 +365,15 @@ seed = 5
             assert ((tmp_path / "1" / name).read_bytes()
                     == (tmp_path / "2" / name).read_bytes())
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_decompose_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        # ran serially and wrote results with exit 0
+        cfg = write_config(tmp_path, DECOMPOSE.format(lam=32, degree=4))
+        assert cli.main(["decompose", cfg, "--workers", workers,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_multilinear_holds(self, tmp_path):
         cfg = write_config(tmp_path, """
 [curve]

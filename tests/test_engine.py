@@ -146,14 +146,20 @@ def test_rule_node_budget_scales_with_omega():
 
 @pytest.mark.parametrize("split", [1, 2])
 def test_rule_node_budget_counts_exactly(monkeypatch, split):
-    # an ungraded rule's uniform panels are all of its panels
+    # an ungraded rule's uniform panels are all of its panels; the rule cut
+    # from it in `split` is held to the budget as a built one is
     f = eng.indicator(0.1, 0.9)
-    n = eng.build_rule(f, 300.0, split=split).n
+
+    def rule():
+        built = eng.build_rule(f, 300.0)
+        return eng._split_rule(built, split) if split > 1 else built
+
+    n = rule().n
     monkeypatch.setattr(eng, "MAX_NODES", n)
-    assert eng.build_rule(f, 300.0, split=split).n == n
+    assert rule().n == n
     monkeypatch.setattr(eng, "MAX_NODES", n - 1)
     with pytest.raises(eng.QuadratureBudgetError, match=f"needs {n} nodes"):
-        eng.build_rule(f, 300.0, split=split)
+        rule()
 
 
 @pytest.mark.parametrize("npw", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -207,8 +213,9 @@ def test_build_rules_equals_per_piece_rules(split, graded):
     grade = [eng.weight_zeros(curve, p.lo, p.hi) if graded else () for p in pieces]
     if graded:
         assert sum(map(bool, grade)) > 20
-    rule = eng.build_rules(pieces, 300.0, 6.0, grade, split)
-    ones = [eng.build_rule(p, 300.0, 6.0, g, split) for p, g in zip(pieces, grade)]
+    rule = eng._split_rule(eng.build_rules(pieces, 300.0, 6.0, grade), split)
+    ones = [eng._split_rule(eng.build_rule(p, 300.0, 6.0, g), split)
+            for p, g in zip(pieces, grade)]
     assert rule.counts.tolist() == [one.n for one in ones]
     assert rule.omega == max(one.omega for one in ones)
     ends = np.cumsum(rule.counts)
@@ -220,8 +227,9 @@ def test_build_rules_equals_per_piece_rules(split, graded):
 @pytest.mark.parametrize("split", [2, 3])
 @pytest.mark.parametrize("graded", [False, True])
 def test_split_rule_equals_built_split_rule(split, graded):
-    # cutting a coarse rule's panels gives build_rules(..., split) byte for
-    # byte: graded pieces, pieces of many panels, empty ones
+    # cutting a coarse rule's panels gives, byte for byte, Gauss-Legendre
+    # nodes on each panel cut in `split` equal panels, built here one panel
+    # at a time: graded pieces, pieces of many panels, empty ones
     curve = CurveSpec(d=2, coeffs=((0, 1), (0, 0, -0.45, 0, 0.5)))
     root = curve.torsion_roots[-1]
     rng = np.random.default_rng(7)
@@ -234,12 +242,21 @@ def test_split_rule_equals_built_split_rule(split, graded):
     coarse = eng.build_rules(pieces, 400.0, 6.0, grade)
     assert max(coarse.counts) > 8 * eng.PANEL_ORDER and (not graded or any(grade))
     cut = eng._split_rule(coarse, split)
-    built = eng.build_rules(pieces, 400.0, 6.0, grade, split)
-    assert cut.nodes.tobytes() == built.nodes.tobytes()
-    assert cut.weights.tobytes() == built.weights.tobytes()
-    assert cut.counts.tolist() == built.counts.tolist() and cut.omega == built.omega
-    for got, want in zip(cut.panels, built.panels):
-        assert got.tobytes() == want.tobytes()
+    glx, glw = np.polynomial.legendre.leggauss(eng.PANEL_ORDER)
+    lefts, rights, nodes, weights = [], [], [], []
+    for lo, hi in zip(*coarse.panels):
+        ends = [lo + (hi - lo) * (j / split) for j in range(split)] + [hi]
+        for a, b in zip(ends[:-1], ends[1:]):
+            lefts.append(a)
+            rights.append(b)
+            nodes.append(0.5 * (a + b) + 0.5 * (b - a) * glx)
+            weights.append(0.5 * (b - a) * glw)
+    assert cut.nodes.tobytes() == np.concatenate(nodes).tobytes()
+    assert cut.weights.tobytes() == np.concatenate(weights).tobytes()
+    assert cut.panels[0].tobytes() == np.array(lefts).tobytes()
+    assert cut.panels[1].tobytes() == np.array(rights).tobytes()
+    assert cut.counts.tolist() == [split * n for n in coarse.counts.tolist()]
+    assert cut.omega == coarse.omega
 
 
 def test_split_rule_keeps_the_node_budget(monkeypatch):
@@ -469,8 +486,9 @@ def test_grid_self_check_covers_the_mirrored_corner(monkeypatch):
     (monomial_model((2, 3)), eng.indicator(0.0, 0.5), 2.0),
 ])
 def test_self_check_rule_splits_every_panel(monkeypatch, grid, curve, f, alpha):
-    # every rule is placed by _panel_rule: the coarse one by build_rules,
-    # the finer one by build_rules (grid) or cut from the coarse panels
+    # every rule is placed by _panel_rule: the coarse one by build_rules (on
+    # the grid again for the check, after the family), the finer one cut
+    # from the coarse panels
     built = []
     panel_rule = eng._panel_rule
 
@@ -485,13 +503,57 @@ def test_self_check_rule_splits_every_panel(monkeypatch, grid, curve, f, alpha):
                                 alpha=alpha)
     else:
         eng.extension_eval(curve, 1.0, np.array([[x, 0.0]]), f, alpha=alpha)
-    coarse, fine = built
+    *evaluated, coarse, fine = built
+    assert len(evaluated) == grid
+    assert all(rule.nodes.tobytes() == coarse.nodes.tobytes() for rule in evaluated)
     assert fine.n == 2 * coarse.n
     assert float(np.sum(fine.weights)) == pytest.approx(f.width, abs=1e-14)
     # every coarse panel is halved: its 16 nodes sit in the two fine panels
     for k in range(0, coarse.n, eng.PANEL_ORDER):
         lo, hi = fine.nodes[2 * k], fine.nodes[2 * k + 2 * eng.PANEL_ORDER - 1]
         assert lo < coarse.nodes[k] and coarse.nodes[k + eng.PANEL_ORDER - 1] < hi
+
+
+@pytest.mark.parametrize("path", ["scattered", "tensor", "grid", "multilinear"])
+def test_self_check_cuts_the_rule_it_checks(monkeypatch, path):
+    # on every path the check's finer rule is _split_rule of the rule that
+    # gave the values: the one the scattered kernel ran on, the tensor
+    # paths' rule built again after the family, each multilinear factor's
+    # rule, built once per factor
+    built, cut = [], []
+    build_rules, split_rule = eng.build_rules, eng._split_rule
+
+    def recording_build(*args, **kwargs):
+        built.append(build_rules(*args, **kwargs))
+        return built[-1]
+
+    def recording_split(rule, split):
+        cut.append((rule, split))
+        return split_rule(rule, split)
+
+    monkeypatch.setattr(eng, "build_rules", recording_build)
+    monkeypatch.setattr(eng, "_split_rule", recording_split)
+    curve, f = model_curve(2), eng.trig_poly(3, degree=4)
+    axes = [np.linspace(-1.0, 1.0, 5), np.linspace(-0.5, 2.0, 4)]
+    if path == "multilinear":
+        eng.multilinear_l2(curve, [eng.indicator(0.05, 0.3), eng.bump(0.65, 0.95)],
+                           16.0, box_r=4.0)
+        assert len(built) == len(cut) == 2
+        assert all(rule is one and split == 2 for (rule, split), one in zip(cut, built))
+        return
+    if path == "grid":
+        eng.extension_eval_grid(curve, 16.0, axes, f)
+    else:
+        targets = ms._product(*axes)
+        if path == "scattered":
+            targets = targets[::-1]  # no C-order product
+        assert (eng._tensor_axes(targets) is None) == (path == "scattered")
+        eng.extension_eval(curve, 16.0, targets, f)
+    (rule, split), = cut
+    assert split == 2 and rule is built[-1]
+    assert len(built) == (1 if path == "scattered" else 2)
+    assert built[0].nodes.tobytes() == rule.nodes.tobytes()
+    assert built[0].weights.tobytes() == rule.weights.tobytes()
 
 
 @pytest.mark.parametrize("curve, alpha", [
@@ -1056,6 +1118,28 @@ def test_multilinear_rejects_degenerate_box(kwargs, name):
     fs = [eng.indicator(0.0, 0.25), eng.indicator(0.75, 1.0)]
     with pytest.raises(ValueError, match=name):
         eng.multilinear_l2(model_curve(2), fs, 64.0, **kwargs)
+
+
+@pytest.mark.parametrize("planes_fit", [False, True])
+def test_multilinear_box_over_the_node_budget_raises_before_forming_it(monkeypatch,
+                                                                       planes_fit):
+    # m = 19 496 points per axis against rules of 38 208 and 45 840 nodes:
+    # one axis factor would take about 14 GB; with a budget that holds an
+    # m x m plane, the axis factor is refused
+    fs = [eng.indicator(0.05, 0.3), eng.indicator(0.65, 0.95)]
+    if planes_fit:
+        monkeypatch.setattr(eng, "MAX_NODES", 19496 ** 2)
+    message = "axis factor of 19496 x 45840" if planes_fit else "box of 19496 points"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(eng.QuadratureBudgetError, match=message):
+            eng.multilinear_l2(model_curve(2), fs, 16.0, box_r=3000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 16 << 20
 
 
 def test_multilinear_needs_the_model_curve():

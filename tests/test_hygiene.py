@@ -35,7 +35,6 @@ TEST_SET_DEFAULTS = {
     "build_rule(nodes_per_wavelength)": "build_rule is build_rules for one "
     "piece, with its signature; the program sets all three on build_rules",
     "build_rule(grade_points)": "as build_rule(nodes_per_wavelength)",
-    "build_rule(split)": "as build_rule(nodes_per_wavelength)",
     "class_distance(model)": "the distance to a monomial class, which the "
     "curve tests measure for finite-type normal forms",
     "main(argv)": "the console entry point reads sys.argv; tests pass argv",
