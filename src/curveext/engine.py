@@ -3,9 +3,11 @@
 Computes T f(x) = integral of exp(i lambda x.gamma(t)) f(t) dt over panels
 of Gauss-Legendre nodes sized to the oscillation budget, one exp per
 target block and node chunk of whole pieces, or factored per axis when
-the targets are a tensor product.  An axis symmetric about c forms half
-its phase factors (the rest are exp(2 i lam c g) times their conjugates);
-a grid centred on 0 forms half its rows, as T f(-x) = conj T f(x), f real.
+the targets are a tensor product, where the members of a test family
+stack their amplitude-weighted axis-0 factors into one GEMM.  An axis
+symmetric about c forms half its phase factors (the rest are
+exp(2 i lam c g) times their conjugates); a grid centred on 0 forms half
+its rows, as T f(-x) = conj T f(x), f real, so there members go in pairs.
 Summation order is fixed (node chunks combined by compensated addition per
 target), so results are byte-identical regardless of worker partitioning.
 """
@@ -13,9 +15,10 @@ target), so results are byte-identical regardless of worker partitioning.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -358,16 +361,19 @@ def _setup(curve, rule, alpha, f):
 
 def _chunks(counts, cap):
     """[start, stop, offsets, pieces] per node chunk: whole consecutive pieces,
-    at most cap nodes, or cap nodes of a larger piece (cap > 0)."""
-    chunks, stop = [], 0
-    for k, n in enumerate(counts):
-        for a in range(stop, stop + n, cap):
-            b = min(a + cap, stop + n)
-            if chunks and b - chunks[-1][0] <= cap:
-                chunks[-1][1:] = b, chunks[-1][2] + [a - chunks[-1][0]], chunks[-1][3] + [k]
-            else:
-                chunks.append([a, b, [0], [k]])
-        stop += n
+    at most cap nodes, or cap nodes of a larger piece (cap > 0); a piece
+    without nodes is in no chunk.  One bisection step per chunk on the
+    running sum of the counts (a list)."""
+    ends = list(accumulate(counts))
+    chunks, a = [], 0
+    while ends and a < ends[-1]:
+        k = bisect_right(ends, a)  # the piece holding node a
+        # pieces k..last-1: those ending within a + cap, or piece k cut at it
+        last = max(bisect_right(ends, a + cap, k), k + 1)
+        b = min(ends[last - 1], a + cap)
+        ks = [i for i in range(k, last) if counts[i]]
+        chunks.append([a, b, [max(ends[i] - counts[i] - a, 0) for i in ks], ks])
+        a = b
     return chunks
 
 
@@ -508,27 +514,36 @@ def _axis_factor(a, g, lam, centre=None):
     return full
 
 
-def _grid_planes(us, amp):
-    """Yield (trailing index, T on the leading two axes) over a tensor grid
-    from its axis factors `us`: one GEMM per trailing index."""
+def _grid_planes(us, amps):
+    """Yield (trailing index, T on the leading two axes per row of `amps`)
+    over a tensor grid from its axis factors `us`: per trailing index, the
+    rows times us[0], stacked, take one GEMM with us[1]."""
+    rows, n = us[0].shape
     for idx in product(*(range(u.shape[0]) for u in us[2:])):
-        a2 = amp
+        a2 = amps
         for u, i in zip(us[2:], idx):
             a2 = a2 * u[i]
-        yield idx, us[0] @ (us[1] * a2).T
+        yield idx, ((a2[:, None] * us[0]).reshape(-1, n) @ us[1].T).reshape(len(amps), rows, -1)
 
 
-def _grid_values(us, amp, shape):
-    """T on the tensor grid of `shape` for one real amplitude from the axis
-    factors `us`; if us[0] has only axis 0's last rows, T f(-x) = conj T f(x)."""
+def _grid_values(us, amps, shape):
+    """Yield T on the tensor grid of `shape` for each real amplitude row of
+    `amps`, from the axis factors `us`.  Rows go max(1, rows_1 // rows_0) at
+    a time, rows_k = us[k].shape[0], so a batch's stack is no larger than
+    us[1]; if us[0] has only axis 0's last rows, T f(-x) = conj T f(x)."""
     half = shape[0] - us[0].shape[0]
-    values = None
-    for idx, plane in _grid_planes(us, amp):
-        if values is None:  # after the first GEMM has freed its operands
-            values = np.empty(shape, dtype=complex)
-        values[(slice(half, None), slice(None)) + idx] = plane
-    np.conjugate(values[(slice(None, None, -1),) * len(shape)][:half], out=values[:half])
-    return values
+    per = max(1, us[1].shape[0] // us[0].shape[0])
+    for r in range(0, len(amps), per):
+        grids = None
+        for idx, planes in _grid_planes(us, amps[r : r + per]):
+            if grids is None:  # after the first GEMM has freed its operands
+                grids = [np.empty(shape, dtype=complex) for _ in planes]
+            for values, plane in zip(grids, planes):
+                values[(slice(half, None), slice(None)) + idx] = plane
+        for values in grids:
+            np.conjugate(values[(slice(None, None, -1),) * len(shape)][:half],
+                         out=values[:half])
+            yield values
 
 
 def _grid_xmax(axes):
@@ -541,11 +556,13 @@ def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
 
     Members with the same support and bandwidth share a rule; one pass
     builds all rules.  Chunks of whole groups, none larger than the largest
-    group, copy their nodes out of it and form their affine weight and
-    every member's amplitude (_amplitudes), then the curve points and phase
-    factors exp(i lam axis gamma_k), half of each on an axis symmetric about
-    its centre; a member GEMMs on its group's columns.  Chunks run smallest
-    first, so the largest runs alone; members yield in that order.
+    group or SCATTER_CHUNK nodes, whichever is more, copy their nodes out of
+    it and form their affine weight and every member's amplitude
+    (_amplitudes), then the curve points and phase factors
+    exp(i lam axis gamma_k), half of each on an axis symmetric about its
+    centre; a group's members GEMM on its columns in batches (_grid_values).
+    Chunks run smallest first, so the largest runs alone; members yield in
+    that order.
     """
     if len(axes) != curve.d:
         raise ValueError("need one axis per coordinate")
@@ -572,7 +589,7 @@ def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
         for j in groups[k]:
             yield j, np.zeros(shape, dtype=complex)
     parts = [(rule.nodes[a:b].copy(), rule.weights[a:b].copy(), offsets + [b - a], ks)
-             for a, b, offsets, ks in _chunks(counts, max([1] + counts))]
+             for a, b, offsets, ks in _chunks(counts, max([SCATTER_CHUNK] + counts))]
     del rule  # chunks hold copies, so each is freed once it has run
     parts.sort(key=lambda part: -part[0].size)
     while parts:
@@ -583,8 +600,7 @@ def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
         gs = curve.point(nodes).T
         us = [_axis_factor(a, g, lam, c) for a, g, c in zip(axes, gs, centres)]
         for k, lo, hi, amp in zip(ks, bounds, bounds[1:], amps):
-            for j, row in zip(groups[k], amp):
-                yield j, _grid_values([u[:, lo:hi] for u in us], row, shape)
+            yield from zip(groups[k], _grid_values([u[:, lo:hi] for u in us], amp, shape))
         del nodes, weights, aw, amps, us  # before the next chunk builds its own
 
 
@@ -729,7 +745,8 @@ def multilinear_l2(curve, fs, lam, box_r=20.0,
     mass, fine = (_sum_map_mass(fs, lam, panels) for panels in (2, 4))
     if abs(mass - fine) > SELF_CHECK_TOL * mass:
         raise QuadratureBudgetError(f"sum-map mass {mass:.9e} on 2 panels, {fine:.9e} on 4")
-    m = int(math.ceil(2.0 * box_r / step))
+    m = 2.0 * box_r / step  # inf near the float maximum, where ceil would raise
+    m = math.ceil(m) if m <= MAX_NODES else m
     if m * m > MAX_NODES:  # a plane's entries, checked before the axes and rules
         raise QuadratureBudgetError(f"box of {m} points per axis over MAX_NODES={MAX_NODES}")
     axes = [(-box_r + step * (np.arange(m) + 0.5)) for _ in range(d)]
@@ -738,7 +755,7 @@ def multilinear_l2(curve, fs, lam, box_r=20.0,
     n = max(rule.n for rule in rules)
     if m * n > MAX_NODES:  # an axis factor's entries
         raise QuadratureBudgetError(f"axis factor of {m} x {n} over MAX_NODES={MAX_NODES}")
-    factors = [_grid_planes([_axis_factor(a, g, lam) for a, g in zip(axes, gs)], amp)
+    factors = [_grid_planes([_axis_factor(a, g, lam) for a, g in zip(axes, gs)], amp[None])
                for gs, amp in (_setup(curve, rule, None, f) for f, rule in zip(fs, rules))]
     corner = np.array([[a[0] for a in axes]])
     total = 0.0
@@ -746,7 +763,7 @@ def multilinear_l2(curve, fs, lam, box_r=20.0,
         idx, prod = planes[0]
         if not any(idx):  # the first plane: its [0, 0] entry is the corner
             for f, rule, (_, plane) in zip(fs, rules, planes):
-                _self_check(curve, rule, None, f, lam, corner, plane[:1, :1])
+                _self_check(curve, rule, None, f, lam, corner, plane[0, :1, :1])
         for _, plane in planes[1:]:
             prod = prod * plane
         total += float(np.sum(np.abs(prod) ** 2))

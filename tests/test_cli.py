@@ -485,6 +485,10 @@ class TestErrorBoundary:
         # box_r = 0 returned lhs 0 and exited 0 with verdict PASS
         pytest.param(["multilinear"], MULTILINEAR.format(supports="0.05 0.3 0.65 0.95",
                                                          box_r=0), 2, id="multilinear-box-0"),
+        # 2 box_r / step overflowed, and its ceil raised OverflowError
+        pytest.param(["multilinear"], MULTILINEAR.format(supports="0.05 0.3 0.65 0.95",
+                                                         box_r="1e308"), 3,
+                     id="multilinear-box-1e308"),
         pytest.param(["measure-audit"], AUDIT.format(
             measure="kind = cantor\nd = 2\nratio = 0.7\ndepth = 3"), 2, id="cantor-ratio-0.7"),
         pytest.param(["measure-audit"], AUDIT.format(

@@ -466,10 +466,10 @@ def test_grid_self_check_covers_the_mirrored_corner(monkeypatch):
     # mirror value, formed by no GEMM: an error there must not pass
     grid_values = eng._grid_values
 
-    def corrupted(us, amp, shape):
-        values = grid_values(us, amp, shape)
-        values[(0,) * len(shape)] += 1e-3
-        return values
+    def corrupted(us, amps, shape):
+        for values in grid_values(us, amps, shape):
+            values[(0,) * len(shape)] += 1e-3
+            yield values
 
     monkeypatch.setattr(eng, "_grid_values", corrupted)
     axes = [_mirror_axis(6, 0.5), _mirror_axis(5, 0.25)]
@@ -793,7 +793,7 @@ def test_family_grid_equals_one_member_grids(monkeypatch, curve, axes, weighted)
     assert sorted(got) == list(range(len(fam))) and len(built) == 1
     counts = built[0].counts.tolist()
     assert len(counts) == 4 and counts[3] == 0
-    chunks = eng._chunks(counts, max(counts))
+    chunks = eng._chunks(counts, max([eng.SCATTER_CHUNK] + counts))
     assert [k for c in chunks for k in c[3]] == [0, 1, 2]
     assert weighted or [c[2] for c in chunks] == [[0], [0, counts[1]]]
     for j, f in enumerate(fam):
@@ -908,6 +908,102 @@ def test_family_grid_on_centred_axes_matches_scattered(monkeypatch, moved, centr
     for j, f in enumerate(fam):
         ref = eng.extension_eval(curve, lam, pts[perm], f, self_check=False)
         np.testing.assert_allclose(got[j].ravel()[perm], ref, rtol=0, atol=1e-12)
+
+
+def test_small_groups_share_one_chunk(monkeypatch):
+    # ten one-panel groups of 16 nodes fit in one SCATTER_CHUNK: one axis
+    # factor per axis, where a chunk per group formed 20
+    axis = (np.arange(32) - 15.5) / 8
+    fs = [eng.indicator(k / 10, k / 10 + 0.05) for k in range(10)]
+    rule = eng._rule(model_curve(2), fs, 16.0, eng._grid_xmax([axis, axis]), None,
+                     eng.NODES_PER_WAVELENGTH)
+    assert rule.counts.tolist() == [16] * 10
+    formed = []
+    axis_factor = eng._axis_factor
+
+    def recording(a, g, lam, centre=None):
+        formed.append(a.size)
+        return axis_factor(a, g, lam, centre)
+
+    monkeypatch.setattr(eng, "_axis_factor", recording)
+    got = dict(eng.extension_eval_grid_family(model_curve(2), 16.0, [axis, axis], fs))
+    assert sorted(got) == list(range(10))
+    assert formed == [16, 32]
+
+
+def test_member_pairs_share_one_gemm(monkeypatch):
+    # on a grid centred on 0, axis 0 forms its last 16 of 32 rows, so two
+    # members' stacked rows are one axis-1 factor's size: 4 GEMMs, not 8
+    planes = []
+    grid_planes = eng._grid_planes
+
+    def recording(us, amps):
+        for idx, block in grid_planes(us, amps):
+            planes.append(block.shape)
+            yield idx, block
+
+    monkeypatch.setattr(eng, "_grid_planes", recording)
+    axis = (np.arange(32) - 15.5) / 8
+    fs = [eng.trig_poly(seed, degree=16) for seed in range(8)]
+    got = dict(eng.extension_eval_grid_family(model_curve(2), 16.0, [axis, axis], fs))
+    assert sorted(got) == list(range(8))
+    assert planes == [(2, 16, 32)] * 4
+
+
+_SAME_RULE_GRIDS = {
+    # graded level 0, centred on 0: member pairs per GEMM
+    "graded": (model_curve(2), 64.0, lab.GradedGrid(2, 4.0, 32, 3).levels[0][0], None),
+    # centred on 0.5, so axis 0 is whole: one member per GEMM
+    "cantor": (model_curve(2), 64.0, [np.unique(ms.make_cantor(1, 1 / 3, 4).atoms)] * 2, 2.0),
+    # axis 0 forms 3 rows against 12 of axis 1: four members per GEMM
+    "d3": (_MIRROR_CURVES[3], 32.0, [_mirror_axis(6, 0.4), _mirror_axis(12, 0.3),
+                                     _mirror_axis(5, 0.5)], None),
+}
+
+
+@pytest.mark.parametrize("name", _SAME_RULE_GRIDS)
+def test_family_grid_matches_scatter_on_the_same_rule(name):
+    # the batched GEMMs against the scattered kernel on the rule the family
+    # builds: only the phase factoring and summation order differ
+    curve, lam, axes, alpha = _SAME_RULE_GRIDS[name]
+    fs = [f for _, f in lab.knapp_family(curve.d, lam, 2, 2) + lab.bump_family(curve.d, lam, 2)
+          + lab.trig_family(3, 6)]
+    groups = {}
+    for j, f in enumerate(fs):
+        groups.setdefault((f.lo, f.hi, f.bandwidth()), []).append(j)
+    rule = eng._rule(curve, [fs[g[0]] for g in groups.values()], lam, eng._grid_xmax(axes),
+                     alpha, eng.NODES_PER_WAVELENGTH)
+    got = dict(eng.extension_eval_grid_family(curve, lam, axes, fs, alpha))
+    pts = ms._product(*axes)
+    for k, group in enumerate(groups.values()):
+        for j in group:
+            ref = eng._scatter(pts, *eng._setup(curve, rule, alpha, fs[j]), rule.counts, lam)
+            np.testing.assert_allclose(got[j].ravel(), ref[k], rtol=0, atol=1e-14)
+
+
+def _chunks_by_piece(counts, cap):
+    """The chunk walk one piece and one cap-sized slice at a time."""
+    chunks, stop = [], 0
+    for k, n in enumerate(counts):
+        for a in range(stop, stop + n, cap):
+            b = min(a + cap, stop + n)
+            if chunks and b - chunks[-1][0] <= cap:
+                chunks[-1][1:] = b, chunks[-1][2] + [a - chunks[-1][0]], chunks[-1][3] + [k]
+            else:
+                chunks.append([a, b, [0], [k]])
+        stop += n
+    return chunks
+
+
+def test_chunks_match_the_piece_walk():
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        n = int(rng.integers(0, 12))
+        # a third of the pieces empty, some larger than the cap
+        counts = (rng.integers(1, 40, n) * (rng.random(n) < 2 / 3)).tolist()
+        cap = int(rng.integers(1, 50))
+        assert eng._chunks(counts, cap) == _chunks_by_piece(counts, cap)
+    assert eng._chunks([], 4) == [] and eng._chunks([0, 0], 4) == []
 
 
 def test_group_trig_amplitudes_match_horner():
@@ -1107,6 +1203,13 @@ def test_multilinear_starved_rule_fails_its_corner_check():
     for npw in (0.5, 0.25):
         with pytest.raises(eng.QuadratureBudgetError, match="self-check error"):
             eng.multilinear_l2(g, fs, 256.0, box_r=16.0, nodes_per_wavelength=npw)
+
+
+def test_multilinear_box_near_the_float_maximum_is_over_budget():
+    # 2 box_r / step overflowed to inf, and its ceil raised OverflowError
+    fs = [eng.indicator(0.05, 0.3), eng.indicator(0.65, 0.95)]
+    with pytest.raises(eng.QuadratureBudgetError, match="box of inf points"):
+        eng.multilinear_l2(model_curve(2), fs, 32.0, box_r=1e308)
 
 
 @pytest.mark.parametrize("kwargs, name", [
