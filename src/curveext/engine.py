@@ -7,7 +7,8 @@ the targets are a tensor product, where the members of a test family
 stack their amplitude-weighted axis-0 factors into one GEMM.  An axis
 symmetric about c forms half its phase factors (the rest are
 exp(2 i lam c g) times their conjugates); a grid centred on 0 forms half
-its rows, as T f(-x) = conj T f(x), f real, so there members go in pairs.
+its rows, as T f(-x) = conj T f(x), f real, so there members go in pairs
+and a graded sweep reduces just those rows (_family_blocks).
 Summation order is fixed (node chunks combined by compensated addition per
 target), so results are byte-identical regardless of worker partitioning.
 """
@@ -135,10 +136,7 @@ class TestFunction:
         n = max(int(self.bandwidth() * self.width * 4), 256)
         edges = np.linspace(self.lo, self.hi, n // PANEL_ORDER + 2)
         ts, ws = _panel_nodes(edges[:-1], edges[1:])
-        vals = np.abs(self(ts))
-        if p == math.inf:
-            return float(np.max(vals))
-        return float(np.sum(ws * vals ** p)) ** (1.0 / p)
+        return _scaled_norm(np.abs(self(ts)), ws, p)
 
 
 def indicator(lo, hi):
@@ -490,7 +488,9 @@ def _axis_factor(a, g, lam, centre=None):
 
     On a uniform axis (every a_k within 8 ulp of a_0 + k h) each block of
     PHASE_RESTART rows starts from a direct exp and steps by the recurrence
-    U[k+1] = U[k] exp(i lam h g); otherwise every row is the direct exp.
+    U[k+1] = U[k] exp(i lam h g), whose step is U[0]^2 when the formed rows
+    start half a step from 0 (2 a_0 == h exactly, as on an even axis
+    centred on 0); otherwise every row is the direct exp.
     With a `centre` c (a + a[::-1] == 2c exactly) only the rows k >= n // 2,
     n = a.size, are formed; row k < n // 2 is exp(2 i lam c g) conj(row n-1-k).
     """
@@ -504,7 +504,7 @@ def _axis_factor(a, g, lam, centre=None):
     block = PHASE_RESTART if uniform else 1
     np.exp(1j * lam * np.outer(a[::block], g), out=u[::block])
     if uniform:
-        step = np.exp(1j * lam * h * g)
+        step = u[0] * u[0] if 2.0 * a[0] == h else np.exp(1j * lam * h * g)
         for k in range(1, m):
             if k % block:
                 np.multiply(u[k - 1], step, out=u[k])
@@ -526,33 +526,31 @@ def _grid_planes(us, amps):
         yield idx, ((a2[:, None] * us[0]).reshape(-1, n) @ us[1].T).reshape(len(amps), rows, -1)
 
 
-def _grid_values(us, amps, shape):
-    """Yield T on the tensor grid of `shape` for each real amplitude row of
-    `amps`, from the axis factors `us`.  Rows go max(1, rows_1 // rows_0) at
-    a time, rows_k = us[k].shape[0], so a batch's stack is no larger than
-    us[1]; if us[0] has only axis 0's last rows, T f(-x) = conj T f(x)."""
-    half = shape[0] - us[0].shape[0]
-    per = max(1, us[1].shape[0] // us[0].shape[0])
+def _grid_values(us, amps):
+    """Yield T on the tensor grid of the axis factors `us`, rows_k =
+    us[k].shape[0] points on axis k, for each real amplitude row of `amps`,
+    max(1, rows_1 // rows_0) rows at a time, so a batch's stack is no larger
+    than us[1]; in d = 2 a view of the batch's GEMM product."""
+    shape = tuple(u.shape[0] for u in us)
+    per = max(1, shape[1] // shape[0])
     for r in range(0, len(amps), per):
-        grids = None
+        blocks = None
         for idx, planes in _grid_planes(us, amps[r : r + per]):
-            if grids is None:  # after the first GEMM has freed its operands
-                grids = [np.empty(shape, dtype=complex) for _ in planes]
-            for values, plane in zip(grids, planes):
-                values[(slice(half, None), slice(None)) + idx] = plane
-        for values in grids:
-            np.conjugate(values[(slice(None, None, -1),) * len(shape)][:half],
-                         out=values[:half])
-            yield values
+            if blocks is None:  # after the first GEMM has freed its operands
+                blocks = np.empty((len(planes),) + shape, dtype=complex) if idx else planes
+            if idx:
+                blocks[(slice(None),) * 3 + idx] = planes
+        yield from blocks
 
 
 def _grid_xmax(axes):
     return math.sqrt(sum(float(np.max(np.abs(a), initial=0.0)) ** 2 for a in axes))
 
 
-def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
-                               nodes_per_wavelength=NODES_PER_WAVELENGTH):
-    """Yield (j, T fs[j] on the tensor grid spanned by `axes`) for every j.
+def _family_blocks(curve, lam, axes, fs, alpha, nodes_per_wavelength):
+    """Yield (j, the rows of axis 0 that the kernel forms of T fs[j]): rows
+    n // 2 ... n - 1, n = len(axes[0]), on a grid centred on 0 in every
+    axis (T f(-x) = conj T f(x) gives the rest), else every row.
 
     Members with the same support and bandwidth share a rule; one pass
     builds all rules.  Chunks of whole groups, none larger than the largest
@@ -574,20 +572,18 @@ def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
     for j, f in enumerate(fs):
         groups.setdefault((f.lo, f.hi, f.bandwidth()), []).append(j)
     groups = list(groups.values())
-    shape = tuple(a.size for a in axes)
     rule = _rule(curve, [fs[g[0]] for g in groups], lam, _grid_xmax(axes), alpha,
                  nodes_per_wavelength)
     # each axis's centre c, if a + a[::-1] == 2c exactly, else None; on a grid
-    # centred on 0, axis 0 from its middle row on, as _grid_values conjugates
-    # the rest: T f(-x) = conj T f(x)
+    # centred on 0, axis 0 from its middle row on
     centres = [0.5 * (a[0] + a[-1]) if np.all(a + a[::-1] == a[0] + a[-1]) else None
                for a in axes]
     if all(c == 0.0 for c in centres):
-        axes[0], centres[0] = axes[0][shape[0] // 2:], None
+        axes[0], centres[0] = axes[0][axes[0].size // 2:], None
     counts = rule.counts.tolist()
     for k in np.flatnonzero(rule.counts == 0):
         for j in groups[k]:
-            yield j, np.zeros(shape, dtype=complex)
+            yield j, np.zeros(tuple(a.size for a in axes), dtype=complex)
     parts = [(rule.nodes[a:b].copy(), rule.weights[a:b].copy(), offsets + [b - a], ks)
              for a, b, offsets, ks in _chunks(counts, max([SCATTER_CHUNK] + counts))]
     del rule  # chunks hold copies, so each is freed once it has run
@@ -600,8 +596,18 @@ def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
         gs = curve.point(nodes).T
         us = [_axis_factor(a, g, lam, c) for a, g, c in zip(axes, gs, centres)]
         for k, lo, hi, amp in zip(ks, bounds, bounds[1:], amps):
-            yield from zip(groups[k], _grid_values([u[:, lo:hi] for u in us], amp, shape))
+            yield from zip(groups[k], _grid_values([u[:, lo:hi] for u in us], amp))
         del nodes, weights, aw, amps, us  # before the next chunk builds its own
+
+
+def extension_eval_grid_family(curve, lam, axes, fs, alpha=None,
+                               nodes_per_wavelength=NODES_PER_WAVELENGTH):
+    """Yield (j, T fs[j] on the tensor grid spanned by `axes`) for every j,
+    in the order of _family_blocks, in a new array: the formed rows and, on
+    a grid centred on 0, their mirror image T f(-x) = conj T f(x)."""
+    for j, block in _family_blocks(curve, lam, axes, fs, alpha, nodes_per_wavelength):
+        half = np.size(axes[0]) - block.shape[0]
+        yield j, np.concatenate((np.flip(block)[:half].conj(), block))
 
 
 def extension_eval_grid(curve, lam, axes, f, alpha=None, self_check=True,
@@ -638,9 +644,18 @@ def lq_norm(values, mu, q):
     if values.shape[0] != mu.n:
         raise ValueError("values not aligned with measure atoms")
     check_exponent("q", q)
-    if q == math.inf:
-        return float(np.max(np.abs(values), initial=0.0))
-    return float(np.sum(mu.weights * np.abs(values) ** q)) ** (1.0 / q)
+    return _scaled_norm(np.abs(values), mu.weights, q)
+
+
+def _scaled_norm(mod, weights, q):
+    """(sum weights mod^q)^(1/q), or max mod at q = infinity, as
+    M (sum weights (mod / M)^q)^(1/q) with M = max mod, so that no power
+    underflows or overflows (Blue, ACM TOMS 4(1), 1978); M when M is 0 or
+    infinite."""
+    top = float(np.max(mod, initial=0.0))
+    if q == math.inf or not 0.0 < top < math.inf:
+        return top
+    return top * float(np.sum(weights * (mod / top) ** q)) ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------

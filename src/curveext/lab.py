@@ -168,6 +168,27 @@ def default_test_family(d, lam, seed=0):
 # ---------------------------------------------------------------------------
 
 
+def _formed_weights(keep, rows):
+    """How often each x in the last `rows` rows of a grid with keep mask
+    `keep` counts in the annulus (keep) and the core (~keep): once, and again
+    for -x if its row was not formed, as |T f(-x)| = |T f(x)|: (2, rows, ...)."""
+    both = np.array([keep, ~keep], dtype=float)
+    both[:, rows:] += np.flip(both, axis=tuple(range(1, both.ndim)))[:, rows:]
+    return both[:, keep.shape[0] - rows:]
+
+
+def _formed_parts(block, w, q):
+    """(annulus part, core part) of one member's formed rows `block` with
+    their _formed_weights `w`: each part M (sum w (|T f| / M)^q)^(1/q),
+    M = max |T f|, or max |T f| over w > 0 at q = infinity."""
+    mod = np.abs(block)
+    if q == math.inf:
+        return tuple(float(np.max(mod, where=wk > 0, initial=0.0)) for wk in w)
+    top = float(mod.max()) or 1.0  # all 0 when M is
+    # a pairwise sum: a BLAS dot on these 512-point blocks strays 1.4e-15 at q = 1
+    return tuple((top * (w * (mod / top) ** q).reshape(2, -1).sum(axis=1) ** (1.0 / q)).tolist())
+
+
 class GradedGrid:
     """Origin-graded dyadic Lebesgue grid with its tensor levels exposed.
 
@@ -183,6 +204,10 @@ class GradedGrid:
         self.half = float(half)
         self.levels = ms.graded_level_structure(d, (-self.half, self.half),
                                                 resolution, levels)
+        # the grid family forms every row, or the last m - m // 2 on a grid
+        # centred on 0
+        self._weights = {rows: _formed_weights(self.levels[0][1], rows)
+                         for rows in (resolution, resolution - resolution // 2)}
 
     def family_lq(self, curve, lam, fs, q, alpha=None,
                   nodes_per_wavelength=eng.NODES_PER_WAVELENGTH, _memo=None):
@@ -190,38 +215,36 @@ class GradedGrid:
 
         Level l is level 0 dilated by 2^{-l}, and T_lam f(2^{-l} x) =
         T_{lam 2^{-l}} f(x); so each (f, lam 2^{-l}) is evaluated once, on
-        level 0's axes (extension_eval_grid_family, whose members share
-        rules and phase factors), into the sums of |T f|^q over level 0's
-        kept annulus and over its core, or their maxima at q = infinity.
-        Level l adds cell_l^d times the annulus part, the finest level also
-        the core part.  A sweep passes `_memo`, a dict that keeps these
-        pairs across calls on a grid of more than one level.
+        the rows of level 0's axes that the grid family forms, into the L^q
+        norms of T f over level 0's kept annulus and over its core
+        (_formed_parts).  Level l adds cell_l^d times the annulus part to the
+        power q, the finest level also the core part, the largest part
+        factored out.  A sweep passes `_memo`, its record of each f in fs
+        (family_sup): a dict that keeps these parts by lam 2^{-l} across
+        calls on a grid of more than one level.
         """
         eng.check_exponent("q", q)
-        axes, keep, _ = self.levels[0]
-        memo = _memo if _memo is not None and len(self.levels) > 1 else {}
+        axes = self.levels[0][0]
+        if _memo is None or len(self.levels) == 1:  # this call's own records
+            fresh = {}
+            _memo = [fresh.setdefault(f, {}) for f in fs]
+        members = {id(rec): (f, rec) for f, rec in zip(fs, _memo)}.values()
         lams = [lam * 2.0 ** -level for level in range(len(self.levels))]
         for lam_l in lams:
-            todo = [f for f in dict.fromkeys(fs) if (f, lam_l) not in memo]
+            todo = [(f, rec) for f, rec in members if lam_l not in rec]
             # nothing to evaluate; a lambda that is not finite still goes to
             # the family, which rejects it
             if not todo and math.isfinite(lam_l):
                 continue
-            for j, values in eng.extension_eval_grid_family(
-                    curve, lam_l, axes, todo, alpha=alpha,
-                    nodes_per_wavelength=nodes_per_wavelength):
-                mod = np.abs(values)
-                del values
-                memo[todo[j], lam_l] = tuple(
-                    float(np.max(part, initial=0.0)) if q == math.inf
-                    else float(np.sum(part ** q)) for part in (mod[keep], mod[~keep]))
-                del mod  # before the next member is evaluated
+            for j, block in eng._family_blocks(curve, lam_l, axes, [f for f, _ in todo],
+                                               alpha, nodes_per_wavelength):
+                todo[j][1][lam_l] = _formed_parts(block, self._weights[len(block)], q)
         # (cell_l^d, lam 2^{-l}, part): each level's annulus, the finest one's core
         terms = [(cell ** self.d, lam_l, 0) for lam_l, (_, _, cell) in zip(lams, self.levels)]
         terms.append(terms[-1][:2] + (1,))
-        if q == math.inf:
-            return [max(memo[f, lam_l][i] for _, lam_l, i in terms) for f in fs]
-        return [sum(w * memo[f, lam_l][i] for w, lam_l, i in terms) ** (1.0 / q) for f in fs]
+        weights = np.array([w for w, _, _ in terms])
+        return [eng._scaled_norm(np.array([rec[lam_l][i] for _, lam_l, i in terms]), weights, q)
+                for rec in _memo]
 
     def extension_lq(self, curve, lam, f, q,
                      nodes_per_wavelength=eng.NODES_PER_WAVELENGTH):
@@ -264,23 +287,26 @@ def family_sup(curve, lam, family, p, q, mu=None, grid=None, alpha=None,
 
     The L^q norm is taken on the graded grid when one is given, else
     against the measure mu.  A sweep passes `_memo`, one dict for its
-    length: it keeps each ||f||_p, so a member that recurs is normed once,
-    and the grid's per-level sums (GradedGrid.family_lq).
+    length, of one record per member, found by one lookup per call: ||f||_p,
+    so a member that recurs is normed once, and the grid's parts of T f
+    (GradedGrid.family_lq).
     """
-    memo = {} if _memo is None else _memo
-    for _, f in family:
-        if f not in memo:
-            memo[f] = f.lp_norm(p)
-    fps = [(name, f, memo[f]) for name, f in family if memo[f] != 0.0]
+    memo, fps = {} if _memo is None else _memo, []
+    for name, f in family:
+        rec = memo.get(f)  # the one lookup of f
+        if rec is None:
+            rec = memo[f] = (f.lp_norm(p), {})
+        if rec[0] != 0.0:
+            fps.append((name, f, rec))
     if grid is not None:
-        norms = grid.family_lq(curve, lam, [f for _, f, _ in fps], q,
-                               alpha=alpha, nodes_per_wavelength=npw, _memo=memo)
+        norms = grid.family_lq(curve, lam, [f for _, f, _ in fps], q, alpha=alpha,
+                               nodes_per_wavelength=npw, _memo=[rec[1] for _, _, rec in fps])
     else:
         norms = [lq_norm(extension_eval(curve, lam, mu.atoms, f, alpha=alpha,
                                         nodes_per_wavelength=npw), mu, q)
                  for _, f, _ in fps]
     best, label = 0.0, "none"
-    for (name, _, fp), norm in zip(fps, norms):
+    for (name, _, (fp, _)), norm in zip(fps, norms):
         val = norm / fp
         if val > best:
             best, label = val, name

@@ -464,14 +464,14 @@ def test_self_check_raises_on_starved_budget():
 def test_grid_self_check_covers_the_mirrored_corner(monkeypatch):
     # on mirror axes the near corner is the conjugate of the far one's
     # mirror value, formed by no GEMM: an error there must not pass
-    grid_values = eng._grid_values
+    family = eng.extension_eval_grid_family
 
-    def corrupted(us, amps, shape):
-        for values in grid_values(us, amps, shape):
-            values[(0,) * len(shape)] += 1e-3
-            yield values
+    def corrupted(*args, **kwargs):
+        for j, values in family(*args, **kwargs):
+            values[(0,) * values.ndim] += 1e-3
+            yield j, values
 
-    monkeypatch.setattr(eng, "_grid_values", corrupted)
+    monkeypatch.setattr(eng, "extension_eval_grid_family", corrupted)
     axes = [_mirror_axis(6, 0.5), _mirror_axis(5, 0.25)]
     with pytest.raises(eng.QuadratureBudgetError):
         eng.extension_eval_grid(model_curve(2), 16.0, axes, eng.indicator(0.0, 1.0))
@@ -608,6 +608,38 @@ def test_axis_factor_nonuniform_axis_is_direct_exp(monkeypatch):
     rows.clear()
     eng._axis_factor(np.linspace(-3.0, 3.0, 150), g, 300.0)
     assert rows == [math.ceil(150 / eng.PHASE_RESTART)]
+
+
+@pytest.mark.parametrize("lam", [4096.0, -4096.0])
+@pytest.mark.parametrize("centre", [0.0, None])
+def test_axis_factor_centred_even_axis_steps_by_its_first_row_squared(monkeypatch, lam,
+                                                                     centre):
+    # the formed rows start half a step from 0 (as rows 150 ... 299, and as
+    # the grid family passes axis 0 of a grid centred on 0), so the step
+    # exp(i lam h g) is the first row squared: no 1-D exp; more than two
+    # restart blocks, and within the direct exp's tolerance
+    a = (np.arange(300) - 149.5) / 64
+    g = np.random.default_rng(7).uniform(-1.0, 1.0, 2000)
+    formed = a if centre == 0.0 else a[150:]
+    assert 2.0 * a[150] == a[151] - a[150] and formed.size > 2 * eng.PHASE_RESTART
+    dims = []
+    exp = np.exp
+
+    def counting(x, *args, **kwargs):
+        out = exp(x, *args, **kwargs)
+        dims.append(np.ndim(out))
+        return out
+
+    monkeypatch.setattr(np, "exp", counting)
+    got = eng._axis_factor(formed, g, lam, centre)
+    assert dims == [2]
+    ref = exp(1j * lam * np.outer(formed, g))
+    tol = abs(lam) * np.max(np.abs(formed)) * np.max(np.abs(g)) * 1e-15
+    np.testing.assert_allclose(got, ref, rtol=0, atol=tol)
+    # an axis that starts elsewhere still forms its step by a 1-D exp
+    dims.clear()
+    eng._axis_factor(np.linspace(-3.0, 3.0, 150), g, lam)
+    assert dims == [2, 1]
 
 
 def test_grid_matches_scattered_on_long_axis():
@@ -1120,6 +1152,22 @@ def test_check_exponent_fails_nan_and_passes_infinity(value, least, ok):
     else:
         with pytest.raises(ValueError, match=f"q must be >= {least:g}, got"):
             eng.check_exponent("q", value, least=least)
+
+
+def test_norms_at_large_exponents_neither_underflow_nor_overflow():
+    # |v|^q overflowed to inf here before the maximum was factored out
+    f = eng.trig_poly(3, 64)
+    assert f.lp_norm(500.0) <= f.lp_norm(1000.0) <= f.lp_norm(math.inf)
+    mu = ms.make_lebesgue(2, (-2, 2), 16)
+    v = eng.extension_eval(model_curve(2), 16.0, mu.atoms, eng.indicator(0, 1))
+    assert eng.lq_norm(1e3 * v, mu, 200.0) == pytest.approx(
+        1e3 * eng.lq_norm(v, mu, 200.0), rel=1e-14)
+    # and |v|^q underflowed to 0 below 1
+    assert eng.lq_norm(1e-3 * v, mu, 200.0) == pytest.approx(
+        1e-3 * eng.lq_norm(v, mu, 200.0), rel=1e-14)
+    # an infinite value still gives an infinite norm, not inf / inf = NaN
+    v[0] = math.inf
+    assert eng.lq_norm(v, mu, 2.0) == math.inf
 
 
 def test_lq_norm_contracts():

@@ -600,16 +600,17 @@ def _per_level_lq(grid, curve, lam, fs, q, alpha=None,
 
 
 def _counting_evaluations(monkeypatch):
-    """Patch the grid family to record every (member, lambda) it evaluates."""
+    """Patch the grid family's kernel to record every (member, lambda) it
+    evaluates."""
     seen = []
-    family = eng.extension_eval_grid_family
+    family = eng._family_blocks
 
     def counting(curve, lam, axes, fs, *args, **kwargs):
-        for j, values in family(curve, lam, axes, fs, *args, **kwargs):
+        for j, block in family(curve, lam, axes, fs, *args, **kwargs):
             seen.append((fs[j], lam))
-            yield j, values
+            yield j, block
 
-    monkeypatch.setattr(eng, "extension_eval_grid_family", counting)
+    monkeypatch.setattr(eng, "_family_blocks", counting)
     return seen
 
 
@@ -690,17 +691,37 @@ class TestGradedSweepMemo:
         # called the grid family with no members
         grid = lab.GradedGrid(2, 4.0, 32, 3)
         sizes = []
-        family = eng.extension_eval_grid_family
+        family = eng._family_blocks
 
         def recording(curve, lam, axes, fs, *args, **kwargs):
             sizes.append(len(fs))
             return family(curve, lam, axes, fs, *args, **kwargs)
 
-        monkeypatch.setattr(eng, "extension_eval_grid_family", recording)
+        monkeypatch.setattr(eng, "_family_blocks", recording)
         lab.scaling_experiment(model_curve(2), math.inf, 8.0, 2.0,
                                [2.0 ** k for k in range(3, 9)], grid=grid,
                                family_fn=lambda lam: lab.trig_family(0, 1), npw=6)
         assert sizes == [1] * 9
+
+    def test_each_member_hashed_once_per_call(self, monkeypatch):
+        # one memo lookup per member and call, one more to store a new
+        # member's record: a trig member hashes its 129 coefficients
+        hashes = []
+        hash_ = eng.TestFunction.__hash__
+
+        def counting(f):
+            hashes.append(f)
+            return hash_(f)
+
+        lams = [2.0 ** k for k in range(3, 9)]
+        families = {lam: _bench_family(lam) for lam in lams}
+        calls = sum(len(fam) for fam in families.values())
+        distinct = {f for fam in families.values() for _, f in fam}
+        monkeypatch.setattr(eng.TestFunction, "__hash__", counting)
+        lab.scaling_experiment(model_curve(2), math.inf, 8.0, 2.0, lams,
+                               grid=lab.GradedGrid(2, 4.0, 32, 3),
+                               family_fn=families.__getitem__, npw=6)
+        assert len(hashes) == calls + len(distinct)
 
     @pytest.mark.parametrize("levels", [0, 3])
     @pytest.mark.parametrize("family", [[], [("zero", eng.zero_function())]],
@@ -715,3 +736,109 @@ class TestGradedSweepMemo:
                                _memo={})
             with pytest.raises(ValueError, match=f"lambda must be finite, got {lam}"):
                 grid.family_lq(model_curve(2), lam, [], 8.0)
+
+
+# ---------------------------------------------------------------------------
+# graded sweeps reduce the rows the grid family forms
+# ---------------------------------------------------------------------------
+
+
+def _full_grid_lq(grid, curve, lam, fs, q, alpha=None):
+    """family_lq on full grids: |T f| over the public family's grid on level
+    0's axes at lam 2^{-l}, its keep and ~keep parts to the power q."""
+    axes, keep, _ = grid.levels[0]
+    lams = [lam * 2.0 ** -level for level in range(len(grid.levels))]
+    parts = {}
+    for lam_l in lams:
+        for j, values in eng.extension_eval_grid_family(curve, lam_l, axes, fs, alpha=alpha):
+            mod = np.abs(values)
+            parts[j, lam_l] = tuple(float(np.max(part, initial=0.0)) if q == math.inf
+                                    else float(np.sum(part ** q))
+                                    for part in (mod[keep], mod[~keep]))
+    terms = [(cell ** grid.d, lam_l, 0) for lam_l, (_, _, cell) in zip(lams, grid.levels)]
+    terms.append(terms[-1][:2] + (1,))
+    if q == math.inf:
+        return [max(parts[j, lam_l][i] for _, lam_l, i in terms) for j in range(len(fs))]
+    return [sum(w * parts[j, lam_l][i] for w, lam_l, i in terms) ** (1.0 / q)
+            for j in range(len(fs))]
+
+
+# grids centred on 0 in every axis: a graded one, an odd one whose middle
+# row is its own mirror (cells 0.25 wide), and d = 3; the odd axis of
+# GradedGrid(2, 2.0, 31, 0) misses the centre in the last bits (cells 4 / 31
+# wide), so there the family forms every row
+_CENTRED_GRIDS = [(2, 4.0, 32, 3), (2, 3.875, 31, 0), (3, 2.0, 8, 1)]
+
+
+def _formed_family(d):
+    fs = [eng.trig_poly(3, 16), eng.indicator(0.2, 0.5), eng.bump(0.1, 0.9),
+          eng.zero_function()]
+    return fs if d == 3 else fs + [f for _, f in _bench_family(64.0)]
+
+
+class TestFormedRows:
+    @pytest.mark.parametrize("args", _CENTRED_GRIDS + [(2, 2.0, 31, 0)])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 8.0, math.inf])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_family_lq_matches_the_full_grid(self, args, q, weighted):
+        grid = lab.GradedGrid(*args)
+        curve, fs = model_curve(grid.d), _formed_family(grid.d)
+        alpha = float(grid.d) if weighted else None
+        got = grid.family_lq(curve, 16.0, fs, q, alpha=alpha)
+        ref = _full_grid_lq(grid, curve, 16.0, fs, q, alpha)
+        assert ref[3] == 0.0 and all(r > 0.0 for k, r in enumerate(ref) if k != 3)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("args", _CENTRED_GRIDS)
+    def test_family_lq_reads_the_formed_rows_only(self, args, monkeypatch):
+        # every level is centred on 0: blocks of m - m // 2 rows, and no
+        # full grid, whose lower rows would be the mirror image of the block
+        grid = lab.GradedGrid(*args)
+        blocks = []
+        family = eng._family_blocks
+
+        def recording(*a, **kwargs):
+            for j, block in family(*a, **kwargs):
+                blocks.append(block.shape)
+                yield j, block
+
+        def full_grids(*a, **kwargs):
+            raise AssertionError("family_lq formed a full grid")
+
+        monkeypatch.setattr(eng, "_family_blocks", recording)
+        monkeypatch.setattr(eng, "extension_eval_grid_family", full_grids)
+        fs = _formed_family(grid.d)
+        grid.family_lq(model_curve(grid.d), 16.0, fs, 8.0)
+        m = args[2]
+        assert blocks == [(m - m // 2,) + (m,) * (grid.d - 1)] * (len(set(fs)) * len(grid.levels))
+
+    def test_family_lq_at_a_large_exponent(self):
+        # |T f|^2000 underflowed: the norm came back 0.0
+        grid = lab.GradedGrid(2, 4.0, 32, 3)
+        f = eng.trig_poly(3, 64)
+        got, = grid.family_lq(model_curve(2), 1.0, [f], 2000.0)
+        # the reference sums in the log domain
+        axes, keep, _ = grid.levels[0]
+        logs = []
+        for level, (_, _, cell) in enumerate(grid.levels):
+            (_, values), = eng.extension_eval_grid_family(model_curve(2), 2.0 ** -level,
+                                                          axes, [f])
+            mod = np.abs(values)
+            for part in (mod[keep],) + ((mod[~keep],) if level == len(grid.levels) - 1 else ()):
+                logs.append(grid.d * math.log(cell) + 2000.0 * np.log(part))
+        ref = math.exp(np.logaddexp.reduce(np.concatenate(logs)) / 2000.0)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_scaling_sweep_at_a_large_exponent(self):
+        # |T f|^1000 underflowed to 0 at lambda = 128, and the log-log fit
+        # raised; an L^q norm on the grid's box of volume 64 is at most
+        # 64^{1/q} times the sup norm
+        grid = lab.GradedGrid(2, 4.0, 32, 3)
+        args = (model_curve(2), math.inf)
+        kwargs = dict(grid=grid, family_fn=_bench_family, npw=6)
+        lams = [2.0 ** k for k in range(3, 9)]
+        rep = lab.scaling_experiment(*args, 1000.0, 2.0, lams, **kwargs)
+        sup = lab.scaling_experiment(*args, math.inf, 2.0, lams, **kwargs)
+        assert rep.verdict in ("PASS", "FAIL")
+        for norm, top in zip(rep.sup_norms, sup.sup_norms):
+            assert 0.0 < norm <= 64.0 ** (1.0 / 1000.0) * top * (1.0 + 1e-12)
