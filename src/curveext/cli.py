@@ -115,7 +115,10 @@ def _hash_bytes(data):
 
 
 def load_config(path):
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:  # missing, unreadable, or a directory
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     parser = configparser.ConfigParser()
     try:
         parser.read_string(raw.decode())

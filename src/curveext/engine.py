@@ -275,12 +275,12 @@ def build_rules(pieces, omega, nodes_per_wavelength=NODES_PER_WAVELENGTH,
         omega_tot = omega + f.bandwidth()
         base = (2.0 * math.pi / max(omega_tot, 1e-9)) * PANEL_ORDER / nodes_per_wavelength
         base = min(base, f.hi - f.lo)
-        # the uniform panels alone, before any array is built; grading only adds
-        _budget(math.ceil((f.hi - f.lo) / base) * PANEL_ORDER, omega_tot)
         cuts = (_graded_cuts(f.lo, f.hi, grade_points[k])
                 if grade_points and grade_points[k] else (f.lo, f.hi))
-        # each segment in equal panels at most base wide
+        # each segment in equal panels at most base wide, graded panels
+        # included in the budget, checked before any array is built
         panels = [max(1, math.ceil((b - a) / base)) for a, b in zip(cuts[:-1], cuts[1:])]
+        _budget(sum(panels) * PANEL_ORDER, omega_tot)
         segs += zip(cuts[:-1], cuts[1:], panels)
         counts.append(sum(panels) * PANEL_ORDER)
         omega_max = max(omega_max, omega_tot)
@@ -639,12 +639,14 @@ def check_exponent(name, value, least=1.0):
 
 
 def lq_norm(values, mu, q):
-    """L^q norm of per-atom values against the measure's weights."""
+    """L^q norm of per-atom values against the measure's weights; atoms of
+    weight 0 do not count, at q = infinity either."""
     values = np.asarray(values)
     if values.shape[0] != mu.n:
         raise ValueError("values not aligned with measure atoms")
     check_exponent("q", q)
-    return _scaled_norm(np.abs(values), mu.weights, q)
+    live = mu.weights > 0.0
+    return _scaled_norm(np.abs(values[live]), mu.weights[live], q)
 
 
 def _scaled_norm(mod, weights, q):

@@ -168,13 +168,14 @@ def default_test_family(d, lam, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def _formed_weights(keep, rows):
-    """How often each x in the last `rows` rows of a grid with keep mask
-    `keep` counts in the annulus (keep) and the core (~keep): once, and again
-    for -x if its row was not formed, as |T f(-x)| = |T f(x)|: (2, rows, ...)."""
+def _formed_weights(keep):
+    """How often each x in the formed rows m // 2 ... m - 1 of a centred grid
+    with keep mask `keep` counts in the annulus (keep) and the core (~keep):
+    once, and for -x again if its row is not formed: (2, m - m // 2, ...)."""
+    half = keep.shape[0] // 2
     both = np.array([keep, ~keep], dtype=float)
-    both[:, rows:] += np.flip(both, axis=tuple(range(1, both.ndim)))[:, rows:]
-    return both[:, keep.shape[0] - rows:]
+    both[:, -half:] += np.flip(both, axis=tuple(range(1, both.ndim)))[:, -half:]
+    return both[:, half:]
 
 
 def _formed_parts(block, w, q):
@@ -204,10 +205,11 @@ class GradedGrid:
         self.half = float(half)
         self.levels = ms.graded_level_structure(d, (-self.half, self.half),
                                                 resolution, levels)
-        # the grid family forms every row, or the last m - m // 2 on a grid
-        # centred on 0
-        self._weights = {rows: _formed_weights(self.levels[0][1], rows)
-                         for rows in (resolution, resolution - resolution // 2)}
+        # every level is centred on 0, so the grid family forms its last
+        # m - m // 2 rows
+        self._weights = _formed_weights(self.levels[0][1])
+        # cell_l^d of each level's annulus, then of the finest level's core
+        self._cells = np.array([cell ** d for _, _, cell in self.levels + self.levels[-1:]])
 
     def family_lq(self, curve, lam, fs, q, alpha=None,
                   nodes_per_wavelength=eng.NODES_PER_WAVELENGTH, _memo=None):
@@ -221,30 +223,26 @@ class GradedGrid:
         power q, the finest level also the core part, the largest part
         factored out.  A sweep passes `_memo`, its record of each f in fs
         (family_sup): a dict that keeps these parts by lam 2^{-l} across
-        calls on a grid of more than one level.
+        calls.
         """
         eng.check_exponent("q", q)
-        axes = self.levels[0][0]
-        if _memo is None or len(self.levels) == 1:  # this call's own records
+        if not math.isfinite(lam):
+            raise ValueError(f"lambda must be finite, got {lam}")
+        if _memo is None:  # this call's own records
             fresh = {}
             _memo = [fresh.setdefault(f, {}) for f in fs]
+        axes = self.levels[0][0]
         members = {id(rec): (f, rec) for f, rec in zip(fs, _memo)}.values()
         lams = [lam * 2.0 ** -level for level in range(len(self.levels))]
         for lam_l in lams:
             todo = [(f, rec) for f, rec in members if lam_l not in rec]
-            # nothing to evaluate; a lambda that is not finite still goes to
-            # the family, which rejects it
-            if not todo and math.isfinite(lam_l):
+            if not todo:
                 continue
             for j, block in eng._family_blocks(curve, lam_l, axes, [f for f, _ in todo],
                                                alpha, nodes_per_wavelength):
-                todo[j][1][lam_l] = _formed_parts(block, self._weights[len(block)], q)
-        # (cell_l^d, lam 2^{-l}, part): each level's annulus, the finest one's core
-        terms = [(cell ** self.d, lam_l, 0) for lam_l, (_, _, cell) in zip(lams, self.levels)]
-        terms.append(terms[-1][:2] + (1,))
-        weights = np.array([w for w, _, _ in terms])
-        return [eng._scaled_norm(np.array([rec[lam_l][i] for _, lam_l, i in terms]), weights, q)
-                for rec in _memo]
+                todo[j][1][lam_l] = _formed_parts(block, self._weights, q)
+        return [eng._scaled_norm(np.array([rec[lam_l][0] for lam_l in lams] + [rec[lams[-1]][1]]),
+                                 self._cells, q) for rec in _memo]
 
     def extension_lq(self, curve, lam, f, q,
                      nodes_per_wavelength=eng.NODES_PER_WAVELENGTH):

@@ -129,7 +129,9 @@ def graded_level_structure(d, box, resolution, grading_levels):
     only cells outside the next finer box.  Graded grids need a resolution
     divisible by 4, so the finer box's edges are cell edges and the union
     is an exact partition (else they cut through cell centres).  A plain
-    box (grading_levels = 0) is one level that keeps every cell.
+    box (grading_levels = 0) is one level that keeps every cell.  On a box
+    centred on 0 each axis is exactly symmetric, a[k] == -a[m-1-k], so the
+    grid family forms half of it.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
@@ -151,7 +153,10 @@ def graded_level_structure(d, box, resolution, grading_levels):
     for level in range(grading_levels + 1):
         s = 2.0 ** (-level)
         edges = np.linspace(lo * s, hi * s, resolution + 1)
-        axes = (0.5 * (edges[:-1] + edges[1:]),) * d
+        a = 0.5 * (edges[:-1] + edges[1:])
+        # (a - a[::-1]) / 2 moves a centred axis by at most an ulp and keeps
+        # the bits of one that is already symmetric
+        axes = (0.5 * (a - a[::-1]) if lo == -hi else a,) * d
         keep = np.ones((resolution,) * d, dtype=bool)
         if level < grading_levels:
             rad = np.max(np.abs(_product(*axes)), axis=1)
@@ -383,33 +388,24 @@ def regularity_audit(mu, n_centers=AUDIT_CENTERS, seed=0):
         radii.append(r)
         r /= 2.0
     table = _ball_masses(tree, mu.weights, centers, radii)
-    worst = -1.0
-    worst_center = centers[0]
-    worst_radius = radii[0]
-    fit_r, fit_m = [], []
-    for j, rho in enumerate(radii):
-        valid = floors <= rho
-        if not np.any(valid):
-            continue
-        live = centers[valid]
-        masses = table[valid, j]
-        ratios = masses / rho ** mu.alpha
-        k = int(np.argmax(ratios))
-        if rho <= diam / 4.0:
-            # saturation near the diameter would bias the exponent fit
-            fit_r.append(rho)
-            fit_m.append(max(float(np.max(masses)), 1e-300))
-        if ratios[k] > worst:
-            worst = float(ratios[k])
-            worst_center = live[k]
-            worst_radius = rho
-    fit = fit_line(fit_r, fit_m)[0] if len(fit_r) > 1 else float("nan")
+    # Python's pow: numpy's vector power can differ from it in the last bit
+    scales = np.array([rho ** mu.alpha for rho in radii])
+    radii = np.array(radii)
+    # every radius is >= floor, so each has a live centre
+    live = floors[:, None] <= radii
+    ratios = np.where(live, table / scales, -math.inf)
+    # the worst ratio: at the largest radius first, then at its first centre
+    j, k = np.unravel_index(np.argmax(ratios.T), ratios.T.shape)
+    worst = float(ratios[k, j])
+    # saturation near the diameter would bias the exponent fit
+    fit = radii <= diam / 4.0
+    fit_m = np.maximum(np.where(live, table, 0.0).max(axis=0)[fit], 1e-300)
     return AuditReport(
         c_est=worst,
-        exponent_fit=fit,
+        exponent_fit=fit_line(radii[fit], fit_m)[0] if fit_m.size > 1 else float("nan"),
         passed=worst <= mu.c_mu * AUDIT_SLACK,
-        worst_center=np.asarray(worst_center),
-        worst_radius=float(worst_radius),
+        worst_center=centers[k].copy(),
+        worst_radius=float(radii[j]),
         floor=floor,
     )
 

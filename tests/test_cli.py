@@ -197,6 +197,18 @@ seed = 3
         cfg = write_config(tmp_path, "p = 2  # no section header\n")
         assert cli.main(["scaling", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["scaling", "sharpness", "decompose",
+                                         "multilinear", "finitetype", "measure-audit"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, command, kind):
+        # the OSError escaped `main`: exit 1 with a traceback
+        cfg = tmp_path / "run.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        assert cli.main([command, str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: cannot read config {cfg}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestMeasureMismatch:
     """A [measure] kind other than lebesgue for a grid, or a [measure] d

@@ -173,6 +173,14 @@ def test_rule_needs_finite_positive_node_density(npw):
                            nodes_per_wavelength=npw)
 
 
+def test_graded_piece_over_node_budget_raises(monkeypatch):
+    # only the uniform panels were budgeted: one panel of PANEL_ORDER nodes
+    # here, while the grading toward 0.5 built 928 nodes past MAX_NODES = 64
+    monkeypatch.setattr(eng, "MAX_NODES", 64)
+    with pytest.raises(eng.QuadratureBudgetError, match="needs 928 nodes"):
+        eng.build_rule(eng.indicator(0.0, 1.0), 0.0, grade_points=(0.5,))
+
+
 def test_rule_over_node_budget_raises_before_building():
     # lambda = 1e9 at |x| <= sqrt 2 asked for 3.2e9 nodes (51 GB of nodes
     # and weights) and was still building after 120 s
@@ -1168,6 +1176,15 @@ def test_norms_at_large_exponents_neither_underflow_nor_overflow():
     # an infinite value still gives an infinite norm, not inf / inf = NaN
     v[0] = math.inf
     assert eng.lq_norm(v, mu, 2.0) == math.inf
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 1000.0, math.inf])
+def test_lq_norm_ignores_atoms_of_weight_zero(q):
+    # the null atom's 5 set the result: 5.0 at q = infinity, and 0.0 at
+    # q = 1000, where (1 / 5)^1000 underflowed
+    mu = ms.DiscreteMeasure(atoms=[[0.0], [1.0]], weights=[1.0, 0.0], alpha=1.0,
+                            c_mu=1.0, resolution=1.0)
+    assert eng.lq_norm(np.array([1.0, 5.0]), mu, q) == 1.0
 
 
 def test_lq_norm_contracts():

@@ -724,6 +724,18 @@ class TestGradedSweepMemo:
         assert len(hashes) == calls + len(distinct)
 
     @pytest.mark.parametrize("levels", [0, 3])
+    def test_memo_serves_a_grid_of_any_number_of_levels(self, levels, monkeypatch):
+        # a grid of one level kept no records: a member that recurred at the
+        # same lambda in one sweep was evaluated again
+        grid = lab.GradedGrid(2, 4.0, 32, levels)
+        seen = _counting_evaluations(monkeypatch)
+        family, memo = lab.trig_family(0, 2), {}
+        first = lab.family_sup(model_curve(2), 8.0, family, 2.0, 8.0, grid=grid, _memo=memo)
+        assert len(seen) == 2 * (levels + 1)
+        again = lab.family_sup(model_curve(2), 8.0, family, 2.0, 8.0, grid=grid, _memo=memo)
+        assert len(seen) == 2 * (levels + 1) and again == first
+
+    @pytest.mark.parametrize("levels", [0, 3])
     @pytest.mark.parametrize("family", [[], [("zero", eng.zero_function())]],
                              ids=["empty", "zero-norm"])
     def test_non_finite_lambda_rejected_without_members(self, levels, family):
@@ -763,11 +775,12 @@ def _full_grid_lq(grid, curve, lam, fs, q, alpha=None):
             for j in range(len(fs))]
 
 
-# grids centred on 0 in every axis: a graded one, an odd one whose middle
-# row is its own mirror (cells 0.25 wide), and d = 3; the odd axis of
-# GradedGrid(2, 2.0, 31, 0) misses the centre in the last bits (cells 4 / 31
-# wide), so there the family forms every row
-_CENTRED_GRIDS = [(2, 4.0, 32, 3), (2, 3.875, 31, 0), (3, 2.0, 8, 1)]
+# grids centred on 0 in every axis, graded and plain, even and odd, d = 2
+# and 3; on an odd one the middle row is its own mirror.  The cell midpoints
+# of (2, 2.0, 31, 0), 4 / 31 wide, of (2, 2.0, 30, 0) and of (3, 1.0, 7, 0)
+# miss exact symmetry in the last bits, which the layout restores
+_CENTRED_GRIDS = [(2, 4.0, 32, 3), (2, 3.875, 31, 0), (2, 2.0, 31, 0), (2, 2.0, 30, 0),
+                  (3, 2.0, 8, 1), (3, 1.0, 7, 0)]
 
 
 def _formed_family(d):
@@ -777,7 +790,7 @@ def _formed_family(d):
 
 
 class TestFormedRows:
-    @pytest.mark.parametrize("args", _CENTRED_GRIDS + [(2, 2.0, 31, 0)])
+    @pytest.mark.parametrize("args", _CENTRED_GRIDS)
     @pytest.mark.parametrize("q", [1.0, 2.0, 8.0, math.inf])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_family_lq_matches_the_full_grid(self, args, q, weighted):

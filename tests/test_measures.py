@@ -189,6 +189,25 @@ def test_cantor_matches_meshgrid_oracle(d, depth):
                                                       2.0 ** (-depth * d)))
 
 
+@pytest.mark.parametrize("d, half, res, levels", [
+    (2, 2.0, 31, 0), (2, 1.0, 7, 0), (3, 1.0, 15, 0), (2, 2.0, 30, 0),
+    (2, 3.875, 31, 0), (2, 4.0, 32, 3), (3, 2.0, 8, 1), (2, 16.0, 128, 8)])
+def test_centred_axes_exactly_symmetric(d, half, res, levels):
+    # symmetry lets the grid family form half of each axis; the cell
+    # midpoints of (2, 2.0, 31, 0), (2, 1.0, 7, 0), (3, 1.0, 15, 0) and
+    # (2, 2.0, 30, 0) miss it in the last bits, the others are symmetric
+    for level, (axes, _, _) in enumerate(ms.graded_level_structure(d, (-half, half), res,
+                                                                   levels)):
+        hi = half * 2.0 ** -level
+        mid = _centers(-hi, hi, res)
+        for a in axes:
+            assert np.all(a == -a[::-1])
+            assert res % 2 == 0 or (a[res // 2] == 0.0 and not np.signbit(a[res // 2]))
+            if np.all(mid == -mid[::-1]):
+                assert a.tobytes() == mid.tobytes()
+            np.testing.assert_allclose(a, mid, rtol=0, atol=np.finfo(float).eps * hi)
+
+
 @pytest.mark.parametrize("ratio", [1 / 3, 0.3, 0.25])
 def test_cantor_axis_exactly_symmetric(ratio):
     # exact symmetry about 1/2 lets the grid family form half of each axis
@@ -351,6 +370,86 @@ def test_audit_rejects_empty_measure():
 def test_audit_rejects_no_centres():
     with pytest.raises(ValueError, match="n_centers must be >= 1, got 0"):
         ms.regularity_audit(ms.make_cantor(1, 1 / 3, 4), n_centers=0)
+
+
+def _audit_by_radius(mu, n_centers=ms.AUDIT_CENTERS, seed=0):
+    """regularity_audit with a loop over the radii, largest first, keeping
+    the first strictly larger ratio: the reference for its one-pass
+    reduction of the ball-mass table."""
+    rng = np.random.default_rng(seed)
+    idx = (slice(None) if mu.n <= n_centers
+           else rng.choice(mu.n, size=n_centers, replace=False))
+    centers = mu.atoms[idx]
+    tree = mu.tree()
+    if mu.local_resolution is not None:
+        nn = mu.local_resolution[idx]
+    elif mu.n > 1:
+        nn = np.maximum(tree.query(centers, k=2)[0][:, 1], 1e-300)
+    else:
+        nn = np.full(centers.shape[0], mu.resolution)
+    floors = ms.AUDIT_FLOOR_FACTOR * nn
+    floor = float(np.min(floors))
+    diam = max(mu.diameter(), floor * 2.0)
+    radii = []
+    r = diam
+    while r >= floor:
+        radii.append(r)
+        r /= 2.0
+    table = ms._ball_masses(tree, mu.weights, centers, radii)
+    worst, worst_center, worst_radius = -1.0, centers[0], radii[0]
+    fit_r, fit_m = [], []
+    for j, rho in enumerate(radii):
+        valid = floors <= rho
+        if not np.any(valid):
+            continue
+        live = centers[valid]
+        masses = table[valid, j]
+        ratios = masses / rho ** mu.alpha
+        k = int(np.argmax(ratios))
+        if rho <= diam / 4.0:
+            fit_r.append(rho)
+            fit_m.append(max(float(np.max(masses)), 1e-300))
+        if ratios[k] > worst:
+            worst, worst_center, worst_radius = float(ratios[k]), live[k], rho
+    fit = ms.fit_line(fit_r, fit_m)[0] if len(fit_r) > 1 else float("nan")
+    return ms.AuditReport(c_est=worst, exponent_fit=fit, passed=worst <= mu.c_mu * ms.AUDIT_SLACK,
+                          worst_center=np.asarray(worst_center),
+                          worst_radius=float(worst_radius), floor=floor)
+
+
+def _ties_and_floors():
+    """Ratio mu(B)/rho = 2, the largest, at (x, rho) = (0, 4), (1, 4),
+    (40, 8) and (41, 8): the loop keeps (40, 8).  The atom at 20, 13 from
+    its nearest one, would read 12 / 4 = 3 below its floor of 52."""
+    return ms.DiscreteMeasure(
+        atoms=[[0.0], [1.0], [20.0], [33.0], [40.0], [41.0], [47.0], [64.0]],
+        weights=[7.0, 1.0, 12.0, 6.0, 3.0, 1.0, 6.0, 1.0], alpha=1.0, c_mu=2.0,
+        resolution=1.0)
+
+
+# Lebesgue boxes tie at every interior centre, the odd one on axes made
+# exactly symmetric; n_centers 1000 takes every atom of each but Cantor's
+@pytest.mark.parametrize("make", [
+    lambda: ms.make_cantor(2, 1 / 3, 6),
+    lambda: ms.make_lebesgue(2, (-1.0, 1.0), 16, 2),
+    lambda: ms.make_appendix_a(2, 1.5, 0, resolution=32, grading_levels=4),
+    lambda: ms.make_lebesgue(2, (-1.0, 1.0), 15),
+    lambda: ms.make_cantor(1, 1 / 3, 0),
+    _ties_and_floors,
+], ids=["cantor", "graded_lebesgue", "appendix_a", "odd_lebesgue", "one_atom",
+        "ties_and_floors"])
+@pytest.mark.parametrize("seed", [0, 7, 41])
+@pytest.mark.parametrize("n_centers", [128, 1000])
+def test_audit_matches_the_loop_over_radii(make, seed, n_centers):
+    mu = make()
+    got = ms.regularity_audit(mu, n_centers=n_centers, seed=seed)
+    ref = _audit_by_radius(mu, n_centers=n_centers, seed=seed)
+    for field in ("c_est", "exponent_fit", "passed", "worst_radius", "floor"):
+        np.testing.assert_equal(getattr(got, field), getattr(ref, field), err_msg=field)
+        assert type(getattr(got, field)) is type(getattr(ref, field)), field
+    assert got.worst_center.tobytes() == ref.worst_center.tobytes()
+    if make is _ties_and_floors:
+        assert (got.c_est, got.worst_center[0], got.worst_radius) == (2.0, 40.0, 8.0)
 
 
 def _dense_masses(mu, centers, radii):
