@@ -387,7 +387,8 @@ def _scatter(targets, gamma_nodes, amp, counts, lam, workers=1):
     # still cut at the NODE_CHUNK boundaries, so no piece's sum changes
     cap = min(max(max(counts, default=0), SCATTER_CHUNK), NODE_CHUNK)
     cap = max(cap, NODE_CHUNK // max(min(m, TARGET_BLOCK), 1))
-    jobs = [(i, c) for i in range(0, m, TARGET_BLOCK) for c in _chunks(counts.tolist(), cap)]
+    chunks = _chunks(counts.tolist(), cap)
+    jobs = [(i, c) for i in range(0, m, TARGET_BLOCK) for c in chunks]
 
     def run(job):
         i, (a, b, offsets, _) = job

@@ -211,43 +211,42 @@ class GradedGrid:
         # cell_l^d of each level's annulus, then of the finest level's core
         self._cells = np.array([cell ** d for _, _, cell in self.levels + self.levels[-1:]])
 
-    def family_lq(self, curve, lam, fs, q, alpha=None,
-                  nodes_per_wavelength=eng.NODES_PER_WAVELENGTH, _memo=None):
-        """L^q norm of T f against the grid's measure for each f in fs.
+    def family_lq(self, curve, jobs, q, alpha=None,
+                  nodes_per_wavelength=eng.NODES_PER_WAVELENGTH):
+        """For each (lam, fs) in jobs, the L^q norms of T_lam f against the
+        grid's measure, f in fs.
 
         Level l is level 0 dilated by 2^{-l}, and T_lam f(2^{-l} x) =
-        T_{lam 2^{-l}} f(x); so each (f, lam 2^{-l}) is evaluated once, on
-        the rows of level 0's axes that the grid family forms, into the L^q
-        norms of T f over level 0's kept annulus and over its core
-        (_formed_parts).  Level l adds cell_l^d times the annulus part to the
-        power q, the finest level also the core part, the largest part
-        factored out.  A sweep passes `_memo`, its record of each f in fs
-        (family_sup): a dict that keeps these parts by lam 2^{-l} across
-        calls.
+        T_{lam 2^{-l}} f(x); so each member (by identity: family_sup passes
+        equal members as one) is evaluated once per lam 2^{-l} of the jobs,
+        on the rows of level 0's axes that the grid family forms, into the
+        L^q norms of T f over level 0's kept annulus and over its core
+        (_formed_parts), one grid-family call per job and level.  Level l
+        adds cell_l^d times the annulus part to the power q, the finest
+        level also the core part, the largest part factored out.
         """
         eng.check_exponent("q", q)
-        if not math.isfinite(lam):
-            raise ValueError(f"lambda must be finite, got {lam}")
-        if _memo is None:  # this call's own records
-            fresh = {}
-            _memo = [fresh.setdefault(f, {}) for f in fs]
-        axes = self.levels[0][0]
-        members = {id(rec): (f, rec) for f, rec in zip(fs, _memo)}.values()
-        lams = [lam * 2.0 ** -level for level in range(len(self.levels))]
-        for lam_l in lams:
-            todo = [(f, rec) for f, rec in members if lam_l not in rec]
-            if not todo:
-                continue
-            for j, block in eng._family_blocks(curve, lam_l, axes, [f for f, _ in todo],
-                                               alpha, nodes_per_wavelength):
-                todo[j][1][lam_l] = _formed_parts(block, self._weights, q)
-        return [eng._scaled_norm(np.array([rec[lam_l][0] for lam_l in lams] + [rec[lams[-1]][1]]),
-                                 self._cells, q) for rec in _memo]
+        axes, parts, out = self.levels[0][0], {}, []
+        for lam, fs in jobs:
+            if not math.isfinite(lam):
+                raise ValueError(f"lambda must be finite, got {lam}")
+            members = {id(f): f for f in fs}
+            lams = [lam * 2.0 ** -level for level in range(len(self.levels))]
+            for lam_l in lams:
+                todo = [f for key, f in members.items() if (key, lam_l) not in parts]
+                if todo:
+                    for j, block in eng._family_blocks(curve, lam_l, axes, todo, alpha,
+                                                       nodes_per_wavelength):
+                        parts[id(todo[j]), lam_l] = _formed_parts(block, self._weights, q)
+            out.append([eng._scaled_norm(np.array([parts[id(f), lam_l][0] for lam_l in lams]
+                                                  + [parts[id(f), lams[-1]][1]]),
+                                         self._cells, q) for f in fs])
+        return out
 
     def extension_lq(self, curve, lam, f, q,
                      nodes_per_wavelength=eng.NODES_PER_WAVELENGTH):
         """L^q norm of T f against the grid's Lebesgue measure."""
-        return self.family_lq(curve, lam, [f], q, None, nodes_per_wavelength)[0]
+        return self.family_lq(curve, [(lam, [f])], q, None, nodes_per_wavelength)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -279,36 +278,31 @@ class ScalingReport:
         return self.verdict == "PASS"
 
 
-def family_sup(curve, lam, family, p, q, mu=None, grid=None, alpha=None,
-               npw=eng.NODES_PER_WAVELENGTH, _memo=None):
-    """Sup over the family of ||T f||_{L^q} / ||f||_p; returns (value, label).
+def family_sup(curve, jobs, p, q, mu=None, grid=None, alpha=None,
+               npw=eng.NODES_PER_WAVELENGTH):
+    """Sup over each family of ||T f||_{L^q} / ||f||_p: one (value, label)
+    per (lam, family) in jobs.
 
     The L^q norm is taken on the graded grid when one is given, else
-    against the measure mu.  A sweep passes `_memo`, one dict for its
-    length, of one record per member, found by one lookup per call: ||f||_p,
-    so a member that recurs is normed once, and the grid's parts of T f
-    (GradedGrid.family_lq).
+    against the measure mu.  ||f||_p is taken once per distinct member, and
+    the grid evaluates it once per lambda it needs (GradedGrid.family_lq).
     """
-    memo, fps = {} if _memo is None else _memo, []
-    for name, f in family:
-        rec = memo.get(f)  # the one lookup of f
-        if rec is None:
-            rec = memo[f] = (f.lp_norm(p), {})
-        if rec[0] != 0.0:
-            fps.append((name, f, rec))
+    first = {}  # one lookup maps a member to the first equal one
+    jobs = [(lam, [(name, first.setdefault(f, f)) for name, f in family])
+            for lam, family in jobs]
+    fps = {id(f): f.lp_norm(p) for f in first.values()}
+    jobs = [(lam, [(name, f) for name, f in fam if fps[id(f)] != 0.0]) for lam, fam in jobs]
     if grid is not None:
-        norms = grid.family_lq(curve, lam, [f for _, f, _ in fps], q, alpha=alpha,
-                               nodes_per_wavelength=npw, _memo=[rec[1] for _, _, rec in fps])
+        norms = grid.family_lq(curve, [(lam, [f for _, f in fam]) for lam, fam in jobs], q,
+                               alpha=alpha, nodes_per_wavelength=npw)
     else:
-        norms = [lq_norm(extension_eval(curve, lam, mu.atoms, f, alpha=alpha,
-                                        nodes_per_wavelength=npw), mu, q)
-                 for _, f, _ in fps]
-    best, label = 0.0, "none"
-    for (name, _, (fp, _)), norm in zip(fps, norms):
-        val = norm / fp
-        if val > best:
-            best, label = val, name
-    return best, label
+        norms = [[lq_norm(extension_eval(curve, lam, mu.atoms, f, alpha=alpha,
+                                         nodes_per_wavelength=npw), mu, q)
+                  for _, f in fam] for lam, fam in jobs]
+    # the first largest ratio, and "none" when no ratio is > 0
+    return [max([(0.0, "none")] + [(norm / fps[id(f)], name) for (name, f), norm
+                                    in zip(fam, job_norms)], key=lambda v: v[0])
+            for (_, fam), job_norms in zip(jobs, norms)]
 
 
 def scaling_experiment(curve, p, q, alpha, lam_grid, mu=None, grid=None,
@@ -337,12 +331,8 @@ def scaling_experiment(curve, p, q, alpha, lam_grid, mu=None, grid=None,
     elif radius < math.sqrt(grid.d) * grid.half:  # a grid is not cut to a ball
         raise ValueError(f"radius must reach the grid's corners at "
                          f"{math.sqrt(grid.d) * grid.half}, got {radius}")
-    sups, labels, memo = [], [], {}
-    for lam in lam_grid:
-        val, label = family_sup(curve, lam, family_fn(lam), p, q, mu=mu,
-                                grid=grid, npw=npw, _memo=memo)
-        sups.append(val)
-        labels.append(label)
+    sups, labels = zip(*family_sup(curve, [(lam, family_fn(lam)) for lam in lam_grid],
+                                   p, q, mu=mu, grid=grid, npw=npw))
     target = -alpha / q
     if max(sups) == 0.0:
         slope, stderr, verdict = 0.0, 0.0, "vacuous"
@@ -350,8 +340,8 @@ def scaling_experiment(curve, p, q, alpha, lam_grid, mu=None, grid=None,
         slope, _, stderr = fit_line(lam_grid, sups)
         verdict = "PASS" if slope <= target + SLOPE_TOL else "FAIL"
     return ScalingReport(
-        kind="family-sup", lam_grid=lam_grid, sup_norms=tuple(sups),
-        best_labels=tuple(labels), radius=radius if grid is None
+        kind="family-sup", lam_grid=lam_grid, sup_norms=sups,
+        best_labels=labels, radius=radius if grid is None
         else grid.half, alpha=alpha, slope=slope, stderr=stderr,
         target_slope=target, tol=SLOPE_TOL, verdict=verdict)
 
@@ -641,25 +631,33 @@ def translate_curve(curve, tau):
 
 def finite_type_blocks(curve, grid, a, alpha, p, q, lam, n_blocks=7,
                        fit_blocks=5, npw=eng.NODES_PER_WAVELENGTH,
-                       widths=(1.0, 2.0, 4.0), _memo=None):
+                       widths=(1.0, 2.0, 4.0)):
     """Weighted family-sup norms per dyadic block of the parameter interval.
 
     Block j carries f supported in [2^{-j-1}, 2^{-j}]; the fitted log2
     decay over the first fit_blocks blocks is compared against
     sigma (1 - beta/q - 1/p).  Aggregate is the triangle-inequality sum.
-    A sweep passes `_memo` on to family_sup.
     """
+    return _block_reports(curve, grid, a, alpha, p, q, [lam], n_blocks, fit_blocks,
+                          npw, widths)[0]
+
+
+def _block_reports(curve, grid, a, alpha, p, q, lams, n_blocks, fit_blocks, npw, widths):
+    """finite_type_blocks at each lambda in lams, from one family_sup sweep."""
     if not 2 <= fit_blocks <= n_blocks:
         raise ValueError(f"need 2 <= fit_blocks <= blocks, got {fit_blocks} and {n_blocks}")
     if not all(0.0 < w < math.inf for w in widths):
         raise ValueError(f"widths must be finite and > 0, got {widths}")
-    norms = [family_sup(curve, lam, _block_family(curve.d, lam, j, widths), p, q, grid=grid,
-                        alpha=alpha, npw=npw, _memo=_memo)[0] for j in range(n_blocks)]
-    rate = -fit_line(2.0 ** np.arange(fit_blocks), norms[:fit_blocks])[0]
-    return BlockReport(
-        lam=lam, block_norms=tuple(norms), rate=rate,
-        target_rate=block_decay_rate(a, alpha, p, q),
-        aggregate=float(np.sum(norms)))
+    sups = family_sup(curve, [(lam, _block_family(curve.d, lam, j, widths))
+                              for lam in lams for j in range(n_blocks)],
+                      p, q, grid=grid, alpha=alpha, npw=npw)
+    blocks = [tuple(val for val, _ in sups[i:i + n_blocks])
+              for i in range(0, len(sups), n_blocks)]
+    return [BlockReport(lam=lam, block_norms=norms,
+                        rate=-fit_line(2.0 ** np.arange(fit_blocks), norms[:fit_blocks])[0],
+                        target_rate=block_decay_rate(a, alpha, p, q),
+                        aggregate=float(np.sum(norms)))
+            for lam, norms in zip(lams, blocks)]
 
 
 def finite_type_pipeline(curve, tau, grid, alpha, p, q, lam_grid,
@@ -678,11 +676,8 @@ def finite_type_pipeline(curve, tau, grid, alpha, p, q, lam_grid,
     a = detect_finite_type(shifted, 0.0).a
     if not ExponentPair(p=p, q=q, d=curve.d, alpha=alpha).admissible:
         raise ValueError(f"(p, q) = ({p}, {q}) is not admissible")
-    memo = {}
-    reports = [finite_type_blocks(shifted, grid, a, alpha, p, q, lam, n_blocks=n_blocks,
-                                  fit_blocks=fit_blocks, npw=npw, widths=widths,
-                                  _memo=memo)
-               for lam in lam_grid]
+    reports = _block_reports(shifted, grid, a, alpha, p, q, lam_grid, n_blocks,
+                             fit_blocks, npw, widths)
     slope = fit_line(lam_grid, [r.aggregate for r in reports])[0]
     target = -alpha / q
     verdict = "PASS" if slope <= target + SLOPE_TOL else "FAIL"

@@ -61,12 +61,18 @@ class DiscreteMeasure:
             raise ValueError("weights must be nonnegative")
         if not np.all(np.isfinite(atoms)) or not np.all(np.isfinite(weights)):
             raise ValueError("atoms and weights must be finite")
+        # a cell scale of 0 would let the audit's radii halve forever
+        if not 0.0 < self.resolution < math.inf:
+            raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
         if self.local_resolution is not None:
             lr = np.asarray(self.local_resolution, dtype=float)
             if lr.shape[0] != atoms.shape[0]:
                 raise ValueError("local_resolution length mismatch")
+            bad = lr[~((lr > 0.0) & (lr < math.inf))]
+            if bad.size:
+                raise ValueError(f"local_resolution must be finite and > 0, got {bad[0]}")
             object.__setattr__(self, "local_resolution", lr)
 
     @property

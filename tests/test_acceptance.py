@@ -19,6 +19,8 @@ from curveext import measures as ms
 from curveext import curves as cv
 from curveext.curves import CurveSpec, ExponentTuple, model_curve
 
+import reference_outputs
+
 
 def report(n, ok, detail=""):
     print(f"[criterion {n}] {'PASS' if ok else 'FAIL'} {detail}")
@@ -220,15 +222,20 @@ def test_criterion_07_certificates():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", [math.inf, 2.0])
-def test_criterion_08_main_scaling(p):
+def _criterion_08(p):
     grid = lab.GradedGrid(2, 16.0, 128, 8)
     lams = [2.0 ** k for k in range(5, 11)]
-    rep = lab.scaling_experiment(model_curve(2), p, 8.0, 2.0, lams,
-                                 grid=grid, seed=0, npw=6)
+    return lab.scaling_experiment(model_curve(2), p, 8.0, 2.0, lams,
+                                  grid=grid, seed=0, npw=6)
+
+
+@pytest.mark.parametrize("p", [math.inf, 2.0])
+def test_criterion_08_main_scaling(p):
+    rep = _criterion_08(p)
     ok = rep.slope <= rep.target_slope + lab.SLOPE_TOL and rep.passed()
     report(8, ok, f"p={p} slope {rep.slope:.3f} vs target "
                   f"{rep.target_slope:.3f}+{lab.SLOPE_TOL}")
+    reference_outputs.check(f"criterion-8/p={p}", rep)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +271,29 @@ def test_criterion_09_sharpness():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_10_finite_type():
+def _criterion_10():
     g = CurveSpec(d=2, coeffs=((0, 0, 1), (0, 0, 0, 1)))
     grid = lab.GradedGrid(2, 8.0, 128, 9)
     lams = [2.0 ** k for k in range(7, 13)]
-    reports, slope, target, verdict = lab.finite_type_pipeline(
-        g, 0.0, grid, 2.0, 4.0, 8.0, lams, n_blocks=7, fit_blocks=5, npw=6)
+    return lab.finite_type_pipeline(g, 0.0, grid, 2.0, 4.0, 8.0, lams, n_blocks=7,
+                                    fit_blocks=5, npw=6)
+
+
+def test_criterion_10_finite_type():
+    out = _criterion_10()
+    reports, slope, target, verdict = out
     top = reports[-1]
     ok = abs(top.rate - 0.625) <= 0.1
     ok = ok and slope <= target + lab.SLOPE_TOL and verdict == "PASS"
     report(10, ok, f"block rate {top.rate:.3f} vs 0.625+-0.1; "
                    f"aggregate {slope:.3f} <= {target:.3f}+{lab.SLOPE_TOL}")
+    reference_outputs.check("criterion-10", out)
+
+
+def stored_reports():
+    """The reports of criteria 8 and 10 that reference_outputs.txt stores."""
+    return {**{f"criterion-8/p={p}": _criterion_08(p) for p in (math.inf, 2.0)},
+            "criterion-10": _criterion_10()}
 
 
 # ---------------------------------------------------------------------------

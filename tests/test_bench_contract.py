@@ -5,28 +5,11 @@ check and reaches a true verdict on every operation.
 bench/ is only read: its modules are imported without writing bytecode.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+import reference_outputs
 
-
-def _import_bench():
-    sys.path.insert(0, str(BENCH))
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        import tracing
-        import workloads
-    finally:
-        sys.dont_write_bytecode = dont_write
-        sys.path.remove(str(BENCH))
-    return tracing, workloads
-
-
-tracing, workloads = _import_bench()
+tracing, workloads = reference_outputs.import_bench()
 
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))

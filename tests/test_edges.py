@@ -103,7 +103,7 @@ CALLS = {
     "GradedGrid(levels)": (INTS, lambda v: lab.GradedGrid(2, 1.0, 8, v)),
     "GradedGrid.extension_lq(q)": (EDGES, lambda v: GRID.extension_lq(C2, 8.0, F, v)),
     "GradedGrid.extension_lq(lam)": (EDGES, lambda v: GRID.extension_lq(C2, v, F, 2.0)),
-    "family_sup(p)": (EDGES, lambda v: lab.family_sup(C2, 8.0, _one(8.0), v, 2.0, grid=GRID)),
+    "family_sup(p)": (EDGES, lambda v: lab.family_sup(C2, [(8.0, _one(8.0))], v, 2.0, grid=GRID)),
     "scaling_experiment(lam)": (EDGES, lambda v: lab.scaling_experiment(
         C2, 4.0, 8.0, 2.0, [v, *LAMS[1:]], grid=GRID, family_fn=_one)),
     "scaling_experiment(empty ladder)": (EMPTY, lambda v: lab.scaling_experiment(

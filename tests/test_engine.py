@@ -1072,7 +1072,7 @@ def test_group_trig_amplitudes_match_horner():
 def test_family_grid_of_no_members_is_empty():
     axes = [np.linspace(-1.0, 1.0, 3)] * 2
     assert list(eng.extension_eval_grid_family(model_curve(2), 16.0, axes, [])) == []
-    assert lab.GradedGrid(2, 2.0, 8, 1).family_lq(model_curve(2), 16.0, [], 4.0) == []
+    assert lab.GradedGrid(2, 2.0, 8, 1).family_lq(model_curve(2), [(16.0, [])], 4.0) == [[]]
 
 
 @pytest.mark.parametrize("alpha", [None, 2.0])
@@ -1119,7 +1119,7 @@ def test_nonfinite_lambda_rejected(lam):
     calls = [
         lambda: eng.extension_eval(curve, lam, np.array([[0.5, 0.25]]), f),
         lambda: eng.extension_eval_grid(curve, lam, [np.array([0.5, 1.0])] * 2, f),
-        lambda: lab.GradedGrid(2, 2.0, 8, 1).family_lq(curve, lam, [f], 4.0),
+        lambda: lab.GradedGrid(2, 2.0, 8, 1).family_lq(curve, [(lam, [f])], 4.0),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="lambda must be finite"):

@@ -162,13 +162,13 @@ class TestGradedGrid:
         fam = [(f"trig{s}", eng.trig_poly(s, degree=16)) for s in range(8)]
         fam[3:3] = [("cap", eng.indicator(0.3, 0.45)), ("zero", eng.zero_function())]
         fam += [("bump", eng.bump(0.2, 0.7)), ("again", fam[5][1])]
-        val, label = lab.family_sup(curve, 16.0, fam, 2.0, q, grid=grid, alpha=alpha)
+        (val, label), = lab.family_sup(curve, [(16.0, fam)], 2.0, q, grid=grid, alpha=alpha)
         best, ref = 0.0, "none"
         for name, f in fam:
             fp = f.lp_norm(2.0)
             if fp == 0.0:
                 continue
-            member = grid.family_lq(curve, 16.0, [f], q, alpha=alpha)[0] / fp
+            member = grid.family_lq(curve, [(16.0, [f])], q, alpha=alpha)[0][0] / fp
             if member > best:
                 best, ref = member, name
         assert type(val) is float and (val, label) == (best, ref)
@@ -178,7 +178,7 @@ class TestGradedGrid:
         grid = lab.GradedGrid(2, 2.0, 8, 1)
         f = eng.indicator(0.0, 1.0)
         with pytest.raises(ValueError, match="q must be >= 1, got nan"):
-            grid.family_lq(model_curve(2), 8.0, [f], math.nan)
+            grid.family_lq(model_curve(2), [(8.0, [f])], math.nan)
         with pytest.raises(ValueError, match="q must be >= 1, got nan"):
             grid.extension_lq(model_curve(2), 8.0, f, math.nan)
 
@@ -253,7 +253,7 @@ class TestScaling:
         # the reuse lives in one call: a second sweep norms them all again
         again = lab.scaling_experiment(*args, grid=grid, family_fn=family)
         assert len(calls) == 2 * len(distinct)
-        ref = [lab.family_sup(args[0], lam, family(lam), 2.0, 8.0, grid=grid)
+        ref = [lab.family_sup(args[0], [(lam, family(lam))], 2.0, 8.0, grid=grid)[0]
                for lam in lams]
         assert rep.sup_norms == again.sup_norms == tuple(v for v, _ in ref)
         assert rep.best_labels == tuple(label for _, label in ref)
@@ -585,18 +585,22 @@ class TestFiniteType:
 # ---------------------------------------------------------------------------
 
 
-def _per_level_lq(grid, curve, lam, fs, q, alpha=None,
-                  nodes_per_wavelength=eng.NODES_PER_WAVELENGTH, _memo=None):
-    """family_lq without the memo: every member on every level's own axes."""
-    acc = [0.0] * len(fs)
-    for axes, keep, cell in grid.levels:
-        for j, values in eng.extension_eval_grid_family(
-                curve, lam, axes, fs, alpha=alpha,
-                nodes_per_wavelength=nodes_per_wavelength):
-            mod = np.abs(values[keep])
-            acc[j] = (max(acc[j], float(np.max(mod, initial=0.0))) if q == math.inf
-                      else acc[j] + float(np.sum(cell ** grid.d * mod ** q)))
-    return [s if q == math.inf else s ** (1.0 / q) for s in acc]
+def _per_level_lq(grid, curve, jobs, q, alpha=None,
+                  nodes_per_wavelength=eng.NODES_PER_WAVELENGTH):
+    """family_lq without the shared records: every member of every job on
+    every level's own axes."""
+    out = []
+    for lam, fs in jobs:
+        acc = [0.0] * len(fs)
+        for axes, keep, cell in grid.levels:
+            for j, values in eng.extension_eval_grid_family(
+                    curve, lam, axes, fs, alpha=alpha,
+                    nodes_per_wavelength=nodes_per_wavelength):
+                mod = np.abs(values[keep])
+                acc[j] = (max(acc[j], float(np.max(mod, initial=0.0))) if q == math.inf
+                          else acc[j] + float(np.sum(cell ** grid.d * mod ** q)))
+        out.append([s if q == math.inf else s ** (1.0 / q) for s in acc])
+    return out
 
 
 def _counting_evaluations(monkeypatch):
@@ -623,8 +627,8 @@ class TestGradedSweepMemo:
     @pytest.mark.parametrize("args", [(2, 16.0, 128, 8), (2, 8.0, 128, 9), (2, 4.0, 32, 3),
                                       (2, 4.0, 8, 1), (2, 2.0, 32, 0), (2, 2.0, 8, 0)])
     def test_levels_are_exact_dilations_of_level_0(self, args):
-        # the grids of criteria 8 and 10 and of the benchmark workloads: the
-        # memo evaluates level l on level 0's axes at lambda 2^{-l}
+        # the grids of criteria 8 and 10 and of the benchmark workloads: a
+        # sweep evaluates level l on level 0's axes at lambda 2^{-l}
         levels = lab.GradedGrid(*args).levels
         axes0, keep0, cell0 = levels[0]
         for level, (axes, keep, cell) in enumerate(levels):
@@ -673,7 +677,7 @@ class TestGradedSweepMemo:
                     for level in range(len(grid.levels))}
         lab.scaling_experiment(*args, grid=grid, family_fn=_bench_family, npw=6)
         assert len(seen) == len(distinct) and set(seen) == distinct
-        # the memo lives in one sweep: a second one evaluates them all again
+        # the records live in one sweep: a second one evaluates them all again
         lab.scaling_experiment(*args, grid=grid, family_fn=_bench_family, npw=6)
         assert len(seen) == 2 * len(distinct)
 
@@ -688,7 +692,8 @@ class TestGradedSweepMemo:
 
     def test_no_family_call_when_the_memo_holds_every_member(self, monkeypatch):
         # 24 (lambda, level) pairs at 9 effective lambdas: the 15 repeats
-        # called the grid family with no members
+        # called the grid family with no members; the sweep's records hold
+        # every member there
         grid = lab.GradedGrid(2, 4.0, 32, 3)
         sizes = []
         family = eng._family_blocks
@@ -703,9 +708,29 @@ class TestGradedSweepMemo:
                                family_fn=lambda lam: lab.trig_family(0, 1), npw=6)
         assert sizes == [1] * 9
 
+    def test_one_family_call_per_job_and_level_in_job_order(self, monkeypatch):
+        # each call holds the job's members still missing at lambda 2^{-l};
+        # an equal member is not missing, and a member of norm 0 never is
+        grid = lab.GradedGrid(2, 4.0, 8, 1)
+        a, b, c = eng.indicator(0.1, 0.4), eng.trig_poly(1, 8), eng.bump(0.2, 0.9)
+        calls = []
+        family = eng._family_blocks
+
+        def recording(curve, lam, axes, fs, *args, **kwargs):
+            calls.append((lam, list(fs)))
+            return family(curve, lam, axes, fs, *args, **kwargs)
+
+        monkeypatch.setattr(eng, "_family_blocks", recording)
+        jobs = [(8.0, [("a", a), ("b", b)]),
+                (16.0, [("b", eng.trig_poly(1, 8)), ("c", c), ("zero", eng.zero_function())])]
+        lab.family_sup(model_curve(2), jobs, 2.0, 8.0, grid=grid)
+        assert calls == [(8.0, [a, b]), (4.0, [a, b]), (16.0, [b, c]), (8.0, [c])]
+        assert calls[2][1][0] is b
+
     def test_each_member_hashed_once_per_call(self, monkeypatch):
-        # one memo lookup per member and call, one more to store a new
-        # member's record: a trig member hashes its 129 coefficients
+        # one lookup per member and job maps it to the first equal member,
+        # whose records are found by identity: a trig member hashes its 129
+        # coefficients
         hashes = []
         hash_ = eng.TestFunction.__hash__
 
@@ -721,7 +746,7 @@ class TestGradedSweepMemo:
         lab.scaling_experiment(model_curve(2), math.inf, 8.0, 2.0, lams,
                                grid=lab.GradedGrid(2, 4.0, 32, 3),
                                family_fn=families.__getitem__, npw=6)
-        assert len(hashes) == calls + len(distinct)
+        assert len(distinct) < calls and len(hashes) == calls
 
     @pytest.mark.parametrize("levels", [0, 3])
     def test_memo_serves_a_grid_of_any_number_of_levels(self, levels, monkeypatch):
@@ -729,11 +754,12 @@ class TestGradedSweepMemo:
         # same lambda in one sweep was evaluated again
         grid = lab.GradedGrid(2, 4.0, 32, levels)
         seen = _counting_evaluations(monkeypatch)
-        family, memo = lab.trig_family(0, 2), {}
-        first = lab.family_sup(model_curve(2), 8.0, family, 2.0, 8.0, grid=grid, _memo=memo)
-        assert len(seen) == 2 * (levels + 1)
-        again = lab.family_sup(model_curve(2), 8.0, family, 2.0, 8.0, grid=grid, _memo=memo)
+        jobs = [(8.0, lab.trig_family(0, 2)), (8.0, lab.trig_family(0, 2))]
+        first, again = lab.family_sup(model_curve(2), jobs, 2.0, 8.0, grid=grid)
         assert len(seen) == 2 * (levels + 1) and again == first
+        # a second sweep evaluates them again
+        assert lab.family_sup(model_curve(2), jobs[:1], 2.0, 8.0, grid=grid) == [first]
+        assert len(seen) == 4 * (levels + 1)
 
     @pytest.mark.parametrize("levels", [0, 3])
     @pytest.mark.parametrize("family", [[], [("zero", eng.zero_function())]],
@@ -744,10 +770,9 @@ class TestGradedSweepMemo:
         grid = lab.GradedGrid(2, 4.0, 32, levels)
         for lam in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"lambda must be finite, got {lam}"):
-                lab.family_sup(model_curve(2), lam, family, 2.0, 8.0, grid=grid,
-                               _memo={})
+                lab.family_sup(model_curve(2), [(lam, family)], 2.0, 8.0, grid=grid)
             with pytest.raises(ValueError, match=f"lambda must be finite, got {lam}"):
-                grid.family_lq(model_curve(2), lam, [], 8.0)
+                grid.family_lq(model_curve(2), [(lam, [])], 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +822,7 @@ class TestFormedRows:
         grid = lab.GradedGrid(*args)
         curve, fs = model_curve(grid.d), _formed_family(grid.d)
         alpha = float(grid.d) if weighted else None
-        got = grid.family_lq(curve, 16.0, fs, q, alpha=alpha)
+        got, = grid.family_lq(curve, [(16.0, fs)], q, alpha=alpha)
         ref = _full_grid_lq(grid, curve, 16.0, fs, q, alpha)
         assert ref[3] == 0.0 and all(r > 0.0 for k, r in enumerate(ref) if k != 3)
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
@@ -805,7 +830,9 @@ class TestFormedRows:
     @pytest.mark.parametrize("args", _CENTRED_GRIDS)
     def test_family_lq_reads_the_formed_rows_only(self, args, monkeypatch):
         # every level is centred on 0: blocks of m - m // 2 rows, and no
-        # full grid, whose lower rows would be the mirror image of the block
+        # full grid, whose lower rows would be the mirror image of the block;
+        # one block per member object and level (family_sup passes equal
+        # members as one object)
         grid = lab.GradedGrid(*args)
         blocks = []
         family = eng._family_blocks
@@ -821,15 +848,15 @@ class TestFormedRows:
         monkeypatch.setattr(eng, "_family_blocks", recording)
         monkeypatch.setattr(eng, "extension_eval_grid_family", full_grids)
         fs = _formed_family(grid.d)
-        grid.family_lq(model_curve(grid.d), 16.0, fs, 8.0)
+        grid.family_lq(model_curve(grid.d), [(16.0, fs)], 8.0)
         m = args[2]
-        assert blocks == [(m - m // 2,) + (m,) * (grid.d - 1)] * (len(set(fs)) * len(grid.levels))
+        assert blocks == [(m - m // 2,) + (m,) * (grid.d - 1)] * (len(fs) * len(grid.levels))
 
     def test_family_lq_at_a_large_exponent(self):
         # |T f|^2000 underflowed: the norm came back 0.0
         grid = lab.GradedGrid(2, 4.0, 32, 3)
         f = eng.trig_poly(3, 64)
-        got, = grid.family_lq(model_curve(2), 1.0, [f], 2000.0)
+        (got,), = grid.family_lq(model_curve(2), [(1.0, [f])], 2000.0)
         # the reference sums in the log domain
         axes, keep, _ = grid.levels[0]
         logs = []

@@ -372,6 +372,23 @@ def test_audit_rejects_no_centres():
         ms.regularity_audit(ms.make_cantor(1, 1 / 3, 4), n_centers=0)
 
 
+@pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf])
+def test_measure_rejects_a_bad_resolution(resolution):
+    # at 0 the one-atom audit's floor was 0, and its radii halved forever
+    with pytest.raises(ValueError, match=f"resolution must be finite and > 0, got {resolution}"):
+        ms.DiscreteMeasure(atoms=[[0.0]], weights=[1.0], alpha=1.0, c_mu=1.0,
+                           resolution=resolution)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_measure_rejects_a_bad_local_resolution(bad):
+    # at 0 the audit's floor was 0, and its radii halved forever
+    with pytest.raises(ValueError,
+                       match=f"local_resolution must be finite and > 0, got {bad}"):
+        ms.DiscreteMeasure(atoms=[[0.0], [1.0]], weights=[1.0, 1.0], alpha=1.0,
+                           c_mu=1.0, resolution=1.0, local_resolution=[1.0, bad])
+
+
 def _audit_by_radius(mu, n_centers=ms.AUDIT_CENTERS, seed=0):
     """regularity_audit with a loop over the radii, largest first, keeping
     the first strictly larger ratio: the reference for its one-pass
